@@ -36,18 +36,25 @@ class AlgebraSpec:
     gamma has shape (n, nu, n): gamma[i, p, k] is the weight of female
     generator k in the product of female i with male p.  gamma_tilde has
     shape (n, nu, nu) and carries the male weights.
+
+    Both are read-only views of one buffer of shape (n, nu, n + nu), whose
+    last axis holds the full product e_i m_p on the basis.  ``kernel`` is
+    the same buffer as an (n * nu, n + nu) matrix, so the product of any
+    mixed coefficient matrix c[i, p] is the contraction c.ravel() @ kernel.
     """
 
     n: int
     nu: int
     gamma: np.ndarray
     gamma_tilde: np.ndarray
+    kernel: np.ndarray = field(init=False, repr=False, compare=False)
+    _stochastic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.nu < 1:
             raise ShapeMismatch(f"need n, nu >= 1, got ({self.n}, {self.nu})")
-        g = _readonly(self.gamma)
-        gt = _readonly(self.gamma_tilde)
+        g = np.asarray(self.gamma, dtype=float)
+        gt = np.asarray(self.gamma_tilde, dtype=float)
         if g.shape != (self.n, self.nu, self.n):
             raise ShapeMismatch(
                 f"gamma has shape {g.shape}, expected {(self.n, self.nu, self.n)}"
@@ -56,8 +63,12 @@ class AlgebraSpec:
             raise ShapeMismatch(
                 f"gamma_tilde has shape {gt.shape}, expected {(self.n, self.nu, self.nu)}"
             )
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "gamma_tilde", gt)
+        buf = _readonly(np.concatenate([g, gt], axis=2))
+        object.__setattr__(self, "gamma", buf[:, :, : self.n])
+        object.__setattr__(self, "gamma_tilde", buf[:, :, self.n :])
+        object.__setattr__(self, "kernel", buf.reshape(self.n * self.nu, self.dim))
+        stochastic = np.isfinite(buf).all() and (buf >= -NEG_TOL).all()
+        object.__setattr__(self, "_stochastic", bool(stochastic))
 
     @property
     def dim(self) -> int:
@@ -76,9 +87,8 @@ class AlgebraSpec:
         return self.gamma_tilde.sum(axis=2)
 
     def is_stochastic(self) -> bool:
-        return bool(
-            np.all(self.gamma >= -NEG_TOL) and np.all(self.gamma_tilde >= -NEG_TOL)
-        )
+        """All structure constants finite and non-negative (within NEG_TOL)."""
+        return self._stochastic
 
     def to_dict(self) -> dict:
         return {
@@ -228,10 +238,7 @@ def multiply(a: Element, b: Element, spec: AlgebraSpec) -> Element:
             )
     # mixed coefficient a_i b_p + a_p b_i for the (female i, male p) pair
     c = np.outer(a.x, b.y) + np.outer(b.x, a.y)
-    return Element(
-        np.einsum("ip,ipk->k", c, spec.gamma),
-        np.einsum("ip,ipr->r", c, spec.gamma_tilde),
-    )
+    return Element.from_vector(c.ravel() @ spec.kernel, spec.n)
 
 
 def omega(a: Element) -> float:

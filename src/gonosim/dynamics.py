@@ -101,11 +101,7 @@ def apply_W(z: State, spec: AlgebraSpec) -> State:
     """One generation of absolute proportions: half the algebra square of z."""
     if not z.conforms(spec):
         raise ShapeMismatch("state does not conform to the algebra type")
-    c = np.outer(z.x, z.y)
-    return Element(
-        np.einsum("ip,ipk->k", c, spec.gamma),
-        np.einsum("ip,ipr->r", c, spec.gamma_tilde),
-    )
+    return Element.from_vector(np.outer(z.x, z.y).ravel() @ spec.kernel, spec.n)
 
 
 def apply_V(z: State, spec: AlgebraSpec) -> State:
@@ -119,10 +115,6 @@ def apply_V(z: State, spec: AlgebraSpec) -> State:
     return Element(w.x / total, w.y / total)
 
 
-def _in_absorbing_set(z: State) -> bool:
-    return bool(np.all(z.x == 0.0) or np.all(z.y == 0.0))
-
-
 def iterate(
     z0: State,
     spec: AlgebraSpec,
@@ -134,61 +126,86 @@ def iterate(
     Outcome precedence at each step: extinction, absorption, convergence,
     cycle, divergence.  Convergence requires the L1 step size to stay below
     conv_tol for `patience` consecutive steps; a cycle is a return (within
-    conv_tol) to a state seen at most max_period steps earlier.
+    conv_tol) to a state seen at most max_period steps earlier, the
+    smallest such gap being the period.
+
+    The orbit is computed on rows of one preallocated array, one kernel
+    contraction per step; the states are wrapped as Elements at the end.
     """
     if operator not in ("W", "V"):
         raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
     opts = opts or IterationOptions()
-    step = apply_W if operator == "W" else apply_V
+    if not z0.conforms(spec):
+        raise ShapeMismatch("state does not conform to the algebra type")
+    if operator == "V" and not spec.is_stochastic():
+        raise NotStochastic("normalized operator requires a stochastic algebra")
+    normalize = operator == "V"
+    n, K = spec.n, spec.kernel
 
-    states = [z0]
-    omegas = [omega(z0)]
+    Z = np.empty((opts.max_steps + 1, spec.dim))
+    Z[0] = z0.vector
+    last = 0  # index of the last state of the orbit
     quiet = 0  # consecutive small steps
-    outcome = None
+    kind, period = None, None
     for t in range(1, opts.max_steps + 1):
-        try:
-            z = step(states[-1], spec)
-        except AbsorbedToO:
-            outcome = Outcome("absorbed", step=t - 1)
-            break
-        states.append(z)
-        omegas.append(omega(z))
+        prev = Z[t - 1]
+        z = Z[t]
+        np.matmul((prev[:n, None] * prev[n:]).ravel(), K, out=z)
+        if normalize:
+            total = z[:n].sum() + z[n:].sum()
+            if total == 0.0:
+                kind = "absorbed"
+                break
+            z /= total
+        last = t
 
-        if np.all(z.vector == 0.0):
-            outcome = Outcome("extinct", step=t)
+        mag = np.abs(z)
+        l1 = mag.sum()
+        if l1 == 0.0:
+            kind = "extinct"
             break
-        if abs(omegas[-1]) < UNDERFLOW_OMEGA and np.all(np.abs(z.vector) < UNDERFLOW_OMEGA):
-            outcome = Outcome("numerically_extinct", step=t)
+        if mag.max() < UNDERFLOW_OMEGA and abs(z[:n].sum() + z[n:].sum()) < UNDERFLOW_OMEGA:
+            kind = "numerically_extinct"
             break
-        if operator == "W" and _in_absorbing_set(z):
-            # next application sends the state to exactly zero
+        if not normalize and not (z[:n].any() and z[n:].any()):
+            # one sex is missing: the next step sends the state to exactly zero
             continue
 
-        diff = float(np.abs(z.vector - states[-2].vector).sum())
+        diff = float(np.abs(z - prev).sum())
         quiet = quiet + 1 if diff < opts.conv_tol else 0
         if quiet >= opts.patience:
-            outcome = Outcome("converged", step=t, point=z)
+            kind = "converged"
             break
 
         # a slowly converging orbit revisits its own neighborhood; only look
         # for cycles when the consecutive step is not already convergence-small
-        cycle_found = False
-        for gap in range(2, min(opts.max_period, t) + 1) if quiet == 0 else ():
-            ref = states[-1 - gap]
-            if float(np.abs(z.vector - ref.vector).sum()) < opts.conv_tol:
-                reps = tuple(states[-gap:])
-                outcome = Outcome("cycle", step=t, period=gap, representatives=reps)
-                cycle_found = True
+        max_gap = min(opts.max_period, t)
+        if quiet == 0 and max_gap >= 2:
+            # row j of the window is the state max_gap - j steps back
+            dist = np.abs(Z[t - max_gap : t - 1] - z).sum(axis=1)
+            hits = np.flatnonzero(dist < opts.conv_tol)
+            if hits.size:
+                kind, period = "cycle", max_gap - int(hits[-1])
                 break
-        if cycle_found:
+
+        if l1 > opts.div_threshold:
+            kind = "divergent"
             break
 
-        if float(np.abs(z.vector).sum()) > opts.div_threshold:
-            outcome = Outcome("divergent", step=t)
-            break
-
-    if outcome is None:
-        outcome = Outcome("max_iterations", step=len(states) - 1)
+    Z = Z[: last + 1]
+    omegas = (Z[:, :n].sum(axis=1) + Z[:, n:].sum(axis=1)).tolist()
+    states = [z0] + [Element(z[:n], z[n:]) for z in Z[1:]]
+    if kind is None:
+        outcome = Outcome("max_iterations", step=last)
+    elif kind == "absorbed":
+        outcome = Outcome("absorbed", step=last)
+    elif kind == "converged":
+        outcome = Outcome("converged", step=last, point=states[-1])
+    elif kind == "cycle":
+        reps = tuple(states[-period:])
+        outcome = Outcome("cycle", step=last, period=period, representatives=reps)
+    else:
+        outcome = Outcome(kind, step=last)
     return Trajectory(states, omegas, outcome, operator)
 
 

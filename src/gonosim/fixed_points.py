@@ -36,13 +36,11 @@ MARGINAL = "marginal"
 
 def jacobian_W(z: State, spec: AlgebraSpec) -> np.ndarray:
     """Analytic Jacobian of the unnormalized operator at z."""
-    n, nu = spec.n, spec.nu
-    J = np.zeros((n + nu, n + nu))
-    J[:n, :n] = np.einsum("ijk,j->ki", spec.gamma, z.y)
-    J[:n, n:] = np.einsum("ijk,i->kj", spec.gamma, z.x)
-    J[n:, :n] = np.einsum("ijr,j->ri", spec.gamma_tilde, z.y)
-    J[n:, n:] = np.einsum("ijr,i->rj", spec.gamma_tilde, z.x)
-    return J
+    n, nu, dim = spec.n, spec.nu, spec.dim
+    # W(z) = sum_ip x_i y_p K[i, p, :]; each block contracts K with one factor
+    d_dx = z.y @ spec.kernel.reshape(n, nu, dim)
+    d_dy = (z.x @ spec.kernel.reshape(n, nu * dim)).reshape(nu, dim)
+    return np.concatenate([d_dx, d_dy]).T
 
 
 def _simplex_tangent_basis(dim: int) -> np.ndarray:
