@@ -21,6 +21,11 @@ from .algebra import AlgebraSpec, Element, State, omega
 from .errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
+# A return within conv_tol to an earlier state counts as a cycle only while
+# the orbit still moves by at least this multiple of conv_tol per step.  An
+# orbit converging from alternating sides at rate lambda returns within
+# conv_tol at gap 2 while its step is still about conv_tol * lambda/(1-lambda).
+CYCLE_MIN_STEP_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,8 @@ def iterate(
     cycle, divergence.  Convergence requires the L1 step size to stay below
     conv_tol for `patience` consecutive steps; a cycle is a return (within
     conv_tol) to a state seen at most max_period steps earlier, the
-    smallest such gap being the period.
+    smallest such gap being the period, made while the step size is still
+    at least CYCLE_MIN_STEP_FACTOR * conv_tol.
 
     The orbit is computed on rows of one preallocated array, one kernel
     contraction per step; the states are wrapped as Elements at the end.
@@ -178,9 +184,9 @@ def iterate(
             break
 
         # a slowly converging orbit revisits its own neighborhood; only look
-        # for cycles when the consecutive step is not already convergence-small
+        # for cycles while the consecutive step is far from convergence-small
         max_gap = min(opts.max_period, t)
-        if quiet == 0 and max_gap >= 2:
+        if diff >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol and max_gap >= 2:
             # row j of the window is the state max_gap - j steps back
             dist = np.abs(Z[t - max_gap : t - 1] - z).sum(axis=1)
             hits = np.flatnonzero(dist < opts.conv_tol)

@@ -222,6 +222,30 @@ class TestPredict:
         assert payload["agreement"] is True
         assert payload["prediction"]["w_limit"] == "zero"
 
+    def test_type21_alternating_convergence_agreement(self, capsys):
+        # a negative smaller eigenvalue: the V orbit converges from alternating sides
+        code = main(
+            [
+                "predict",
+                "--scenario",
+                "recessive_lethal",
+                "--gamma1",
+                "0.1",
+                "--gamma2",
+                "0.5",
+                "--delta1",
+                "0.4",
+                "--delta2",
+                "0.1",
+                "--init",
+                "0.2,0.3,0.5",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prediction"]["kind"] == "distinct_eigenvalues"
+        assert payload["agreement"] is True
+
     def test_type21_limit_agreement(self, capsys):
         code = main(
             [

@@ -20,7 +20,13 @@ from gonosim import (
 )
 from gonosim.algebra import AlgebraSpec
 from gonosim.errors import AbsorbedToO, NotStochastic
-from gonosim.scenarios import Scenario, build_algebra, hemophilia_spec, type11_spec
+from gonosim.scenarios import (
+    Scenario,
+    build_algebra,
+    hemophilia_spec,
+    predict_limit_type21,
+    type11_spec,
+)
 
 
 def simplex_state(spec, rng):
@@ -151,6 +157,40 @@ class TestIterate:
         traj = iterate(Element.from_vector([0.0, 0.6, 0.4], 2), spec, "V")
         assert traj.outcome.kind == "cycle"
         assert traj.outcome.period == 2
+
+    def test_alternating_convergence_is_not_a_cycle(self):
+        # the smaller transfer-matrix eigenvalue is negative: the V orbit
+        # approaches its limit from alternating sides
+        s = Scenario(
+            "recessive_lethal",
+            {"gamma1": 0.1, "gamma2": 0.5, "delta1": 0.4, "delta2": 0.1},
+        )
+        z0 = Element.from_vector([0.2, 0.3, 0.5], 2)
+        traj = iterate(z0, build_algebra(s), "V")
+        assert traj.outcome.kind == "converged"
+        limit = predict_limit_type21(z0, s).v_limit
+        assert traj.outcome.point.vector == pytest.approx(limit, abs=1e-8)
+
+    def test_alternating_convergence_random_type21(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        while checked < 40:
+            g1, g2 = rng.dirichlet(np.ones(3))[:2]
+            d1, d2 = rng.dirichlet(np.ones(3))[:2]
+            root = np.sqrt((g1 - d2) ** 2 + 4.0 * g2 * d1)
+            lam1, lam2 = (g1 + d2 - root) / 2.0, (g1 + d2 + root) / 2.0
+            if lam1 >= 0.0 or abs(lam1) / lam2 > 0.8:
+                continue
+            s = Scenario(
+                "recessive_lethal",
+                {"gamma1": g1, "gamma2": g2, "delta1": d1, "delta2": d2},
+            )
+            z0 = Element.from_vector(rng.dirichlet(np.ones(3)), 2)
+            traj = iterate(z0, build_algebra(s), "V")
+            assert traj.outcome.kind == "converged"
+            limit = predict_limit_type21(z0, s).v_limit
+            assert traj.outcome.point.vector == pytest.approx(limit, abs=1e-6)
+            checked += 1
 
     def test_omegas_match_states(self):
         spec = random_stochastic(2, 2, 12)

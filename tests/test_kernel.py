@@ -2,7 +2,7 @@
 
 The einsum references below are the formulas the package used before the
 kernel existed; ``reference_iterate`` is the original Element-by-Element
-iteration loop built on them.
+iteration loop built on them, with the cycle rule of CYCLE_MIN_STEP_FACTOR.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ import pytest
 
 from gonosim import Element, IterationOptions, apply_V, apply_W, iterate, multiply, omega
 from gonosim.algebra import AlgebraSpec, random_stochastic
-from gonosim.dynamics import UNDERFLOW_OMEGA, Outcome
+from gonosim.dynamics import CYCLE_MIN_STEP_FACTOR, UNDERFLOW_OMEGA, Outcome
 from gonosim.errors import AbsorbedToO, NotStochastic, ShapeMismatch
 from gonosim.fixed_points import jacobian_W
 from gonosim.scenarios import Scenario, build_algebra
@@ -86,7 +86,8 @@ def reference_iterate(z0, spec, operator="W", opts=None):
             outcome = Outcome("converged", step=t, point=z)
             break
         cycle_found = False
-        for gap in range(2, min(opts.max_period, t) + 1) if quiet == 0 else ():
+        moving = diff >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol
+        for gap in range(2, min(opts.max_period, t) + 1) if moving else ():
             ref = states[-1 - gap]
             if float(np.abs(z.vector - ref.vector).sum()) < opts.conv_tol:
                 outcome = Outcome("cycle", step=t, period=gap, representatives=tuple(states[-gap:]))
