@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, State, opposite
+from .dynamics import apply_W
 from .errors import (
     DegenerateDenominator,
     DegenerateParameter,
@@ -494,9 +495,12 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
     """Limit behaviour when mu = 1 or eta = 1.
 
     mu = eta = 1: exact extinction at step 2.  mu = 1, eta < 1: exact
-    extinction at step 3.  mu < 1, eta = 1: the W orbit goes to zero when
-    |x1/(2-mu) + x2/(3-mu)| |y1 + y2| <= 1/(1-mu)^2 and blows up above
-    that value, while the V orbit is constant from step 1.
+    extinction at step 3.  mu < 1, eta = 1: from step 1 on x1 = 0, and
+    u(t) = x2(t) (y1(t) + y2(t)) / (3 - mu) follows u(t+1) = k u(t)^2 with
+    k = 2 (1 - mu) / (3 - mu).  So the W orbit goes to zero when
+    |u(1)| < 1/k, blows up above that value and stays on the non-zero
+    fixed point at equality (w_limit "nonzero"); u(1) comes from one W
+    step.  The V orbit is constant from step 2 (from step 1 when x1 = 0).
     """
     mu = _check_unit_interval("mu", mu)
     eta = _check_unit_interval("eta", eta)
@@ -508,15 +512,11 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
         return HemophiliaPrediction(
             kind="extinction", extinction_step=2 if eta_is_one else 3, w_limit="zero"
         )
-    prod = float(
-        abs(z0.x[0] / (2.0 - mu) + z0.x[1] / (3.0 - mu)) * abs(z0.y[0] + z0.y[1])
-    )
-    thr = 1.0 / (1.0 - mu) ** 2
-    boundary = abs(prod - thr) < BOUNDARY_TOL
-    # the sub-unit geometric prefactor pulls the orbit to zero even on the
-    # boundary, so only the strict excess diverges
-    w_limit = "zero" if prod <= thr or boundary else "infinity"
     c = 3.0 - mu
+    z1 = apply_W(z0, hemophilia_spec(mu, eta))
+    prod = float(abs(z1.x[1] * z1.y.sum() / c))
+    thr = c / (2.0 * (1.0 - mu))
+    w_limit, boundary = _trichotomy(prod, thr)
     return HemophiliaPrediction(
         kind="trichotomy",
         threshold=thr,

@@ -329,6 +329,43 @@ class TestHemophilia:
         traj = iterate(z0, spec, "W", IterationOptions(max_steps=40))
         assert traj.outcome.kind == "divergent"
 
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.7])
+    def test_trichotomy_matches_iteration_on_random_states(self, mu):
+        rng = np.random.default_rng(int(mu * 10) + 40)
+        spec = hemophilia_spec(mu, 1.0)
+        thr = (3.0 - mu) / (2.0 * (1.0 - mu))
+        seen = set()
+        for _ in range(200):
+            d = rng.dirichlet(np.ones(4))
+            z = Element.from_vector(d, 2)
+            u1 = apply_W(z, spec).x[1] * apply_W(z, spec).y.sum() / (3.0 - mu)
+            # scale so that u(1), quartic in the scale, lands on either side of 1/k
+            z0 = Element.from_vector(d * (rng.uniform(0.3, 3.0) * thr / u1) ** 0.25, 2)
+            pred = hemophilia_degenerate_limits(z0, mu, 1.0)
+            assert pred.threshold == pytest.approx(thr, rel=1e-15)
+            traj = iterate(z0, spec, "W")
+            if pred.w_limit == "zero":
+                assert traj.outcome.kind in ("extinct", "numerically_extinct", "converged")
+                assert np.abs(traj.states[-1].vector).sum() < 1e-6
+            else:
+                assert pred.w_limit == "infinity"
+                assert traj.outcome.kind == "divergent"
+            seen.add(pred.w_limit)
+        assert seen == {"zero", "infinity"}
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_trichotomy_boundary_is_the_fixed_point(self, mu):
+        spec = hemophilia_spec(mu, 1.0)
+        c = 3.0 - mu
+        fp = [0.0, c / 2.0, c / 2.0, (1.0 + mu) * c / (2.0 * (1.0 - mu))]
+        z0 = Element.from_vector(fp, 2)
+        pred = hemophilia_degenerate_limits(z0, mu, 1.0)
+        assert pred.boundary and pred.w_limit == "nonzero"
+        assert pred.product == pytest.approx(pred.threshold, abs=1e-12)
+        traj = iterate(z0, spec, "W")
+        assert traj.outcome.kind == "converged"
+        assert traj.outcome.point.vector == pytest.approx(fp, abs=1e-9)
+
     def test_normalized_orbit_constant_from_step_two(self):
         rng = np.random.default_rng(4)
         spec = hemophilia_spec(0.5, 1.0)
