@@ -195,12 +195,27 @@ class ValidationReport:
     violations: list = field(default_factory=list)
 
 
+def _entry_violations(kind: str, tensors, is_bad) -> list:
+    return [
+        {
+            "kind": kind,
+            "tensor": name,
+            "index": tuple(int(v) + 1 for v in idx),
+            "value": float(tensor[tuple(idx)]),
+        }
+        for name, tensor in tensors
+        for idx in np.argwhere(is_bad(tensor))
+    ]
+
+
 def validate(spec: AlgebraSpec) -> ValidationReport:
-    """Check the defining row-sum constraint and entrywise non-negativity.
+    """Check finiteness, the defining row-sum constraint and non-negativity.
 
     Each violation is reported as a dict with a "kind" key: "row_sum"
     entries carry the offending 1-based (i, p) pair and its sum,
-    "negative_entry" entries carry the tensor name, index and value.
+    "nonfinite_entry" and "negative_entry" entries carry the tensor name,
+    index and value.  A non-finite structure constant makes the algebra
+    neither gonosomal nor stochastic.
     """
     violations = []
     sums = spec.row_sums()
@@ -209,18 +224,10 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
         violations.append(
             {"kind": "row_sum", "i": int(i) + 1, "p": int(p) + 1, "sum": float(sums[i, p])}
         )
+    tensors = (("gamma", spec.gamma), ("gamma_tilde", spec.gamma_tilde))
+    violations += _entry_violations("nonfinite_entry", tensors, lambda t: ~np.isfinite(t))
     is_gonosomal = len(violations) == 0
-    neg_violations = []
-    for name, tensor in (("gamma", spec.gamma), ("gamma_tilde", spec.gamma_tilde)):
-        for idx in np.argwhere(tensor < -NEG_TOL):
-            neg_violations.append(
-                {
-                    "kind": "negative_entry",
-                    "tensor": name,
-                    "index": tuple(int(v) + 1 for v in idx),
-                    "value": float(tensor[tuple(idx)]),
-                }
-            )
+    neg_violations = _entry_violations("negative_entry", tensors, lambda t: t < -NEG_TOL)
     return ValidationReport(
         is_gonosomal=is_gonosomal,
         is_stochastic=is_gonosomal and not neg_violations,

@@ -17,7 +17,7 @@ import numpy as np
 from . import fixed_points as fpmod
 from . import scenarios as scmod
 from .algebra import AlgebraSpec, Element, random_stochastic, validate
-from .dynamics import IterationOptions, iterate
+from .dynamics import IterationOptions, apply_V, apply_W, iterate
 from .errors import AbsorbedToO, GonosimError
 from .identities import check_identities
 
@@ -66,6 +66,8 @@ def _initial_state(args, spec: AlgebraSpec) -> Element:
             raise ValueError(
                 f"initial state has {vals.shape[0]} components, algebra needs {spec.dim}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"initial state {args.init!r} has a non-finite component")
         return Element.from_vector(vals, spec.n)
     rng = np.random.default_rng(args.seed)
     return Element.from_vector(rng.dirichlet(np.ones(spec.dim)), spec.n)
@@ -106,8 +108,6 @@ def cmd_simulate(args) -> int:
     )
     if args.operator == "V":
         try:
-            from .dynamics import apply_V
-
             apply_V(z0, spec)
         except AbsorbedToO:
             return _fail(
@@ -268,8 +268,6 @@ def _verify_type21(z0, spec, pred, args):
 
 
 def _verify_hemophilia(z0, spec, pred):
-    from .dynamics import apply_W
-
     if pred.kind == "extinction":
         z = z0
         for _ in range(pred.extinction_step):

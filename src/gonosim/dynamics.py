@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, omega
+from .algebra import AlgebraSpec, Element, State, multiply, omega
 from .errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
@@ -128,7 +128,7 @@ def iterate(
 ) -> Trajectory:
     """Iterate W or V from z0 until a terminal outcome or max_steps.
 
-    Outcome precedence at each step: extinction, absorption, convergence,
+    Raises ValueError for a non-finite z0.  Outcome precedence at each step: extinction, absorption, convergence,
     cycle, divergence.  Convergence requires the L1 step size to stay below
     conv_tol for `patience` consecutive steps; a cycle is a return (within
     conv_tol) to a state seen at most max_period steps earlier, the
@@ -143,6 +143,8 @@ def iterate(
     opts = opts or IterationOptions()
     if not z0.conforms(spec):
         raise ShapeMismatch("state does not conform to the algebra type")
+    if not np.isfinite(z0.x).all() or not np.isfinite(z0.y).all():
+        raise ValueError("initial state has a non-finite coordinate")
     if operator == "V" and not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
     normalize = operator == "V"
@@ -372,8 +374,6 @@ def verify_conjugacy(
     Returns True iff phi(W1(z)) == W2(phi(z)) on all sampled z and
     phi(ab) == phi(a) phi(b) on sampled pairs, within tol (L1).
     """
-    from .algebra import multiply  # local import to keep module deps one-way
-
     phi = np.asarray(phi, dtype=float)
     d1 = spec1.dim
     if phi.shape != (spec2.dim, d1):

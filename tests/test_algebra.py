@@ -63,6 +63,15 @@ class TestValidate:
         with pytest.raises(ShapeMismatch):
             AlgebraSpec(2, 1, np.zeros((1, 1, 1)), np.zeros((2, 1, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        spec = AlgebraSpec(2, 1, [[[0.5, 0.2]], [[bad, 0.2]]], [[[0.3]], [[0.3]]])
+        report = validate(spec)
+        assert not report.is_gonosomal and not report.is_stochastic
+        nonfinite = [v for v in report.violations if v["kind"] == "nonfinite_entry"]
+        assert len(nonfinite) == 1
+        assert nonfinite[0]["tensor"] == "gamma" and nonfinite[0]["index"] == (2, 1, 1)
+
 
 class TestMultiply:
     def test_same_sex_products_vanish(self):

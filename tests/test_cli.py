@@ -43,6 +43,24 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
 
 
+class TestNonFinite:
+    def test_validate_nan_algebra(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(
+            {"n": 1, "nu": 1, "gamma": [[[float("nan")]]], "gamma_tilde": [[[0.5]]]}))
+        assert main(["validate", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["is_gonosomal"] and not payload["is_stochastic"]
+        assert [v["kind"] for v in payload["violations"]] == ["nonfinite_entry"]
+
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_nan_initial_state(self, command, tmp_path, capsys):
+        argv = [command, "--scenario", "lr_lethal", "--gamma", "0.5", "--init", "nan,1",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_csv_output(self, good_algebra, tmp_path, capsys):
         out = str(tmp_path / "traj.csv")

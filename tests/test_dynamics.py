@@ -199,6 +199,12 @@ class TestIterate:
         for s, om in zip(traj.states, traj.omegas):
             assert om == pytest.approx(omega(s), abs=1e-12)
 
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_initial_state_rejected(self, operator, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            iterate(Element.from_vector([0.5, bad], 1), type11_spec(0.5), operator)
+
     def test_invalid_operator(self):
         with pytest.raises(ValueError):
             iterate(Element.from_vector([1, 1], 1), type11_spec(0.5), "Q")
