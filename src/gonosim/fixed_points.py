@@ -401,7 +401,6 @@ def closed_form_fixed_points_type21(
         return records
 
     # both g2 and d1 nonzero: two real roots since the discriminant is positive
-    disc = (g1 + d2) ** 2 - 4.0 * D
     roots = np.roots([D, -(g1 + d2), 1.0])
     for y in sorted(float(r.real) for r in roots if abs(r.imag) < CASE_TOL):
         Q = (g * d1 - d * g1) * y + d
@@ -410,7 +409,6 @@ def closed_form_fixed_points_type21(
         records.append(
             _checked_record([d1 * y / Q, (1.0 - g1 * y) / Q, y], spec)
         )
-    del disc
     return records
 
 
