@@ -24,7 +24,9 @@ UNDERFLOW_OMEGA = 1e-300
 # A return within conv_tol to an earlier state counts as a cycle only while
 # the orbit still moves by at least this multiple of conv_tol per step.  An
 # orbit converging from alternating sides at rate lambda returns within
-# conv_tol at gap 2 while its step is still about conv_tol * lambda/(1-lambda).
+# conv_tol at gap 2 while its step is still about conv_tol * lambda/(1-lambda),
+# so only orbits with lambda above ~0.999, which need some 10^4 steps to
+# converge, can still be taken for a cycle.
 CYCLE_MIN_STEP_FACTOR = 1e3
 
 
@@ -128,12 +130,13 @@ def iterate(
 ) -> Trajectory:
     """Iterate W or V from z0 until a terminal outcome or max_steps.
 
-    Raises ValueError for a non-finite z0.  Outcome precedence at each step: extinction, absorption, convergence,
+    Outcome precedence at each step: extinction, absorption, convergence,
     cycle, divergence.  Convergence requires the L1 step size to stay below
     conv_tol for `patience` consecutive steps; a cycle is a return (within
-    conv_tol) to a state seen at most max_period steps earlier, the
-    smallest such gap being the period, made while the step size is still
-    at least CYCLE_MIN_STEP_FACTOR * conv_tol.
+    conv_tol) to a state seen at most max_period steps earlier, made while
+    the step size is still at least CYCLE_MIN_STEP_FACTOR * conv_tol, and
+    its period is the smallest such gap.  Raises ValueError for a
+    non-finite z0.
 
     The orbit is computed on rows of one preallocated array, one kernel
     contraction per step; the states are wrapped as Elements at the end.
@@ -200,20 +203,16 @@ def iterate(
             kind = "divergent"
             break
 
-    Z = Z[: last + 1]
+    Z = Z[: last + 1].copy()  # the states keep only the rows the orbit used
     omegas = (Z[:, :n].sum(axis=1) + Z[:, n:].sum(axis=1)).tolist()
     states = [z0] + [Element(z[:n], z[n:]) for z in Z[1:]]
-    if kind is None:
-        outcome = Outcome("max_iterations", step=last)
-    elif kind == "absorbed":
-        outcome = Outcome("absorbed", step=last)
-    elif kind == "converged":
-        outcome = Outcome("converged", step=last, point=states[-1])
-    elif kind == "cycle":
-        reps = tuple(states[-period:])
-        outcome = Outcome("cycle", step=last, period=period, representatives=reps)
-    else:
-        outcome = Outcome(kind, step=last)
+    outcome = Outcome(
+        kind or "max_iterations",
+        step=last,
+        point=states[-1] if kind == "converged" else None,
+        period=period,
+        representatives=tuple(states[-period:]) if kind == "cycle" else (),
+    )
     return Trajectory(states, omegas, outcome, operator)
 
 

@@ -182,8 +182,9 @@ def _orbit_cases():
     """Random W and V orbits on random algebras plus the scenario edge cases."""
     rng = np.random.default_rng(2024)
     cases = []
-    for n, nu in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 3), (8, 8)):
-        for j in range(20):
+    for n, nu, count in ((1, 1, 20), (2, 1, 20), (1, 2, 20), (2, 2, 20), (3, 3, 20), (8, 8, 20),
+                         (32, 32, 4)):
+        for j in range(count):
             spec = random_stochastic(n, nu, 1000 * n + 10 * nu + j)
             v = rng.dirichlet(np.ones(spec.dim))
             cases.append((spec, v, "V", None))
