@@ -337,8 +337,8 @@ class TestHemophilia:
         seen = set()
         for _ in range(200):
             d = rng.dirichlet(np.ones(4))
-            z = Element.from_vector(d, 2)
-            u1 = apply_W(z, spec).x[1] * apply_W(z, spec).y.sum() / (3.0 - mu)
+            w = apply_W(Element.from_vector(d, 2), spec)
+            u1 = w.x[1] * w.y.sum() / (3.0 - mu)
             # scale so that u(1), quartic in the scale, lands on either side of 1/k
             z0 = Element.from_vector(d * (rng.uniform(0.3, 3.0) * thr / u1) ** 0.25, 2)
             pred = hemophilia_degenerate_limits(z0, mu, 1.0)
