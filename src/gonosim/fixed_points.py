@@ -26,6 +26,9 @@ from .scenarios import hemophilia_spec, type11_spec, type21_spec
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
+# coordinates of an accepted root within this factor of max(1, |root|_inf) of
+# zero are set to exactly 0.0, so structural zeros survive the Newton rounding
+ROOT_ZERO_TOL = 1e-14
 CASE_TOL = 1e-12
 MARGINAL_BAND = 1e-9
 
@@ -192,10 +195,16 @@ def _newton(z0v: np.ndarray, spec: AlgebraSpec, operator: str) -> np.ndarray | N
     z = Element.from_vector(v, spec.n)
     try:
         if _residual(z, spec, operator) < RESIDUAL_TOL:
-            return v
+            return _snap_zeros(v)
     except Exception:
         return None
     return None
+
+
+def _snap_zeros(v: np.ndarray) -> np.ndarray:
+    """Set the coordinates of a root that are zero up to rounding to exactly 0.0."""
+    scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+    return np.where(np.abs(v) <= ROOT_ZERO_TOL * scale, 0.0, v)
 
 
 def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDescriptor | None:

@@ -109,6 +109,17 @@ class TestNumericSolver:
             assert np.abs(apply_W(z, spec).vector - v).sum() < 1e-9
         assert fams[0].point.vector[2] == pytest.approx(1.0 / 0.3, abs=1e-8)
 
+    @pytest.mark.parametrize("mu", [0.0, 0.2, 0.4, 0.6, 0.8])
+    def test_hemophilia_root_keeps_structural_zero(self, mu):
+        # Newton leaves x1 at +-1e-32; a negative sign used to drop stability_v
+        spec = hemophilia_spec(mu, 1.0)
+        closed = closed_form_fixed_points_hemophilia(mu, 1.0)[1]
+        recs = [r for r in solve_fixed_points_numeric(spec, "W") if np.any(r.point.vector)]
+        assert len(recs) == 1
+        assert recs[0].point.vector[0] == 0.0
+        assert np.abs(recs[0].point.vector - closed.point.vector).sum() < 1e-9
+        assert recs[0].stability_v == closed.stability_v == "exponentially_stable"
+
     def test_diagnostics_attached(self):
         recs = solve_fixed_points_numeric(type11_spec(0.4), "W")
         assert recs[0].diagnostics["attempted"] >= recs[0].diagnostics["converged"]
