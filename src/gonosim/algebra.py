@@ -48,6 +48,7 @@ class AlgebraSpec:
     gamma: np.ndarray
     gamma_tilde: np.ndarray
     kernel: np.ndarray = field(init=False, repr=False, compare=False)
+    _finite: bool = field(init=False, repr=False, compare=False)
     _stochastic: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,8 +68,9 @@ class AlgebraSpec:
         object.__setattr__(self, "gamma", buf[:, :, : self.n])
         object.__setattr__(self, "gamma_tilde", buf[:, :, self.n :])
         object.__setattr__(self, "kernel", buf.reshape(self.n * self.nu, self.dim))
-        stochastic = np.isfinite(buf).all() and (buf >= -NEG_TOL).all()
-        object.__setattr__(self, "_stochastic", bool(stochastic))
+        finite = bool(np.isfinite(buf).all())
+        object.__setattr__(self, "_finite", finite)
+        object.__setattr__(self, "_stochastic", finite and bool((buf >= -NEG_TOL).all()))
 
     @property
     def dim(self) -> int:
@@ -85,6 +87,10 @@ class AlgebraSpec:
     def male_row_sums(self) -> np.ndarray:
         """gamma~_ip = sum_r gamma_tilde[i, p, r], shape (n, nu)."""
         return self.gamma_tilde.sum(axis=2)
+
+    def is_finite(self) -> bool:
+        """All structure constants finite."""
+        return self._finite
 
     def is_stochastic(self) -> bool:
         """All structure constants finite and non-negative (within NEG_TOL)."""

@@ -115,7 +115,10 @@ def cmd_simulate(args) -> int:
                 "initial state lies in the absorbing set (one sex has total weight zero); "
                 "the normalized operator is undefined there",
             )
-    traj = iterate(z0, spec, operator=args.operator, opts=opts)
+    try:
+        traj = iterate(z0, spec, operator=args.operator, opts=opts)
+    except ValueError as exc:
+        return _fail(2, f"bad input: {exc}")
     out = args.out or f"trajectory.{args.format}"
     if args.format == "csv":
         traj.to_csv(out)

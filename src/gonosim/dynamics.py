@@ -136,7 +136,7 @@ def iterate(
     conv_tol) to a state seen at most max_period steps earlier, made while
     the step size is still at least CYCLE_MIN_STEP_FACTOR * conv_tol, and
     its period is the smallest such gap.  Raises ValueError for a
-    non-finite z0.
+    non-finite z0 or a non-finite structure constant.
 
     The orbit is computed on rows of one preallocated array, one kernel
     contraction per step; the states are wrapped as Elements at the end.
@@ -148,6 +148,8 @@ def iterate(
         raise ShapeMismatch("state does not conform to the algebra type")
     if not np.isfinite(z0.x).all() or not np.isfinite(z0.y).all():
         raise ValueError("initial state has a non-finite coordinate")
+    if not spec.is_finite():
+        raise ValueError("algebra has a non-finite structure constant")
     if operator == "V" and not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
     normalize = operator == "V"

@@ -53,6 +53,14 @@ class TestNonFinite:
         assert not payload["is_gonosomal"] and not payload["is_stochastic"]
         assert [v["kind"] for v in payload["violations"]] == ["nonfinite_entry"]
 
+    def test_simulate_nan_algebra(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]).save(path)
+        argv = ["simulate", "--algebra", str(path), "--init", "1,1",
+                "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert "non-finite structure constant" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "predict"])
     def test_nan_initial_state(self, command, tmp_path, capsys):
         argv = [command, "--scenario", "lr_lethal", "--gamma", "0.5", "--init", "nan,1",

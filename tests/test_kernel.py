@@ -171,6 +171,11 @@ class TestKernelBuffer:
         assert not AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]).is_stochastic()
         assert not AlgebraSpec(1, 1, [[[np.inf]]], [[[0.5]]]).is_stochastic()
 
+    def test_finite_flag(self):
+        assert AlgebraSpec(1, 1, [[[1.5]]], [[[-0.5]]]).is_finite()
+        assert not AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]).is_finite()
+        assert not AlgebraSpec(1, 1, [[[0.5]]], [[[-np.inf]]]).is_finite()
+
     def test_shape_checks_before_the_buffer(self):
         with pytest.raises(ShapeMismatch):
             AlgebraSpec(2, 1, np.zeros((2, 1, 2)), np.zeros((2, 2, 1)))
@@ -251,3 +256,7 @@ def test_iterate_checks_before_the_loop():
     bad = AlgebraSpec(1, 1, [[[1.5]]], [[[-0.5]]])
     with pytest.raises(NotStochastic):
         iterate(Element.from_vector([0.5, 0.5], 1), bad, "V")
+    nan = AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]])
+    for operator in ("W", "V"):
+        with pytest.raises(ValueError, match="non-finite structure constant"):
+            iterate(Element.from_vector([1.0, 1.0], 1), nan, operator)
