@@ -243,12 +243,20 @@ def _verify_type11(z0, spec, gamma, w_limit, boundary):
         z6 = scmod.closed_form_trajectory_type11(z0, gamma, 6)
         err = float(np.abs(z6.vector - z0.vector).sum())
         return err < 1e-6, {"method": "closed_form", "error": err}
+    return _verify_w_limit(z0, spec, w_limit)
+
+
+def _verify_w_limit(z0, spec, w_limit, fixed_point=None):
+    """Iterate W and test the predicted limit: zero, infinity, or the fixed point."""
     traj = iterate(z0, spec, operator="W")
     kind = traj.outcome.kind
-    expect = {"zero": ("extinct", "converged", "numerically_extinct"), "infinity": ("divergent",)}
-    ok = kind in expect[w_limit]
-    if w_limit == "zero" and kind == "converged":
-        ok = float(np.abs(traj.outcome.point.vector).sum()) < 1e-6
+    if w_limit == "infinity":
+        ok = kind == "divergent"
+    elif kind == "converged":
+        target = np.zeros(spec.dim) if w_limit == "zero" else np.asarray(fixed_point)
+        ok = float(np.abs(traj.outcome.point.vector - target).sum()) < 1e-6
+    else:
+        ok = w_limit == "zero" and kind in ("extinct", "numerically_extinct")
     return ok, {"method": "iteration", "outcome": kind}
 
 
@@ -281,7 +289,9 @@ def _verify_hemophilia(z0, spec, pred):
     if traj.outcome.kind not in ("converged", "max_iterations"):
         return False, {"method": "iteration", "outcome": traj.outcome.kind}
     err = float(np.abs(traj.states[-1].vector - np.array(pred.v_constant)).sum())
-    return err < 1e-6, {"method": "iteration", "constancy_error": err}
+    w_ok, w_detail = _verify_w_limit(z0, spec, pred.w_limit, pred.fixed_point)
+    detail = {"method": "iteration", "constancy_error": err, "w_outcome": w_detail["outcome"]}
+    return err < 1e-6 and w_ok, detail
 
 
 def cmd_scenario(args) -> int:

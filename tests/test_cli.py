@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gonosim import random_stochastic
+from gonosim import cli, random_stochastic
 from gonosim.algebra import AlgebraSpec
 from gonosim.cli import main
 from gonosim.scenarios import type11_spec
@@ -336,6 +336,34 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert payload["prediction"]["extinction_step"] == 2
         assert payload["agreement"] is True
+
+    HEMOPHILIA_ETA1 = ["predict", "--scenario", "hemophilia", "--mu", "0.4", "--eta", "1"]
+
+    @pytest.mark.parametrize(
+        "init, w_limit, w_outcome",
+        [("1,1,1,1", "zero", "converged"), ("2,2,2,2", "infinity", "divergent")],
+    )
+    def test_hemophilia_w_limit_checked(self, init, w_limit, w_outcome, capsys):
+        # u(1) = 1.30 and 20.8 against the threshold 13/6; "converged" is to zero
+        assert main(self.HEMOPHILIA_ETA1 + ["--init", init]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prediction"]["w_limit"] == w_limit
+        assert payload["verification"]["w_outcome"] == w_outcome
+        assert payload["agreement"] is True
+
+    def test_hemophilia_wrong_w_limit_disagrees(self, monkeypatch, capsys):
+        real = cli.scmod.hemophilia_degenerate_limits
+
+        def tampered(z0, mu, eta):
+            pred = real(z0, mu, eta)
+            pred.w_limit = "infinity" if pred.w_limit == "zero" else "zero"
+            return pred
+
+        monkeypatch.setattr(cli.scmod, "hemophilia_degenerate_limits", tampered)
+        assert main(self.HEMOPHILIA_ETA1 + ["--init", "1,1,1,1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prediction"]["w_limit"] == "infinity"
+        assert payload["agreement"] is False
 
     def test_unsupported_scenario(self, capsys):
         code = main(
