@@ -1,25 +1,27 @@
 """Fixed points of the evolution operators and their stability.
 
-Numeric side: multi-start damped Newton on op(z) - z with the analytic
-Jacobian, deduplication, and detection of one-parameter families through
-null directions of the linearization.  Closed-form side: the known fixed
-points of the three scenario families.  Stability is read off Jacobian
-spectra; for the normalized operator the Jacobian is restricted to the
-tangent space of the simplex.
+Numeric side: multi-start Newton on op(z) - z with the analytic Jacobian,
+run from every start at once, then deduplication and detection of
+one-parameter families through null directions of the linearization.
+Closed-form side: the known fixed points of the three scenario families.
+Stability is read off Jacobian spectra; for the normalized operator the
+Jacobian is restricted to the tangent space of the simplex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, State, multiply, omega
 from .dynamics import apply_V, apply_W
 from .errors import (
+    AbsorbedToO,
     DegenerateParameter,
     NotIdempotent,
     NotNormalizable,
+    NotStochastic,
     UncoveredCase,
 )
 from .scenarios import hemophilia_spec, type11_spec, type21_spec
@@ -31,19 +33,49 @@ DEDUP_TOL = 1e-6
 ROOT_ZERO_TOL = 1e-14
 CASE_TOL = 1e-12
 MARGINAL_BAND = 1e-9
+NEWTON_MAX_ITER = 100
+NEWTON_STEP_TOL = 1e-13  # a start stops once its L1 step falls below this
+NEWTON_DIVERGENCE = 1e8  # a start fails once a coordinate exceeds this in size
+# the normalized search rescales its iterate to unit sum unless the sum is this small
+NEWTON_RENORM_MIN = 1e-12
+# Tikhonov weight of the least-squares step taken where the Jacobian is singular
+NEWTON_RIDGE = 1e-10
 
 STABLE = "exponentially_stable"
 UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
 
+def _W_rows(Z: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
+    """W at every row of Z, shape (B, dim): one contraction with the kernel."""
+    n = spec.n
+    return (Z[:, :n, None] * Z[:, None, n:]).reshape(len(Z), n * spec.nu) @ spec.kernel
+
+
+def _jacobian_W_rows(Z: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
+    """Jacobian of W at every row of Z, shape (B, dim, dim)."""
+    n, nu, dim = spec.n, spec.nu, spec.dim
+    K = spec.kernel.reshape(n, nu, dim)
+    # W(z) = sum_ip x_i y_p K[i, p, :]; each block contracts K with one factor
+    d_dx = (Z[:, n:] @ K.transpose(1, 0, 2).reshape(nu, n * dim)).reshape(-1, n, dim)
+    d_dy = (Z[:, :n] @ spec.kernel.reshape(n, nu * dim)).reshape(-1, nu, dim)
+    return np.concatenate([d_dx, d_dy], axis=1).transpose(0, 2, 1)
+
+
+def _jacobian_V_rows(JW: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Ambient Jacobians of V = W / omega(W) from those of W and the W rows.
+
+    By the quotient rule J_V = (I - V 1^T) J_W / omega(W); every omega(W)
+    must be non-zero.
+    """
+    tot = W.sum(axis=1)
+    V = W / tot[:, None]
+    return (JW - V[:, :, None] * JW.sum(axis=1)[:, None, :]) / tot[:, None, None]
+
+
 def jacobian_W(z: State, spec: AlgebraSpec) -> np.ndarray:
     """Analytic Jacobian of the unnormalized operator at z."""
-    n, nu, dim = spec.n, spec.nu, spec.dim
-    # W(z) = sum_ip x_i y_p K[i, p, :]; each block contracts K with one factor
-    d_dx = z.y @ spec.kernel.reshape(n, nu, dim)
-    d_dy = (z.x @ spec.kernel.reshape(n, nu * dim)).reshape(nu, dim)
-    return np.concatenate([d_dx, d_dy]).T
+    return _jacobian_W_rows(z.vector[None], spec)[0]
 
 
 def _simplex_tangent_basis(dim: int) -> np.ndarray:
@@ -55,23 +87,23 @@ def _simplex_tangent_basis(dim: int) -> np.ndarray:
     return q[:, keep[: dim - 1]]
 
 
-def jacobian_V(z: State, spec: AlgebraSpec, step: float = 1e-6) -> np.ndarray:
+def jacobian_V(z: State, spec: AlgebraSpec) -> np.ndarray:
     """Jacobian of the normalized operator restricted to the simplex tangent space.
 
-    Computed by central finite differences along an orthonormal zero-sum
-    basis; returns a (dim-1) x (dim-1) matrix whose spectrum governs
-    stability within the simplex.
+    The ambient Jacobian (I - V(z) 1^T) J_W(z) / omega(W(z)) is projected
+    onto an orthonormal zero-sum basis T as T^T J T; the resulting
+    (dim-1) x (dim-1) matrix has the spectrum that governs stability
+    within the simplex.  Raises NotStochastic and AbsorbedToO where V is
+    undefined.
     """
-    dim = spec.dim
-    T = _simplex_tangent_basis(dim)
-    cols = []
-    for b in range(T.shape[1]):
-        dv = T[:, b] * step
-        zp = Element.from_vector(z.vector + dv, spec.n)
-        zm = Element.from_vector(z.vector - dv, spec.n)
-        diff = (apply_V(zp, spec).vector - apply_V(zm, spec).vector) / (2 * step)
-        cols.append(T.T @ diff)
-    return np.column_stack(cols)
+    if not spec.is_stochastic():
+        raise NotStochastic("normalized operator requires a stochastic algebra")
+    Z = z.vector[None]
+    W = _W_rows(Z, spec)
+    if W.sum() == 0.0:
+        raise AbsorbedToO()
+    T = _simplex_tangent_basis(spec.dim)
+    return T.T @ _jacobian_V_rows(_jacobian_W_rows(Z, spec), W)[0] @ T
 
 
 def classify_spectrum(eigenvalues: np.ndarray) -> str:
@@ -102,6 +134,17 @@ class FamilyDescriptor:
 
 @dataclass
 class FixedPointRecord:
+    """A fixed point with its spectra and stability labels.
+
+    ``diagnostics`` is set on the records of a numeric search and counts
+    its Newton starts: ``attempted``, ``converged`` (accepted roots before
+    deduplication), ``singular`` (took at least one least-squares step),
+    and the failures ``nonfinite``, ``diverged``, ``rejected_residual``
+    and, for V, ``absorbed`` (omega(W) vanished, or the root has no
+    female or no male mass).  Each start ends either converged or in
+    exactly one failure.
+    """
+
     point: State
     operator: str
     residual: float
@@ -110,6 +153,7 @@ class FixedPointRecord:
     stability_w: str | None = None
     stability_v: str | None = None
     family: FamilyDescriptor | None = None
+    diagnostics: dict | None = None
 
     def to_dict(self) -> dict:
         def eigs(e):
@@ -124,6 +168,7 @@ class FixedPointRecord:
             "stability_w": self.stability_w,
             "stability_v": self.stability_v,
             "family": self.family.to_dict() if self.family else None,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -151,60 +196,105 @@ def make_record(z: State, spec: AlgebraSpec, operator: str = "W") -> FixedPointR
     return rec
 
 
-def _newton(z0v: np.ndarray, spec: AlgebraSpec, operator: str) -> np.ndarray | None:
-    op = apply_W if operator == "W" else apply_V
-    v = z0v.copy()
-    dim = spec.dim
-    for _ in range(100):
-        z = Element.from_vector(v, spec.n)
-        try:
-            F = op(z, spec).vector - v
-        except Exception:
-            return None
-        J = jacobian_W(z, spec) - np.eye(dim) if operator == "W" else None
-        if operator == "V":
-            # ambient finite-difference Jacobian of V; cheap at desk scale
-            J = np.zeros((dim, dim))
-            h = 1e-7
-            try:
-                for c in range(dim):
-                    e = np.zeros(dim)
-                    e[c] = h
-                    J[:, c] = (
-                        apply_V(Element.from_vector(v + e, spec.n), spec).vector
-                        - apply_V(Element.from_vector(v - e, spec.n), spec).vector
-                    ) / (2 * h)
-            except Exception:
-                return None
-            J -= np.eye(dim)
-        try:
-            s = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            s = np.linalg.solve(J.T @ J + 1e-10 * np.eye(dim), -J.T @ F)
-        if not np.all(np.isfinite(s)):
-            return None
-        v = v + s
-        if not np.all(np.isfinite(v)) or np.abs(v).max() > 1e8:
-            return None
-        if operator == "V":
-            tot = v.sum()
-            if abs(tot) > 1e-12:
-                v = v / tot
-        if float(np.abs(s).sum()) < 1e-13:
-            break
-    z = Element.from_vector(v, spec.n)
+# per-start outcomes of the Newton search; 0 is success
+_FAILURES = ("rejected_residual", "nonfinite", "diverged", "absorbed")
+_REJECTED, _NONFINITE, _DIVERGED, _ABSORBED = range(1, len(_FAILURES) + 1)
+
+
+def _op_rows(Z: np.ndarray, spec: AlgebraSpec, operator: str, jacobian: bool):
+    """op at every row of Z, the Jacobians of op - I if asked, and a mask of
+    the rows where V is undefined (omega(W) = 0; always False for W).
+    Values on masked rows are meaningless."""
+    W = _W_rows(Z, spec)
+    J = _jacobian_W_rows(Z, spec) if jacobian else None
+    absorbed = np.zeros(len(Z), dtype=bool)
+    if operator == "V":
+        absorbed = W.sum(axis=1) == 0.0
+        W[absorbed] = 1.0  # stand-in values keep the quotients below finite
+        if jacobian:
+            J = _jacobian_V_rows(J, W)
+        W /= W.sum(axis=1)[:, None]
+    if jacobian:
+        J -= np.eye(Z.shape[1])
+    return W, J, absorbed
+
+
+def _newton_steps(J: np.ndarray, F: np.ndarray, singular: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Newton steps s with J s = -F for a stack of systems.
+
+    One stacked solve; if a Jacobian is singular, every system is solved on
+    its own and each singular one takes a ridge-regularized least-squares
+    step instead.  Marks the starts (rows) that took one in ``singular``.
+    """
     try:
-        if _residual(z, spec, operator) < RESIDUAL_TOL:
-            return _snap_zeros(v)
-    except Exception:
-        return None
-    return None
+        return np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.empty_like(F)
+    ridge = NEWTON_RIDGE * np.eye(F.shape[1])
+    for r, (Jr, Fr) in enumerate(zip(J, F)):
+        try:
+            steps[r] = np.linalg.solve(Jr, -Fr)
+        except np.linalg.LinAlgError:
+            steps[r] = np.linalg.solve(Jr.T @ Jr + ridge, -Jr.T @ Fr)
+            singular[rows[r]] = True
+    return steps
 
 
-def _snap_zeros(v: np.ndarray) -> np.ndarray:
-    """Set the coordinates of a root that are zero up to rounding to exactly 0.0."""
-    scale = max(1.0, float(np.abs(v).max(initial=0.0)))
-    return np.where(np.abs(v) <= ROOT_ZERO_TOL * scale, 0.0, v)
+def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
+    """Newton's method on op(z) - z from every row of ``starts`` at once.
+
+    Each iteration steps all the starts still running, with one W
+    contraction, one batch of Jacobians and one stacked solve.  A start
+    stops when its L1 step falls below NEWTON_STEP_TOL or after
+    NEWTON_MAX_ITER steps, and fails on a non-finite step or state, a
+    coordinate beyond NEWTON_DIVERGENCE, or (V) a vanishing omega(W).  The
+    V iterate is rescaled to unit sum after each step.  A stopped start is
+    accepted if its residual is below RESIDUAL_TOL; accepted roots have
+    their near-zero coordinates snapped to 0.0, and a V root without
+    female or male mass is rejected as absorbed.
+
+    Returns the final iterates (B, dim), the per-start outcome codes (0 for
+    an accepted root, else 1 + index into _FAILURES) and the mask of
+    starts that took a least-squares step.
+    """
+    X = np.array(starts, dtype=float)
+    fate = np.zeros(len(X), dtype=int)
+    singular = np.zeros(len(X), dtype=bool)
+    rows = np.arange(len(X))
+    for _ in range(NEWTON_MAX_ITER):
+        if not rows.size:
+            break
+        Z = X[rows]
+        opZ, J, absorbed = _op_rows(Z, spec, operator, jacobian=True)
+        s = _newton_steps(J, opZ - Z, singular, rows)
+        Z += s
+        nonfinite = ~(np.isfinite(s).all(axis=1) & np.isfinite(Z).all(axis=1))
+        diverged = ~nonfinite & (np.abs(Z).max(axis=1) > NEWTON_DIVERGENCE)
+        fate[rows[absorbed]] = _ABSORBED
+        fate[rows[~absorbed & nonfinite]] = _NONFINITE
+        fate[rows[~absorbed & diverged]] = _DIVERGED
+        keep = ~(absorbed | nonfinite | diverged)
+        rows, Z, s = rows[keep], Z[keep], s[keep]
+        if operator == "V":
+            tot = Z.sum(axis=1)
+            Z /= np.where(np.abs(tot) > NEWTON_RENORM_MIN, tot, 1.0)[:, None]
+        X[rows] = Z
+        rows = rows[np.abs(s).sum(axis=1) >= NEWTON_STEP_TOL]
+
+    done = np.flatnonzero(fate == 0)
+    Z = X[done]
+    opZ, _, absorbed = _op_rows(Z, spec, operator, jacobian=False)
+    fate[done[absorbed]] = _ABSORBED
+    fate[done[~absorbed & ~(np.abs(opZ - Z).sum(axis=1) < RESIDUAL_TOL)]] = _REJECTED
+    ok = done[fate[done] == 0]
+    scale = np.maximum(1.0, np.abs(X[ok]).max(axis=1, initial=0.0))
+    X[ok] = np.where(np.abs(X[ok]) <= ROOT_ZERO_TOL * scale[:, None], 0.0, X[ok])
+    if operator == "V":
+        n = spec.n
+        massless = (np.abs(X[ok, :n].sum(axis=1)) < DEDUP_TOL) | (np.abs(X[ok, n:].sum(axis=1)) < DEDUP_TOL)
+        fate[ok[massless]] = _ABSORBED
+    return X, fate, singular
 
 
 def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDescriptor | None:
@@ -235,10 +325,14 @@ def solve_fixed_points_numeric(
 
     Starts on a grid over [0, 5]^dim (or the simplex for the normalized
     operator) plus seeded random points.  Roots are deduplicated by L1
-    distance; points lying on a detected one-parameter family collapse
-    into a single family record.  The zero state is always included for
-    the unnormalized operator.
+    distance in start order; points lying on a detected one-parameter
+    family collapse into a single family record.  The zero state is always
+    included for the unnormalized operator.  Every record carries the
+    search's diagnostics.  The V search raises NotStochastic on an algebra
+    that is not stochastic.
     """
+    if operator == "V" and not spec.is_stochastic():
+        raise NotStochastic("normalized operator requires a stochastic algebra")
     rng = np.random.default_rng(seed)
     dim = spec.dim
     starts: list[np.ndarray] = []
@@ -261,19 +355,24 @@ def solve_fixed_points_numeric(
         for _ in range(random_starts):
             starts.append(rng.dirichlet(np.ones(dim)))
 
+    found, fate, singular = _newton(np.reshape(starts, (-1, dim)), spec, operator)
+    counts = np.bincount(fate, minlength=len(_FAILURES) + 1)
+    diagnostics = {
+        "attempted": len(fate),
+        "converged": int(counts[0]),
+        "singular": int(singular.sum()),
+        **{key: int(c) for key, c in zip(_FAILURES, counts[1:])},
+    }
+    if operator == "W":
+        del diagnostics["absorbed"]
+
     roots: list[np.ndarray] = []
     families: list[FamilyDescriptor] = []
-    diagnostics = {"attempted": 0, "converged": 0}
     if operator == "W":
         roots.append(np.zeros(dim))
 
-    for s0 in starts:
-        diagnostics["attempted"] += 1
-        v = _newton(np.asarray(s0, dtype=float), spec, operator)
-        if v is None:
-            continue
-        diagnostics["converged"] += 1
-        if any(float(np.abs(v - r).sum()) < DEDUP_TOL for r in roots):
+    for v in found[fate == 0]:
+        if roots and np.abs(np.asarray(roots) - v).sum(axis=1).min() < DEDUP_TOL:
             continue
         if any(f.contains(v) for f in families):
             continue
