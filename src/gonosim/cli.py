@@ -9,6 +9,7 @@ unreadable or malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -150,7 +151,7 @@ def cmd_fixed_points(args) -> int:
                 )
             elif s.name == "hemophilia":
                 closed = fpmod.closed_form_fixed_points_hemophilia(
-                    p := s.params["mu"], s.params["eta"]
+                    s.params["mu"], s.params["eta"]
                 )
         except GonosimError:
             closed = None
@@ -218,8 +219,7 @@ def cmd_predict(args) -> int:
             gamma = float(spec.gamma[0, 0, 0])
             thr = 1.0 / (gamma * (1.0 - gamma))
             prod = abs(float(z0.x[0] * z0.y[0]))
-            boundary = abs(prod - thr) < 1e-12
-            w_limit = "nonzero" if boundary else ("zero" if prod < thr else "infinity")
+            w_limit, boundary = scmod._trichotomy(prod, thr)
             payload["prediction"] = {
                 "threshold": thr,
                 "product": prod,
@@ -365,9 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GonosimError as exc:

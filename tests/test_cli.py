@@ -219,6 +219,24 @@ class TestFixedPoints:
         assert any(np.allclose(p, [0.3, 0.7], atol=1e-6) for p in pts)
 
 
+class TestParserReuse:
+    def test_calls_share_one_parser_and_no_state(self, good_algebra, tmp_path):
+        short = ["simulate", "--scenario", "lr_lethal", "--gamma", "0.5", "--init", "1,1",
+                 "--steps", "3", "--format", "json", "--out", str(tmp_path / "a.json")]
+        v_points = ["fixed-points", "--algebra", good_algebra, "--operator", "V",
+                    "--out", str(tmp_path / "b.json")]
+        default = ["simulate", "--algebra", good_algebra, "--init", "2,2",
+                   "--out", str(tmp_path / "c.csv")]
+        assert main(short) == 0 and main(v_points) == 0 and main(default) == 0
+        assert cli._parser() is cli._parser()
+        for argv in (short, v_points, default):
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        assert len(json.loads(open(tmp_path / "a.json").read())["states"]) == 4
+        assert json.loads(open(tmp_path / "b.json").read())["records"][0]["operator"] == "V"
+        # no --steps, --scenario or --operator left over from the calls before
+        assert open(tmp_path / "c.csv").read().splitlines()[-1].startswith("# outcome=converged")
+
+
 class TestIdentities:
     def test_report(self, good_algebra, capsys):
         assert main(["identities", good_algebra, "--samples", "3"]) == 0
