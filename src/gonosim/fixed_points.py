@@ -219,15 +219,17 @@ def _op_rows(Z: np.ndarray, spec: AlgebraSpec, operator: str, jacobian: bool):
     return W, J, absorbed
 
 
-def _newton_steps(J: np.ndarray, F: np.ndarray, singular: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Newton steps s with J s = -F for a stack of systems.
+def _newton_steps(J: np.ndarray, F: np.ndarray):
+    """Newton steps s with J s = -F for a stack of systems, and the mask of
+    the systems whose Jacobian is singular.
 
     One stacked solve; if a Jacobian is singular, every system is solved on
     its own and each singular one takes a ridge-regularized least-squares
-    step instead.  Marks the starts (rows) that took one in ``singular``.
+    step instead.
     """
+    singular = np.zeros(len(F), dtype=bool)
     try:
-        return np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+        return np.linalg.solve(J, -F[:, :, None])[:, :, 0], singular
     except np.linalg.LinAlgError:
         pass
     steps = np.empty_like(F)
@@ -237,8 +239,8 @@ def _newton_steps(J: np.ndarray, F: np.ndarray, singular: np.ndarray, rows: np.n
             steps[r] = np.linalg.solve(Jr, -Fr)
         except np.linalg.LinAlgError:
             steps[r] = np.linalg.solve(Jr.T @ Jr + ridge, -Jr.T @ Fr)
-            singular[rows[r]] = True
-    return steps
+            singular[r] = True
+    return steps, singular
 
 
 def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
@@ -267,7 +269,8 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
             break
         Z = X[rows]
         opZ, J, absorbed = _op_rows(Z, spec, operator, jacobian=True)
-        s = _newton_steps(J, opZ - Z, singular, rows)
+        s, took_ridge = _newton_steps(J, opZ - Z)
+        singular[rows[took_ridge]] = True
         Z += s
         nonfinite = ~(np.isfinite(s).all(axis=1) & np.isfinite(Z).all(axis=1))
         diverged = ~nonfinite & (np.abs(Z).max(axis=1) > NEWTON_DIVERGENCE)
@@ -292,8 +295,8 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     X[ok] = np.where(np.abs(X[ok]) <= ROOT_ZERO_TOL * scale[:, None], 0.0, X[ok])
     if operator == "V":
         n = spec.n
-        massless = (np.abs(X[ok, :n].sum(axis=1)) < DEDUP_TOL) | (np.abs(X[ok, n:].sum(axis=1)) < DEDUP_TOL)
-        fate[ok[massless]] = _ABSORBED
+        female, male = np.abs(X[ok, :n].sum(axis=1)), np.abs(X[ok, n:].sum(axis=1))
+        fate[ok[(female < DEDUP_TOL) | (male < DEDUP_TOL)]] = _ABSORBED
     return X, fate, singular
 
 

@@ -10,7 +10,14 @@ batched search: near-zero coordinates of an accepted root are snapped to
 import numpy as np
 import pytest
 
-from gonosim import Element, apply_V, apply_W, jacobian_V, random_stochastic, solve_fixed_points_numeric
+from gonosim import (
+    Element,
+    apply_V,
+    apply_W,
+    jacobian_V,
+    random_stochastic,
+    solve_fixed_points_numeric,
+)
 from gonosim.algebra import AlgebraSpec
 from gonosim.errors import GonosimError, NotStochastic
 from gonosim.fixed_points import (
@@ -148,7 +155,9 @@ def assert_same_records(got, want):
 
 
 @pytest.mark.parametrize("operator", ["W", "V"])
-@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: f"{s.name}-{'-'.join(map(str, s.params.values()))}")
+@pytest.mark.parametrize(
+    "scenario", SCENARIOS, ids=lambda s: "-".join([s.name, *map(str, s.params.values())])
+)
 def test_scenario_roots_match_reference(scenario, operator):
     spec = build_algebra(scenario)
     want, _ = reference_search(spec, operator)
