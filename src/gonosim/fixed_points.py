@@ -202,9 +202,11 @@ _REJECTED, _NONFINITE, _DIVERGED, _ABSORBED = range(1, len(_FAILURES) + 1)
 
 
 def _op_rows(Z: np.ndarray, spec: AlgebraSpec, operator: str, jacobian: bool):
-    """op at every row of Z, the Jacobians of op - I if asked, and a mask of
-    the rows where V is undefined (omega(W) = 0; always False for W).
-    Values on masked rows are meaningless."""
+    """op at every row of Z, the Jacobians of op - I if asked, and the V-undefined mask.
+
+    The mask marks the rows with omega(W) = 0 (none for W); values on those
+    rows are meaningless.
+    """
     W = _W_rows(Z, spec)
     J = _jacobian_W_rows(Z, spec) if jacobian else None
     absorbed = np.zeros(len(Z), dtype=bool)
