@@ -190,7 +190,10 @@ def cmd_identities(args) -> int:
         spec = _load_algebra(args.path)
     except (OSError, json.JSONDecodeError, GonosimError) as exc:
         return _fail(2, f"cannot read algebra: {exc}")
-    report = check_identities(spec, samples=args.samples, seed=args.seed)
+    try:
+        report = check_identities(spec, samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        return _fail(2, str(exc))
     _emit(report.to_dict(), args.out)
     return 0
 

@@ -247,6 +247,20 @@ class TestIdentities:
     def test_missing_file(self, tmp_path):
         assert main(["identities", str(tmp_path / "nope.json")]) == 2
 
+    def test_candidates_reported(self, good_algebra, capsys):
+        assert main(["identities", good_algebra, "--samples", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(entry["candidates"] >= 1 for entry in payload.values())
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_algebra(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            f'{{"n": 1, "nu": 1, "gamma": [[[{bad}]]], "gamma_tilde": [[[0.5]]]}}'
+        )
+        assert main(["identities", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestPredict:
     def test_lr_agreement(self, capsys):
