@@ -303,15 +303,22 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
 
 
 def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDescriptor | None:
+    """The line of fixed points through the root v, if there is one.
+
+    A near-zero singular value of J - I gives the candidate direction (for
+    V, of the tangent-space Jacobian, since V keeps the unit sum); the line
+    counts as a family when both probes 0.1 away along it are fixed too.
+    """
     z = Element.from_vector(v, spec.n)
     if operator == "W":
         J = jacobian_W(z, spec) - np.eye(spec.dim)
     else:
-        return None  # families are a phenomenon of the unnormalized operator here
+        T = _simplex_tangent_basis(spec.dim)
+        J = jacobian_V(z, spec) - np.eye(spec.dim - 1)
     _, svals, vt = np.linalg.svd(J)
     if svals[-1] >= 1e-8:
         return None
-    direction = vt[-1]
+    direction = vt[-1] if operator == "W" else T @ vt[-1]
     for off in (-0.1, 0.1):
         cand = Element.from_vector(v + off * direction, spec.n)
         if _residual(cand, spec, operator) >= RESIDUAL_TOL:

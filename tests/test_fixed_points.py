@@ -109,6 +109,19 @@ class TestNumericSolver:
             assert np.abs(apply_W(z, spec).vector - v).sum() < 1e-9
         assert fams[0].point.vector[2] == pytest.approx(1.0 / 0.3, abs=1e-8)
 
+    def test_V_family_collapses_to_one_record(self):
+        # V is fixed on the whole segment x1 + x2 = 0.3, y = 0.7
+        spec = type21_spec(0.3, 0.0, 0.0, 0.3)
+        recs = solve_fixed_points_numeric(spec, "V")
+        assert len(recs) == 1 and recs[0].family is not None
+        fam = recs[0].family
+        assert abs(fam.direction.sum()) < 1e-12  # within the simplex
+        for lam in (-0.1, 0.0, 0.1):
+            v = fam.base_point + lam * fam.direction
+            z = Element.from_vector(v, 2)
+            assert np.abs(apply_V(z, spec).vector - v).sum() < 1e-9
+        assert recs[0].to_dict()["family"]["direction"] == fam.direction.tolist()
+
     @pytest.mark.parametrize("mu", [0.0, 0.2, 0.4, 0.6, 0.8])
     def test_hemophilia_root_keeps_structural_zero(self, mu):
         # Newton leaves x1 at +-1e-32; a negative sign used to drop stability_v

@@ -171,14 +171,22 @@ def test_family_matches_reference():
 
 
 def test_line_of_V_fixed_points():
-    # V roots are not isolated here, so each search returns its own sample of
-    # the line x1 + x2 = 0.3, y = 0.7; families are only detected for W
+    # the V roots fill the line x1 + x2 = 0.3, y = 0.7; both searches
+    # collapse them into one family record along (1, -1, 0), whose base
+    # point is the first root found and so depends on rounding
     spec = build_algebra(FAMILY)
-    for recs in (reference_search(spec, "V"), solve_fixed_points_numeric(spec, "V")):
-        assert len(recs) > 1
-        for rec in recs:
-            assert abs(rec.point.x.sum() - 0.3) < 1e-9 and abs(rec.point.y[0] - 0.7) < 1e-9
-            assert rec.stability_v == "marginal"
+    want = reference_search(spec, "V")
+    got = solve_fixed_points_numeric(spec, "V")
+    assert len(got) == len(want) == 1
+    rec = got[0]
+    assert rec.family is not None and want[0].family is not None
+    assert rec.family.contains(want[0].point.vector)
+    assert abs(rec.point.x.sum() - 0.3) < 1e-9 and abs(rec.point.y[0] - 0.7) < 1e-9
+    assert rec.stability_v == "marginal"
+    assert np.abs(np.abs(rec.family.direction) - [0.5**0.5, 0.5**0.5, 0.0]).max() < 1e-9
+    for s0 in reference_starts(spec, "V"):
+        v = reference_newton(np.asarray(s0, dtype=float), spec, "V")
+        assert v is None or rec.family.contains(v)
 
 
 @pytest.mark.parametrize("operator", ["W", "V"])
