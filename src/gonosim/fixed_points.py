@@ -22,9 +22,14 @@ from .errors import (
     NotIdempotent,
     NotNormalizable,
     NotStochastic,
-    UncoveredCase,
 )
-from .scenarios import hemophilia_spec, type11_spec, type21_spec
+from .scenarios import (
+    _hemophilia_degenerate_case,
+    _hemophilia_fixed_point,
+    hemophilia_spec,
+    type11_spec,
+    type21_spec,
+)
 
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
@@ -536,19 +541,11 @@ def closed_form_fixed_points_hemophilia(mu: float, eta: float) -> list[FixedPoin
     """Fixed points of the hemophilia family when mu = 1 or eta = 1."""
     if not (0.0 <= mu <= 1.0 and 0.0 <= eta <= 1.0):
         raise DegenerateParameter("mu and eta must lie in [0, 1]")
-    mu_is_one = abs(mu - 1.0) < CASE_TOL
-    eta_is_one = abs(eta - 1.0) < CASE_TOL
-    if not mu_is_one and not eta_is_one:
-        raise UncoveredCase("no closed form for mu < 1 and eta < 1; use the numeric solver")
+    mu_is_one, eta_is_one = _hemophilia_degenerate_case(mu, eta)
     spec = hemophilia_spec(mu, eta)
     records = [_checked_record([0.0, 0.0, 0.0, 0.0], spec)]
     if not mu_is_one and eta_is_one:
-        c = 3.0 - mu
-        records.append(
-            _checked_record(
-                [0.0, c / 2.0, c / 2.0, (1.0 + mu) * c / (2.0 * (1.0 - mu))], spec
-            )
-        )
+        records.append(_checked_record(_hemophilia_fixed_point(mu), spec))
     return records
 
 

@@ -491,6 +491,27 @@ class HemophiliaPrediction:
         }
 
 
+def _hemophilia_degenerate_case(mu: float, eta: float) -> tuple[bool, bool]:
+    """Whether mu = 1 and whether eta = 1, to within PARAM_TOL.
+
+    The hemophilia closed forms need one of the two; UncoveredCase otherwise.
+    """
+    mu_is_one = abs(mu - 1.0) < PARAM_TOL
+    eta_is_one = abs(eta - 1.0) < PARAM_TOL
+    if not mu_is_one and not eta_is_one:
+        raise UncoveredCase("no closed form for mu < 1 and eta < 1; use the numeric solver")
+    return mu_is_one, eta_is_one
+
+
+def _hemophilia_fixed_point(mu: float) -> tuple:
+    """The non-zero W fixed point of the eta = 1, mu < 1 model.
+
+    (0, c/2, c/2, (1 + mu) c / (2 (1 - mu))) with c = 3 - mu.
+    """
+    c = 3.0 - mu
+    return (0.0, c / 2.0, c / 2.0, (1.0 + mu) * c / (2.0 * (1.0 - mu)))
+
+
 def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> HemophiliaPrediction:
     """Limit behaviour when mu = 1 or eta = 1.
 
@@ -504,10 +525,7 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
     """
     mu = _check_unit_interval("mu", mu)
     eta = _check_unit_interval("eta", eta)
-    mu_is_one = abs(mu - 1.0) < PARAM_TOL
-    eta_is_one = abs(eta - 1.0) < PARAM_TOL
-    if not mu_is_one and not eta_is_one:
-        raise UncoveredCase("no closed form for mu < 1 and eta < 1; use the numeric tools")
+    mu_is_one, eta_is_one = _hemophilia_degenerate_case(mu, eta)
     if mu_is_one:
         return HemophiliaPrediction(
             kind="extinction", extinction_step=2 if eta_is_one else 3, w_limit="zero"
@@ -524,10 +542,5 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
         w_limit=w_limit,
         v_constant=(0.0, (1.0 - mu) / c, (1.0 - mu) / c, (1.0 + mu) / c),
         boundary=boundary,
-        fixed_point=(
-            0.0,
-            c / 2.0,
-            c / 2.0,
-            (1.0 + mu) * c / (2.0 * (1.0 - mu)),
-        ),
+        fixed_point=_hemophilia_fixed_point(mu),
     )

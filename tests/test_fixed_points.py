@@ -26,7 +26,12 @@ from gonosim.errors import (
     NotNormalizable,
     UncoveredCase,
 )
-from gonosim.scenarios import hemophilia_spec, type11_spec, type21_spec
+from gonosim.scenarios import (
+    hemophilia_degenerate_limits,
+    hemophilia_spec,
+    type11_spec,
+    type21_spec,
+)
 
 
 def fd_jacobian_W(z, spec, h=1e-7):
@@ -231,6 +236,22 @@ class TestClosedFormHemophilia:
     def test_uncovered_case(self):
         with pytest.raises(UncoveredCase):
             closed_form_fixed_points_hemophilia(0.5, 0.5)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.8, 1.0 - 1e-6])
+    def test_same_point_as_the_limit_prediction(self, mu):
+        z0 = Element(np.array([0.2, 0.3]), np.array([0.25, 0.25]))
+        point = hemophilia_degenerate_limits(z0, mu, 1.0).fixed_point
+        assert closed_form_fixed_points_hemophilia(mu, 1.0)[1].point.vector.tolist() == list(point)
+
+    def test_same_cases_as_the_limit_prediction(self):
+        # both read mu = 1 within the same tolerance
+        z0 = Element(np.array([0.2, 0.3]), np.array([0.25, 0.25]))
+        assert len(closed_form_fixed_points_hemophilia(1.0 - 5e-13, 0.5)) == 1
+        assert hemophilia_degenerate_limits(z0, 1.0 - 5e-13, 0.5).kind == "extinction"
+        with pytest.raises(UncoveredCase):
+            closed_form_fixed_points_hemophilia(1.0 - 5e-12, 0.5)
+        with pytest.raises(UncoveredCase):
+            hemophilia_degenerate_limits(z0, 1.0 - 5e-12, 0.5)
 
 
 class TestCorrespondences:
