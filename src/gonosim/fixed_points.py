@@ -316,14 +316,15 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
     """
     z = Element.from_vector(v, spec.n)
     if operator == "W":
-        J = jacobian_W(z, spec) - np.eye(spec.dim)
+        T = np.eye(spec.dim)
+        J = jacobian_W(z, spec) - T
     else:
         T = _simplex_tangent_basis(spec.dim)
         J = jacobian_V(z, spec) - np.eye(spec.dim - 1)
     _, svals, vt = np.linalg.svd(J)
     if svals[-1] >= 1e-8:
         return None
-    direction = vt[-1] if operator == "W" else T @ vt[-1]
+    direction = T @ vt[-1]
     for off in (-0.1, 0.1):
         cand = Element.from_vector(v + off * direction, spec.n)
         if _residual(cand, spec, operator) >= RESIDUAL_TOL:

@@ -81,7 +81,7 @@ def _squares(X: np.ndarray, L: np.ndarray, M: np.ndarray) -> np.ndarray:
 # product with x is one product with L_x, and the product is commutative.
 
 
-def _flex_defect(X, Y, M):
+def _flexibility(X, Y, M):
     # x(yx) - (xy)x: both are (xy) L_x, so the defect is exactly zero, as
     # the paper proves for every gonosomal algebra
     L = _left(X, M)
@@ -89,20 +89,20 @@ def _flex_defect(X, Y, M):
     return _l1(xy @ L - xy @ L)
 
 
-def _alt_defect(X, Y, M):
+def _alternativity(X, Y, M):
     # x^2 y - x(xy); y x^2 - (yx)x is the same element
     L = _left(X, M)
     return _l1(Y @ _squares(X, L, M) - (Y @ L) @ L)
 
 
-def _jordan_defect(X, Y, M):
+def _jordan(X, Y, M):
     # x^2 (xy) - x (x^2 y)
     L = _left(X, M)
     Lsq = _squares(X, L, M)
     return _l1((Y @ L) @ Lsq - (Y @ Lsq) @ L)
 
 
-def _power_defect(X, Y, M):
+def _power_associativity(X, Y, M):
     # x^2 x^2 - x(x(xx)), with Y holding x itself
     L = _left(X, M)
     sq = Y @ L
@@ -128,7 +128,7 @@ def _triple_terms(M: np.ndarray, rand: np.ndarray):
     yield (b @ La) @ Lc, (c @ Lb) @ La, (a @ Lc) @ Lb
 
 
-def _search(blocks, stop_at_violation: bool):
+def _scan(blocks, stop_at_violation: bool):
     """Apply the search rule to per-block defects given in candidate order.
 
     The result is the first candidate whose defect exceeds DEFECT_THRESHOLD
@@ -243,15 +243,15 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
         report.results[name] = IdentityResult(verdict, defect, witness, count)
 
     triples = _triple_terms(M, rand)
-    record("associativity", _search((_l1(t1 - t2) for t1, t2, _ in triples), True), triple_at)
-    record("flexibility", _search(pair_blocks(_flex_defect), False), pair_at)
-    record("alternativity", _search(pair_blocks(_alt_defect), True), pair_at)
-    record("jordan", _search(pair_blocks(_jordan_defect), True), pair_at)
+    record("associativity", _scan((_l1(t1 - t2) for t1, t2, _ in triples), True), triple_at)
+    record("flexibility", _scan(pair_blocks(_flexibility), False), pair_at)
+    record("alternativity", _scan(pair_blocks(_alternativity), True), pair_at)
+    record("jordan", _scan(pair_blocks(_jordan), True), pair_at)
     record(
         "power_associativity",
-        _search(single_blocks(_power_defect), True),
+        _scan(single_blocks(_power_associativity), True),
         lambda t: [singles[t]],
     )
     triples = _triple_terms(M, rand)
-    record("jacobi", _search((_l1(t1 + t2 + t3) for t1, t2, t3 in triples), True), triple_at)
+    record("jacobi", _scan((_l1(t1 + t2 + t3) for t1, t2, t3 in triples), True), triple_at)
     return report
