@@ -138,6 +138,14 @@ class Element:
         return cls(v[:n], v[n:])
 
     @classmethod
+    def _view(cls, x: np.ndarray, y: np.ndarray) -> "Element":
+        """Wrap read-only 1-D float arrays as they are, skipping __post_init__."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "x", x)
+        object.__setattr__(el, "y", y)
+        return el
+
+    @classmethod
     def zero(cls, spec: AlgebraSpec) -> "Element":
         return cls(np.zeros(spec.n), np.zeros(spec.nu))
 

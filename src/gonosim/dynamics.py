@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, multiply, omega
+from .algebra import AlgebraSpec, Element, State, multiply
 from .errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
@@ -28,6 +28,8 @@ UNDERFLOW_OMEGA = 1e-300
 # so only orbits with lambda above ~0.999, which need some 10^4 steps to
 # converge, can still be taken for a cycle.
 CYCLE_MIN_STEP_FACTOR = 1e3
+# iterate steps and classifies the orbit this many steps at a time
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ class Outcome:
     kind is one of: converged, extinct, numerically_extinct, absorbed,
     cycle, divergent, max_iterations.  step marks where the outcome was
     first detected; period and representatives are set for cycles only.
+    final_step_l1 is the L1 size of the last step, None when no step was
+    taken.
     """
 
     kind: str
@@ -53,6 +57,7 @@ class Outcome:
     point: State | None = None
     period: int | None = None
     representatives: tuple = ()
+    final_step_l1: float | None = None
 
     def describe(self) -> str:
         parts = [f"outcome={self.kind}"]
@@ -95,6 +100,7 @@ class Trajectory:
                 "kind": self.outcome.kind,
                 "step": self.outcome.step,
                 "period": self.outcome.period,
+                "final_step_l1": self.outcome.final_step_l1,
                 "point": self.outcome.point.vector.tolist() if self.outcome.point else None,
             },
         }
@@ -104,22 +110,64 @@ class Trajectory:
             json.dump(self.to_dict(), fh, indent=2)
 
 
+def _step_rows(Z: np.ndarray, start: int, stop: int, spec: AlgebraSpec, normalize: bool) -> int:
+    """Fill rows start..stop-1 of Z, each with the image of the row before it.
+
+    One kernel contraction per row; with normalize the row is then divided
+    by its coordinate sum (the V step).  Returns the first row whose W image
+    sums to exactly zero under normalize, where V is undefined and the row
+    is left unfinished, else stop.
+    """
+    n, K = spec.n, spec.kernel
+    X, Y = Z[:, :n, None], Z[:, n:]
+    add = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
+    for t in range(start, stop):
+        z = Z[t]
+        # np.dot: the same BLAS product as matmul, at less call overhead
+        np.dot((X[t - 1] * Y[t - 1]).ravel(), K, out=z)
+        if normalize:
+            total = add(z[:n]) + add(z[n:])
+            if total == 0.0:
+                return t
+            z /= total
+    return stop
+
+
+def _orbit(z0: State, spec: AlgebraSpec, steps: int, normalize: bool) -> np.ndarray:
+    """The (steps + 1, dim) orbit of z0 under W, or under V with normalize.
+
+    With normalize, raises AbsorbedToO at the first W image whose
+    coordinate sum is exactly zero, where V is undefined.
+    """
+    if not z0.conforms(spec):
+        raise ShapeMismatch("state does not conform to the algebra type")
+    Z = np.empty((steps + 1, spec.dim))
+    Z[0] = z0.vector
+    if _step_rows(Z, 1, steps + 1, spec, normalize) <= steps:
+        raise AbsorbedToO()
+    return Z
+
+
 def apply_W(z: State, spec: AlgebraSpec) -> State:
     """One generation of absolute proportions: half the algebra square of z."""
-    if not z.conforms(spec):
-        raise ShapeMismatch("state does not conform to the algebra type")
-    return Element.from_vector(np.outer(z.x, z.y).ravel() @ spec.kernel, spec.n)
+    return Element.from_vector(_orbit(z, spec, 1, normalize=False)[1], spec.n)
 
 
 def apply_V(z: State, spec: AlgebraSpec) -> State:
     """Frequency-distribution step: W(z) normalized to unit coordinate sum."""
     if not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-    w = apply_W(z, spec)
-    total = omega(w)
-    if total == 0.0:
-        raise AbsorbedToO()
-    return Element(w.x / total, w.y / total)
+    return Element.from_vector(_orbit(z, spec, 1, normalize=True)[1], spec.n)
+
+
+def _underflowed(z: np.ndarray, n: int) -> bool:
+    """Every coordinate and the coordinate sum below UNDERFLOW_OMEGA in size."""
+    return np.abs(z).max() < UNDERFLOW_OMEGA and abs(z[:n].sum() + z[n:].sum()) < UNDERFLOW_OMEGA
+
+
+def _row_omegas(Z: np.ndarray, n: int) -> np.ndarray:
+    """Coordinate sum of each row of Z, summed as omega() sums an Element."""
+    return Z[:, :n].sum(axis=1) + Z[:, n:].sum(axis=1)
 
 
 def iterate(
@@ -138,8 +186,15 @@ def iterate(
     its period is the smallest such gap.  Raises ValueError for a
     non-finite z0 or a non-finite structure constant.
 
-    The orbit is computed on rows of one preallocated array, one kernel
-    contraction per step; the states are wrapped as Elements at the end.
+    The orbit is computed on rows of one preallocated array, _BLOCK steps
+    at a time with one kernel contraction per step.  Each block is then
+    classified from a few reductions over its rows (L1 norm, L1 step, L1
+    distance to each of the rows 2..max_period back) and a Python pass
+    that applies the precedence above row by row, so the outcome is the
+    first event in step order.  Rows computed past the terminal step are
+    dropped; floating-point warnings are off while the block runs, so an
+    overflow in them is never reported.  The states are read-only views of
+    the kept rows.
     """
     if operator not in ("W", "V"):
         raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
@@ -153,69 +208,83 @@ def iterate(
     if operator == "V" and not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
     normalize = operator == "V"
-    n, K = spec.n, spec.kernel
+    n = spec.n
 
-    Z = np.empty((opts.max_steps + 1, spec.dim))
+    # A cycle returns 2..max_period steps back, never before step 0: the
+    # rows in front of Z are inf, at infinite distance from every state.
+    gaps = np.arange(2, min(opts.max_period, opts.max_steps) + 1)
+    pad = len(gaps)
+    Zp = np.empty((pad + opts.max_steps + 1, spec.dim))
+    Zp[:pad] = np.inf
+    Z = Zp[pad:]
     Z[0] = z0.vector
+    # back[r, j] + t0 indexes in Zp the state gaps[j] steps before row t0 + r
+    back = pad + np.arange(_BLOCK)[:, None] - gaps
+    cycle_step = CYCLE_MIN_STEP_FACTOR * opts.conv_tol
+    # an underflowed state has an L1 norm below this, so only such rows are tested
+    tiny_l1 = 2 * spec.dim * UNDERFLOW_OMEGA
+
     last = 0  # index of the last state of the orbit
     quiet = 0  # consecutive small steps
+    final_l1 = None
     kind, period = None, None
-    for t in range(1, opts.max_steps + 1):
-        prev = Z[t - 1]
-        z = Z[t]
-        np.matmul((prev[:n, None] * prev[n:]).ravel(), K, out=z)
-        if normalize:
-            total = z[:n].sum() + z[n:].sum()
-            if total == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(1, opts.max_steps + 1, _BLOCK):
+            end = min(t0 + _BLOCK, opts.max_steps + 1)
+            stop = _step_rows(Z, t0, end, spec, normalize)
+            m = stop - t0
+            if m:
+                rows = Z[t0:stop]
+                l1 = np.abs(rows).sum(axis=1).tolist()
+                steps = np.abs(rows - Z[t0 - 1 : stop - 1]).sum(axis=1).tolist()
+                if any(step >= cycle_step for step in steps):
+                    hit = np.abs(Zp[back[:m] + t0] - rows[:, None]).sum(axis=2) < opts.conv_tol
+                    returns = hit.any(axis=1).tolist()
+                else:
+                    returns = [False] * m
+                if not normalize:
+                    females = rows[:, :n].any(axis=1).tolist()
+                    males = rows[:, n:].any(axis=1).tolist()
+                for r in range(m):
+                    if l1[r] == 0.0:
+                        kind = "extinct"
+                    elif l1[r] < tiny_l1 and _underflowed(rows[r], n):
+                        kind = "numerically_extinct"
+                    elif not normalize and not (females[r] and males[r]):
+                        # one sex is missing: the next step sends the state to exactly zero
+                        continue
+                    else:
+                        quiet = quiet + 1 if steps[r] < opts.conv_tol else 0
+                        if quiet >= opts.patience:
+                            kind = "converged"
+                        elif steps[r] >= cycle_step and returns[r]:
+                            # a slowly converging orbit revisits its own
+                            # neighborhood, so only a large step counts
+                            kind, period = "cycle", int(gaps[hit[r].argmax()])
+                        elif l1[r] > opts.div_threshold:
+                            kind = "divergent"
+                    if kind:
+                        last, final_l1 = t0 + r, steps[r]
+                        break
+                if kind:
+                    break
+                last, final_l1 = stop - 1, steps[-1]
+            if stop < end:
                 kind = "absorbed"
                 break
-            z /= total
-        last = t
-
-        mag = np.abs(z)
-        l1 = mag.sum()
-        if l1 == 0.0:
-            kind = "extinct"
-            break
-        if mag.max() < UNDERFLOW_OMEGA and abs(z[:n].sum() + z[n:].sum()) < UNDERFLOW_OMEGA:
-            kind = "numerically_extinct"
-            break
-        if not normalize and not (z[:n].any() and z[n:].any()):
-            # one sex is missing: the next step sends the state to exactly zero
-            continue
-
-        diff = float(np.abs(z - prev).sum())
-        quiet = quiet + 1 if diff < opts.conv_tol else 0
-        if quiet >= opts.patience:
-            kind = "converged"
-            break
-
-        # a slowly converging orbit revisits its own neighborhood; only look
-        # for cycles while the consecutive step is far from convergence-small
-        max_gap = min(opts.max_period, t)
-        if diff >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol and max_gap >= 2:
-            # row j of the window is the state max_gap - j steps back
-            dist = np.abs(Z[t - max_gap : t - 1] - z).sum(axis=1)
-            hits = np.flatnonzero(dist < opts.conv_tol)
-            if hits.size:
-                kind, period = "cycle", max_gap - int(hits[-1])
-                break
-
-        if l1 > opts.div_threshold:
-            kind = "divergent"
-            break
 
     Z = Z[: last + 1].copy()  # the states keep only the rows the orbit used
-    omegas = (Z[:, :n].sum(axis=1) + Z[:, n:].sum(axis=1)).tolist()
-    states = [z0] + [Element(z[:n], z[n:]) for z in Z[1:]]
+    Z.setflags(write=False)
+    states = [z0] + [Element._view(x, y) for x, y in zip(Z[1:, :n], Z[1:, n:])]
     outcome = Outcome(
         kind or "max_iterations",
         step=last,
         point=states[-1] if kind == "converged" else None,
         period=period,
         representatives=tuple(states[-period:]) if kind == "cycle" else (),
+        final_step_l1=final_l1,
     )
-    return Trajectory(states, omegas, outcome, operator)
+    return Trajectory(states, _row_omegas(Z, n).tolist(), outcome, operator)
 
 
 @dataclass
@@ -235,7 +304,9 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     """Check the growth/decay envelopes of the coordinate-sum sequence s(t).
 
     With m = min over rows of sqrt(gamma_ip gamma~_ip) and M = max over
-    row pairs of gamma_ip gamma~_pq, the checks for 0 <= t <= t_max are:
+    row pairs of gamma_ip gamma~_pq (the largest of the four products of
+    the extreme female and male row sums, equal to the maximum over all
+    pairs since rounding is monotone), the checks for 0 <= t <= t_max are:
 
       * s(t) non-increasing when s(0) <= 4;
       * one-step squeeze for t >= 2:
@@ -248,20 +319,19 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     The doubling and odd-refinement envelopes are anchored at s(1) rather
     than s(0) because s(1) is a product of sex totals, not a square, and
     admits no two-sided comparison with s(0)^2.  Comparisons run in log
-    space to dodge overflow of the doubling exponents.  Requires a
-    stochastic algebra and a non-negative z0.
+    space to dodge overflow of the doubling exponents.  The orbit comes
+    from the stepper iterate uses.  Requires a stochastic algebra and a
+    non-negative z0.
     """
     if not spec.is_stochastic():
         raise NotStochastic("omega bounds require a stochastic algebra")
     g = spec.female_row_sums()
     gt = spec.male_row_sums()
     min_sqrt = float(np.sqrt(g * gt).min())
-    max_cross = float(np.outer(g.ravel(), gt.ravel()).max())
-
-    traj = [z0]
-    for _ in range(t_max):
-        traj.append(apply_W(traj[-1], spec))
-    oms = [omega(z) for z in traj]
+    # rounding is monotone, so the largest product of a female and a male
+    # row sum is one of the four products of their extremes
+    max_cross = float(max(a * b for a in (g.min(), g.max()) for b in (gt.min(), gt.max())))
+    oms = _row_omegas(_orbit(z0, spec, max(t_max, 0), normalize=False), spec.n).tolist()
 
     slack = 1e-9
     report = BoundReport(all_pass=True, checked_steps=t_max)
@@ -335,30 +405,22 @@ def verify_coordinate_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundR
     """Check the per-coordinate envelopes along the V orbit, for t >= 1.
 
     Each female coordinate of V^t(z0) must lie between the min and max of
-    the corresponding gamma[:, :, k] slab, and analogously for males.
+    the corresponding gamma[:, :, k] slab, and analogously for males: one
+    comparison of the whole orbit with the column extremes of the kernel.
     """
     if not spec.is_stochastic():
         raise NotStochastic("coordinate bounds require a stochastic algebra")
-    x_lo = spec.gamma.min(axis=(0, 1))
-    x_hi = spec.gamma.max(axis=(0, 1))
-    y_lo = spec.gamma_tilde.min(axis=(0, 1))
-    y_hi = spec.gamma_tilde.max(axis=(0, 1))
-
     tol = 1e-12
+    lo = spec.kernel.min(axis=0) - tol
+    hi = spec.kernel.max(axis=0) + tol
     report = BoundReport(all_pass=True, checked_steps=t_max)
-    z = z0
-    for t in range(1, t_max + 1):
-        z = apply_V(z, spec)  # raises AbsorbedToO if the orbit hits the boundary set
-        ok = (
-            np.all(z.x >= x_lo - tol)
-            and np.all(z.x <= x_hi + tol)
-            and np.all(z.y >= y_lo - tol)
-            and np.all(z.y <= y_hi + tol)
-        )
-        if not ok:
-            report.all_pass = False
-            if report.first_violation is None:
-                report.first_violation = {"t": t, "bound": "coordinate", "state": z.vector.tolist()}
+    # raises AbsorbedToO if the orbit hits the boundary set
+    Z = _orbit(z0, spec, max(t_max, 0), normalize=True)
+    bad = np.flatnonzero(~((Z[1:] >= lo) & (Z[1:] <= hi)).all(axis=1))
+    if len(bad):
+        t = int(bad[0]) + 1
+        report.all_pass = False
+        report.first_violation = {"t": t, "bound": "coordinate", "state": Z[t].tolist()}
     return report
 
 

@@ -291,7 +291,24 @@ class TestExport:
         data = json.loads(path.read_text())
         assert data["operator"] == "W"
         assert data["outcome"]["kind"] == traj.outcome.kind
+        assert data["outcome"]["final_step_l1"] == traj.outcome.final_step_l1
         assert len(data["states"]) == len(traj.states)
+
+    def test_final_step_l1(self, tmp_path):
+        spec = type11_spec(0.5)
+        traj = iterate(Element.from_vector([2, 2], 1), spec, "W")
+        last, prev = traj.states[-1].vector, traj.states[-2].vector
+        assert traj.outcome.final_step_l1 == float(np.abs(last - prev).sum())
+        assert traj.outcome.final_step_l1 < IterationOptions().conv_tol
+        # the summary line and the CSV footer do not carry it
+        assert traj.outcome.describe() == f"outcome=converged,step={traj.outcome.step}"
+        traj.to_csv(tmp_path / "t.csv")
+        footer = (tmp_path / "t.csv").read_text().splitlines()[-1]
+        assert footer == f"# {traj.outcome.describe()}"
+        for opts, z in ((IterationOptions(max_steps=0), [2, 2]), (None, [1, 0])):
+            traj = iterate(Element.from_vector(z, 1), spec, "V" if opts is None else "W", opts)
+            assert traj.outcome.step == 0 and traj.outcome.final_step_l1 is None
+            assert traj.to_dict()["outcome"]["final_step_l1"] is None
 
     def test_csv_17_digit_roundtrip(self, tmp_path):
         spec = random_stochastic(2, 1, 18)
