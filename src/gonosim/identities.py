@@ -135,11 +135,15 @@ def _scan(blocks, stop_at_violation: bool):
     when stop_at_violation is set, else the first one with the maximum
     defect.  Returns (defect, witness index or None, candidates): the
     witness and the count up to and including it are reported only for a
-    violation, else the count is every candidate searched.
+    violation, else the count is every candidate searched.  Raises
+    ValueError on a non-finite defect, which only overflow gives once the
+    structure constants are finite.
     """
     best, where, count = 0.0, None, 0
     for d in blocks:
         d = d.ravel()
+        if not np.isfinite(d).all():
+            raise ValueError("identity defect is not finite: the products overflow")
         hit = np.flatnonzero(d > DEFECT_THRESHOLD) if stop_at_violation else ()
         i = int(hit[0]) if len(hit) else int(np.argmax(d))
         if d[i] > best:
@@ -198,7 +202,8 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
     identities the search stops at the first witness with defect above the
     threshold; flexibility is evaluated on every sample so the reported
     defect is a true maximum over the sample set.  Raises ValueError on an
-    algebra with a non-finite structure constant.
+    algebra with a non-finite structure constant, and on a finite one
+    whose products overflow to a non-finite defect.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -242,16 +247,18 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
         verdict = "violated" if defect > DEFECT_THRESHOLD else "holds_on_samples"
         report.results[name] = IdentityResult(verdict, defect, witness, count)
 
-    triples = _triple_terms(M, rand)
-    record("associativity", _scan((_l1(t1 - t2) for t1, t2, _ in triples), True), triple_at)
-    record("flexibility", _scan(pair_blocks(_flexibility), False), pair_at)
-    record("alternativity", _scan(pair_blocks(_alternativity), True), pair_at)
-    record("jordan", _scan(pair_blocks(_jordan), True), pair_at)
-    record(
-        "power_associativity",
-        _scan(single_blocks(_power_associativity), True),
-        lambda t: [singles[t]],
-    )
-    triples = _triple_terms(M, rand)
-    record("jacobi", _scan((_l1(t1 + t2 + t3) for t1, t2, t3 in triples), True), triple_at)
+    # an overflowing product shows as a non-finite defect, which _scan rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        triples = _triple_terms(M, rand)
+        record("associativity", _scan((_l1(t1 - t2) for t1, t2, _ in triples), True), triple_at)
+        record("flexibility", _scan(pair_blocks(_flexibility), False), pair_at)
+        record("alternativity", _scan(pair_blocks(_alternativity), True), pair_at)
+        record("jordan", _scan(pair_blocks(_jordan), True), pair_at)
+        record(
+            "power_associativity",
+            _scan(single_blocks(_power_associativity), True),
+            lambda t: [singles[t]],
+        )
+        triples = _triple_terms(M, rand)
+        record("jacobi", _scan((_l1(t1 + t2 + t3) for t1, t2, t3 in triples), True), triple_at)
     return report

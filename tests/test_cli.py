@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,17 @@ class TestIdentities:
         )
         assert main(["identities", str(path)]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_overflowing_algebra(self, tmp_path, capsys):
+        # finite constants whose products overflow: no Infinity in the output
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1, "nu": 1, "gamma": [[[1e200]]], "gamma_tilde": [[[1e200]]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["identities", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
 
 
 class TestPredict:

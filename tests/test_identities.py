@@ -6,6 +6,7 @@ draws, stopping at the first violation (flexibility: the maximum).
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -278,3 +279,21 @@ class TestLargeAndBadInput:
         spec = AlgebraSpec(1, 1, [[[bad]]], [[[0.5]]])
         with pytest.raises(ValueError, match="non-finite"):
             check_identities(spec, samples=2)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e120])
+    def test_overflowing_products_rejected(self, scale):
+        # finite constants, but (e_1 m_1) e_1 already overflows at 1e200 and
+        # the random triples' products do at 1e120
+        spec = AlgebraSpec(1, 1, [[[scale]]], [[[scale]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                check_identities(spec, samples=2)
+
+    def test_large_finite_defects_still_reported(self):
+        spec = AlgebraSpec(1, 1, [[[1e50]]], [[[1e50]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_identities(spec, samples=2)
+        assert report["associativity"].verdict == "violated"
+        assert np.isfinite(report["associativity"].defect)
