@@ -1,3 +1,10 @@
+import os
+
+# Pin BLAS to one thread before numpy loads: on a small host a threaded
+# matmul of the sizes these tests use costs milliseconds.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 ACCEPTANCE_RESULTS: list[str] = []
 
 
