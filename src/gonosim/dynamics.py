@@ -192,9 +192,9 @@ def iterate(
     distance to each of the rows 2..max_period back) and a Python pass
     that applies the precedence above row by row, so the outcome is the
     first event in step order.  Rows computed past the terminal step are
-    dropped; floating-point warnings are off while the block runs, so an
-    overflow in them is never reported.  The states are read-only views of
-    the kept rows.
+    dropped.  Overflow and invalid-value warnings are off while the orbit
+    is computed, so those rows never warn; an overflow in a kept row shows
+    in its state.  The states are read-only views of the kept rows.
     """
     if operator not in ("W", "V"):
         raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
