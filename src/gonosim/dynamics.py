@@ -13,6 +13,7 @@ equality.  A separate "numerically extinct" outcome catches underflow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +185,9 @@ def iterate(
     conv_tol) to a state seen at most max_period steps earlier, made while
     the step size is still at least CYCLE_MIN_STEP_FACTOR * conv_tol, and
     its period is the smallest such gap.  Raises ValueError for a
-    non-finite z0 or a non-finite structure constant.
+    non-finite z0, a non-finite structure constant, or options out of
+    range: max_steps below 0, patience or max_period below 1, or a
+    conv_tol or div_threshold that is not finite and positive.
 
     The orbit is computed on rows of one preallocated array, _BLOCK steps
     at a time with one kernel contraction per step.  Each block is then
@@ -199,6 +202,15 @@ def iterate(
     if operator not in ("W", "V"):
         raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
     opts = opts or IterationOptions()
+    if opts.max_steps < 0 or opts.patience < 1 or opts.max_period < 1:
+        raise ValueError(
+            "max_steps must be at least 0, patience and max_period at least 1; got "
+            f"{opts.max_steps}, {opts.patience}, {opts.max_period}"
+        )
+    for name in ("conv_tol", "div_threshold"):
+        value = getattr(opts, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not z0.conforms(spec):
         raise ShapeMismatch("state does not conform to the algebra type")
     if not np.isfinite(z0.x).all() or not np.isfinite(z0.y).all():

@@ -5,6 +5,15 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, no timing flakes, and a bounded cost
+    settings.register_profile("gonosim", derandomize=True, deadline=None, max_examples=50, database=None)
+    settings.load_profile("gonosim")
+
 ACCEPTANCE_RESULTS: list[str] = []
 
 

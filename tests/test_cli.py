@@ -172,6 +172,24 @@ class TestSimulate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "option, value, field",
+        [
+            ("--steps", "-1", "max_steps"),
+            ("--tol", "nan", "conv_tol"),
+            ("--tol", "-1", "conv_tol"),
+            ("--tol", "inf", "conv_tol"),
+            ("--max-period", "0", "max_period"),
+        ],
+    )
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    def test_bad_iteration_option(self, option, value, field, operator, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["simulate", "--random", "2,2", "--operator", operator, option, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFixedPoints:
     def test_scenario_cross_check_passes(self, tmp_path):

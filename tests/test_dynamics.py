@@ -209,6 +209,38 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(Element.from_vector([1, 1], 1), type11_spec(0.5), "Q")
 
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_steps": -1},
+            {"patience": 0},
+            {"max_period": 0},
+            {"conv_tol": np.nan},
+            {"conv_tol": -1.0},
+            {"conv_tol": 0.0},
+            {"conv_tol": np.inf},
+            {"div_threshold": np.nan},
+            {"div_threshold": -1.0},
+            {"div_threshold": 0.0},
+            {"div_threshold": np.inf},
+        ],
+        ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
+    )
+    def test_bad_options_rejected_before_the_loop(self, operator, bad):
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match=field):
+            iterate(Element.from_vector([0.5, 0.5], 1), type11_spec(0.5), operator, IterationOptions(**bad))
+
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    def test_smallest_valid_options(self, operator):
+        z0 = Element.from_vector([0.5, 0.5], 1)
+        opts = IterationOptions(max_steps=0, patience=1, max_period=1, conv_tol=1e-300, div_threshold=1e-300)
+        traj = iterate(z0, type11_spec(0.5), operator, opts)
+        assert len(traj.states) == 1 and traj.outcome.kind == "max_iterations"
+        traj = iterate(z0, type11_spec(0.5), operator, IterationOptions(patience=1, max_period=1))
+        assert traj.outcome.kind in ("converged", "extinct", "numerically_extinct")
+
 
 class TestBounds:
     def test_quarter_bound_on_simplex(self):
