@@ -12,6 +12,7 @@ notation; storage is 0-based.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,34 @@ from .errors import ShapeMismatch, SingularBasisChange
 SUM_TOL = 1e-12
 # entries in [-NEG_TOL, 0) count as zero when testing stochasticity
 NEG_TOL = 1e-15
+
+# the C encoder, which refuses NaN and infinities instead of writing tokens
+# that are not JSON
+_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float in it replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def json_line(obj) -> str:
+    """obj as one line of compact JSON with a trailing newline.
+
+    Floats keep their repr, so they read back bit for bit.  A non-finite
+    float is written as null, as JavaScript's JSON.stringify does: NaN and
+    Infinity are not JSON.  Only a payload holding one is encoded twice.
+    """
+    try:
+        return _JSON.encode(obj) + "\n"
+    except ValueError:
+        return _JSON.encode(_finite_or_null(obj)) + "\n"
 
 
 def _readonly(a):
@@ -113,7 +142,7 @@ class AlgebraSpec:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            fh.write(json_line(self.to_dict()))
 
     @classmethod
     def load(cls, path) -> "AlgebraSpec":

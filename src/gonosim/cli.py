@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fixed_points as fpmod
 from . import scenarios as scmod
-from .algebra import AlgebraSpec, Element, random_stochastic, validate
+from .algebra import AlgebraSpec, Element, json_line, random_stochastic, validate
 from .dynamics import IterationOptions, apply_V, apply_W, iterate
 from .errors import AbsorbedToO, GonosimError
 from .identities import check_identities
@@ -75,12 +75,12 @@ def _initial_state(args, spec: AlgebraSpec) -> Element:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json_line(payload)
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def cmd_validate(args) -> int:

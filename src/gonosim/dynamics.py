@@ -12,13 +12,12 @@ equality.  A separate "numerically extinct" outcome catches underflow.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, multiply
+from .algebra import AlgebraSpec, Element, State, json_line, multiply
 from .errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
@@ -77,6 +76,11 @@ class Trajectory:
     operator: str = "W"
 
     def to_csv(self, path) -> None:
+        """Write a header, one row per state (t, x, y, omega) and the outcome.
+
+        Each float has 17 significant digits, so it reads back bit for bit.
+        The rows are formatted in one operation over one array of the states.
+        """
         n = self.states[0].x.shape[0]
         nu = self.states[0].y.shape[0]
         header = (
@@ -85,12 +89,19 @@ class Trajectory:
             + [f"y{j + 1}" for j in range(nu)]
             + ["omega"]
         )
+        rows = np.empty((len(self.states), n + nu + 2))
+        rows[:, 0] = np.arange(len(rows))
+        rows[:, 1 : n + 1] = [s.x for s in self.states]
+        rows[:, n + 1 : -1] = [s.y for s in self.states]
+        rows[:, -1] = self.omegas
+        line = "%d," + ",".join(["%.17g"] * (n + nu + 1)) + "\n"
         with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for t, (s, om) in enumerate(zip(self.states, self.omegas)):
-                vals = [str(t)] + [f"{v:.17g}" for v in s.vector] + [f"{om:.17g}"]
-                fh.write(",".join(vals) + "\n")
-            fh.write(f"# {self.outcome.describe()}\n")
+            fh.write(
+                ",".join(header)
+                + "\n"
+                + (line * len(rows)) % tuple(rows.ravel().tolist())
+                + f"# {self.outcome.describe()}\n"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -108,7 +119,7 @@ class Trajectory:
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            fh.write(json_line(self.to_dict()))
 
 
 def _step_rows(Z: np.ndarray, start: int, stop: int, spec: AlgebraSpec, normalize: bool) -> int:

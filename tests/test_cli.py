@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +10,10 @@ from gonosim import cli, random_stochastic
 from gonosim.algebra import AlgebraSpec
 from gonosim.cli import main
 from gonosim.scenarios import type11_spec
+
+
+def _not_json(token):
+    raise AssertionError(f"{token} is not JSON")
 
 
 @pytest.fixture
@@ -61,6 +67,26 @@ class TestNonFinite:
                 "--out", str(tmp_path / "out.csv")]
         assert main(argv) == 2
         assert "non-finite structure constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, field", [("NaN", "value"), ("Infinity", "sum")])
+    def test_validate_writes_null_for_non_finite(self, bad, field, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"n": 1, "nu": 1, "gamma": [[[{bad}]]], "gamma_tilde": [[[0.5]]]}}')
+        assert main(["validate", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+        assert [v[field] for v in payload["violations"] if field in v] == [None]
+
+    def test_simulate_writes_null_for_overflow(self, tmp_path):
+        out = tmp_path / "big.json"
+        argv = ["simulate", "--scenario", "lr_lethal", "--gamma", "0.5",
+                "--init", "1e200,1e200", "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        data = json.loads(out.read_text(), parse_constant=_not_json)
+        assert data["outcome"]["kind"] == "divergent"
+        assert data["states"][-1] == [None, None] and data["omegas"][-1] is None
+        # the CSV keeps the infinities
+        assert main(argv[:-4] + ["--out", str(tmp_path / "big.csv")]) == 0
+        assert "\n1,inf,inf,inf\n" in (tmp_path / "big.csv").read_text()
 
     @pytest.mark.parametrize("command", ["simulate", "predict"])
     def test_nan_initial_state(self, command, tmp_path, capsys):
@@ -269,6 +295,8 @@ class TestIdentities:
     def test_candidates_reported(self, good_algebra, capsys):
         assert main(["identities", good_algebra, "--samples", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        # flexibility holds by commutativity and is not searched
+        assert payload.pop("flexibility")["candidates"] == 0
         assert all(entry["candidates"] >= 1 for entry in payload.values())
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
@@ -473,3 +501,10 @@ class TestScenarioList:
         out = capsys.readouterr().out
         for name in ("lr_lethal", "lr_mutation", "recessive_lethal", "hemophilia", "x_inactivation"):
             assert name in out
+
+    def test_python_m_gonosim(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["gonosim", "scenario", "list"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("gonosim", run_name="__main__")
+        assert exc.value.code == 0
+        assert "hemophilia" in capsys.readouterr().out
