@@ -18,11 +18,12 @@ import numpy as np
 from . import fixed_points as fpmod
 from . import scenarios as scmod
 from .algebra import AlgebraSpec, Element, json_line, random_stochastic, validate
-from .dynamics import IterationOptions, apply_V, apply_W, iterate
+from .dynamics import IterationOptions, apply_V, iterate
 from .errors import AbsorbedToO, GonosimError
 from .identities import check_identities
 
-SCENARIO_FLAGS = ("gamma", "mu", "eta", "gamma1", "gamma2", "delta1", "delta2")
+# every scenario parameter once, in the order the scenario table names them
+SCENARIO_FLAGS = tuple(dict.fromkeys(p for e in scmod.SCENARIOS.values() for p in e.params))
 
 
 def _fail(code: int, message: str) -> int:
@@ -36,25 +37,16 @@ def _load_algebra(path: str) -> AlgebraSpec:
 
 
 def _scenario_from_args(args) -> scmod.Scenario:
-    params = {}
-    for flag in SCENARIO_FLAGS:
-        v = getattr(args, flag, None)
-        if v is not None:
-            params[flag] = v
+    params = {flag: getattr(args, flag) for flag in SCENARIO_FLAGS if getattr(args, flag) is not None}
     return scmod.Scenario(args.scenario, params)
 
 
 def _resolve_spec(args) -> AlgebraSpec:
-    sources = [
-        getattr(args, "algebra", None) is not None,
-        getattr(args, "scenario", None) is not None,
-        getattr(args, "random", None) is not None,
-    ]
-    if sum(sources) != 1:
+    if [args.algebra, args.scenario, args.random].count(None) != 2:
         raise ValueError("provide exactly one of --algebra, --scenario, --random")
-    if getattr(args, "algebra", None):
+    if args.algebra is not None:
         return _load_algebra(args.algebra)
-    if getattr(args, "scenario", None):
+    if args.scenario is not None:
         return scmod.build_algebra(_scenario_from_args(args))
     n, nu = (int(v) for v in args.random.split(","))
     return random_stochastic(n, nu, args.seed)
@@ -138,50 +130,26 @@ def cmd_fixed_points(args) -> int:
     payload = {"records": [r.to_dict() for r in numeric]}
 
     closed = None
-    if getattr(args, "scenario", None):
+    if args.scenario is not None and args.operator == "W":
         s = _scenario_from_args(args)
         try:
-            if s.name in ("lr_lethal", "lr_mutation"):
-                gamma = float(spec.gamma[0, 0, 0])
-                closed = fpmod.closed_form_fixed_points_type11(gamma)
-            elif s.name == "recessive_lethal":
-                p = s.params
-                closed = fpmod.closed_form_fixed_points_type21(
-                    p["gamma1"], p["gamma2"], p["delta1"], p["delta2"]
-                )
-            elif s.name == "hemophilia":
-                closed = fpmod.closed_form_fixed_points_hemophilia(
-                    s.params["mu"], s.params["eta"]
-                )
+            closed = scmod.SCENARIOS[s.name].closed_form(s, spec)
         except GonosimError:
-            closed = None
+            pass  # no closed form at these parameters
 
-    if closed is not None and args.operator == "W":
+    max_mismatch = 0.0
+    if closed is not None:
         payload["closed_form"] = [r.to_dict() for r in closed]
-        max_mismatch = 0.0
-        for rec in closed:
-            if rec.family is not None:
-                continue
-            dists = [
-                float(np.abs(rec.point.vector - nrec.point.vector).sum())
-                for nrec in numeric
-                if nrec.family is None
-            ]
-            fam_hits = [
-                f.family.contains(rec.point.vector)
-                for f in numeric
-                if f.family is not None
-            ]
-            best = min(dists) if dists else float("inf")
-            if any(fam_hits):
-                best = 0.0
-            max_mismatch = max(max_mismatch, best)
-        payload["cross_check"] = {"max_mismatch": max_mismatch, "pass": max_mismatch <= 1e-6}
-        _emit(payload, args.out)
-        if max_mismatch > 1e-6:
-            return _fail(1, f"closed-form vs numeric mismatch {max_mismatch:.3e}")
-        return 0
+        points = [r.point.vector for r in numeric if r.family is None]
+        families = [r.family for r in numeric if r.family is not None]
+        for v in [r.point.vector for r in closed if r.family is None]:
+            if not any(f.contains(v) for f in families):
+                best = min((float(np.abs(v - p).sum()) for p in points), default=float("inf"))
+                max_mismatch = max(max_mismatch, best)
+        payload["cross_check"] = {"max_mismatch": max_mismatch, "pass": max_mismatch <= scmod.AGREEMENT_TOL}
     _emit(payload, args.out)
+    if max_mismatch > scmod.AGREEMENT_TOL:
+        return _fail(1, f"closed-form vs numeric mismatch {max_mismatch:.3e}")
     return 0
 
 
@@ -206,32 +174,11 @@ def cmd_predict(args) -> int:
     except (ValueError, GonosimError) as exc:
         return _fail(2, f"bad input: {exc}")
 
+    entry = scmod.SCENARIOS[s.name]
     payload: dict = {"scenario": s.name, "params": s.params}
     try:
-        if s.name == "recessive_lethal":
-            cls = scmod.classify_eset(z0, s)
-            pred = scmod.predict_limit_type21(z0, s)
-            payload["eset"] = {"kind": cls.kind, "t0": cls.t0}
-            payload["prediction"] = pred.to_dict()
-            agree, detail = _verify_type21(z0, spec, pred, args)
-        elif s.name == "hemophilia":
-            pred = scmod.hemophilia_degenerate_limits(z0, s.params["mu"], s.params["eta"])
-            payload["prediction"] = pred.to_dict()
-            agree, detail = _verify_hemophilia(z0, spec, pred)
-        elif s.name in ("lr_lethal", "lr_mutation"):
-            gamma = float(spec.gamma[0, 0, 0])
-            thr = 1.0 / (gamma * (1.0 - gamma))
-            prod = abs(float(z0.x[0] * z0.y[0]))
-            w_limit, boundary = scmod._trichotomy(prod, thr)
-            payload["prediction"] = {
-                "threshold": thr,
-                "product": prod,
-                "w_limit": w_limit,
-                "boundary": boundary,
-            }
-            agree, detail = _verify_type11(z0, spec, gamma, w_limit, boundary)
-        else:
-            return _fail(2, f"predict does not support scenario {s.name!r}")
+        payload.update(entry.predict(z0, spec, s))
+        agree, detail = entry.verify(z0, spec, payload["prediction"])
     except GonosimError as exc:
         return _fail(1, f"prediction failed: {exc}")
 
@@ -241,68 +188,9 @@ def cmd_predict(args) -> int:
     return 0 if agree else _fail(1, "prediction and iteration disagree")
 
 
-def _verify_type11(z0, spec, gamma, w_limit, boundary):
-    if boundary:
-        z6 = scmod.closed_form_trajectory_type11(z0, gamma, 6)
-        err = float(np.abs(z6.vector - z0.vector).sum())
-        return err < 1e-6, {"method": "closed_form", "error": err}
-    return _verify_w_limit(z0, spec, w_limit)
-
-
-def _verify_w_limit(z0, spec, w_limit, fixed_point=None):
-    """Iterate W and test the predicted limit: zero, infinity, or the fixed point."""
-    traj = iterate(z0, spec, operator="W")
-    kind = traj.outcome.kind
-    if w_limit == "infinity":
-        ok = kind == "divergent"
-    elif kind == "converged":
-        target = np.zeros(spec.dim) if w_limit == "zero" else np.asarray(fixed_point)
-        ok = float(np.abs(traj.outcome.point.vector - target).sum()) < 1e-6
-    else:
-        ok = w_limit == "zero" and kind in ("extinct", "numerically_extinct")
-    return ok, {"method": "iteration", "outcome": kind}
-
-
-def _verify_type21(z0, spec, pred, args):
-    if pred.boundary:
-        return True, {"method": "boundary_not_iterated"}
-    traj = iterate(z0, spec, operator="V")
-    if pred.v_period2 is not None:
-        if traj.outcome.kind != "cycle" or traj.outcome.period != 2:
-            return False, {"method": "iteration", "outcome": traj.outcome.kind}
-        reps = [r.vector for r in traj.outcome.representatives]
-        errs = []
-        for target in (np.array(pred.v_period2[0]), np.array(pred.v_period2[1])):
-            errs.append(min(float(np.abs(target - r).sum()) for r in reps))
-        return max(errs) < 1e-6, {"method": "iteration", "cycle_error": max(errs)}
-    if traj.outcome.kind != "converged":
-        return False, {"method": "iteration", "outcome": traj.outcome.kind}
-    err = float(np.abs(traj.outcome.point.vector - np.array(pred.v_limit)).sum())
-    return err < 1e-6, {"method": "iteration", "limit_error": err}
-
-
-def _verify_hemophilia(z0, spec, pred):
-    if pred.kind == "extinction":
-        z = z0
-        for _ in range(pred.extinction_step):
-            z = apply_W(z, spec)
-        ok = bool(np.all(z.vector == 0.0))
-        return ok, {"method": "exact_iteration", "steps": pred.extinction_step}
-    traj = iterate(z0, spec, operator="V")
-    if traj.outcome.kind not in ("converged", "max_iterations"):
-        return False, {"method": "iteration", "outcome": traj.outcome.kind}
-    err = float(np.abs(traj.states[-1].vector - np.array(pred.v_constant)).sum())
-    w_ok, w_detail = _verify_w_limit(z0, spec, pred.w_limit, pred.fixed_point)
-    detail = {"method": "iteration", "constancy_error": err, "w_outcome": w_detail["outcome"]}
-    return err < 1e-6 and w_ok, detail
-
-
 def cmd_scenario(args) -> int:
-    if args.action != "list":
-        return _fail(2, f"unknown scenario action {args.action!r}")
-    for name in sorted(scmod.SCENARIO_PARAMS):
-        params = ", ".join(scmod.SCENARIO_PARAMS[name])
-        print(f"{name}: params [{params}] - {scmod.SCENARIO_DESCRIPTIONS[name]}")
+    for name, entry in sorted(scmod.SCENARIOS.items()):
+        print(f"{name}: params [{', '.join(entry.params)}] - {entry.description}")
     return 0
 
 

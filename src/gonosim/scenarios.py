@@ -1,13 +1,18 @@
 """Named genetic scenarios and their closed-form dynamics.
 
-Each scenario builds an algebra from a few inheritance parameters:
+``SCENARIOS`` is the one table of scenarios.  Each entry maps a name to
+its parameter names, a description, its algebra builder, its closed-form
+W fixed points, its limit predictor and the predictor's verifier against
+iteration.  These call the public functions through their module when
+they run, so that a patched module attribute is seen.
 
 * lr_lethal: one female and one male type, male offspring share gamma.
 * lr_mutation: same algebra with gamma derived from a mutation rate.
 * recessive_lethal: two female types, one male type (lethal male allele).
 * hemophilia: two female and two male types with viability mu and
   fertility eta of affected males.
-* x_inactivation: role-swapped version of recessive_lethal.
+* x_inactivation: role-swapped version of recessive_lethal, served by
+  its closed forms carried through phi = swap_map(type21_spec(...)).
 
 Beyond construction, this module evaluates the closed forms known for
 these families: trajectory formulas, limit predictions driven by the
@@ -17,12 +22,14 @@ Lyapunov bound of the hemophilia model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, opposite
-from .dynamics import apply_W
+from . import fixed_points
+from .algebra import AlgebraSpec, Element, State, opposite, swap_map
+from .dynamics import apply_W, iterate
 from .errors import (
     DegenerateDenominator,
     DegenerateParameter,
@@ -40,23 +47,6 @@ BOUNDARY_TOL = 1e-12
 class Scenario:
     name: str
     params: dict
-
-
-SCENARIO_PARAMS = {
-    "lr_lethal": ("gamma",),
-    "lr_mutation": ("mu", "eta"),
-    "recessive_lethal": ("gamma1", "gamma2", "delta1", "delta2"),
-    "hemophilia": ("mu", "eta"),
-    "x_inactivation": ("gamma1", "gamma2", "delta1", "delta2"),
-}
-
-SCENARIO_DESCRIPTIONS = {
-    "lr_lethal": "type (1,1): one female, one male genotype; gamma = female offspring share",
-    "lr_mutation": "type (1,1) with gamma = (1-eta)/(2-eta) from mutation rate eta",
-    "recessive_lethal": "type (2,1): normal/carrier females, one viable male genotype",
-    "hemophilia": "type (2,2): carrier females, affected males with viability mu, fertility eta",
-    "x_inactivation": "type (1,2): sexes of recessive_lethal exchanged",
-}
 
 
 def _check_unit_interval(name: str, v: float) -> float:
@@ -136,28 +126,25 @@ def _type21_params(s: Scenario) -> tuple[float, float, float, float]:
 
 def build_algebra(s: Scenario) -> AlgebraSpec:
     """Construct the algebra for a scenario, validating its parameters."""
-    if s.name not in SCENARIO_PARAMS:
+    entry = SCENARIOS.get(s.name)
+    if entry is None:
         raise InvalidParameter(f"unknown scenario {s.name!r}")
-    expected = set(SCENARIO_PARAMS[s.name])
+    expected = set(entry.params)
     got = set(s.params)
     if got != expected:
         raise InvalidParameter(
             f"scenario {s.name!r} takes parameters {sorted(expected)}, got {sorted(got)}"
         )
-    if s.name == "lr_lethal":
-        return type11_spec(_check_unit_interval("gamma", s.params["gamma"]))
-    if s.name == "lr_mutation":
-        mu = _check_unit_interval("mu", s.params["mu"])
-        eta = _check_unit_interval("eta", s.params["eta"])
-        del mu  # viability does not enter the surviving-type distribution
-        return type11_spec((1.0 - eta) / (2.0 - eta))
-    if s.name == "recessive_lethal":
-        return type21_spec(*_type21_params(s))
-    if s.name == "x_inactivation":
-        return opposite(type21_spec(*_type21_params(s)))
-    mu = _check_unit_interval("mu", s.params["mu"])
-    eta = _check_unit_interval("eta", s.params["eta"])
-    return hemophilia_spec(mu, eta)
+    return entry.build(s)
+
+
+def _unit_params(s: Scenario) -> list[float]:
+    return [_check_unit_interval(k, s.params[k]) for k in SCENARIOS[s.name].params]
+
+
+def _mutation_spec(mu: float, eta: float) -> AlgebraSpec:
+    del mu  # viability does not enter the surviving-type distribution
+    return type11_spec((1.0 - eta) / (2.0 - eta))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +171,8 @@ class EsetClassification:
     eset_prefix: tuple = ()
 
 
-def _iterate_type21_zeros(z0: State, g1, g2, d1, d2, steps: int):
-    """Normalized iteration preserving the exact-zero pattern.
+def _iterate_type21_zeros(start: tuple, g1, g2, d1, d2, steps: int) -> list:
+    """Normalized iteration from (x1, x2, y), preserving the exact-zero pattern.
 
     Each state is rescaled by its L1 norm; the positive rescaling keeps
     every structurally zero coordinate exactly 0.0 while preventing the
@@ -194,10 +181,10 @@ def _iterate_type21_zeros(z0: State, g1, g2, d1, d2, steps: int):
     """
     g = 1.0 - g1 - g2
     d = 1.0 - d1 - d2
-    x1, x2, y = float(z0.x[0]), float(z0.x[1]), float(z0.y[0])
+    x1, x2, y = start
     if y == 0.0:
         raise MaleExtinction("male coordinate is zero at step 0")
-    out = [(x1, x2, y)]
+    out = [start]
     for _ in range(steps):
         x1, x2, y = (
             (g1 * x1 + d1 * x2) * y,
@@ -215,40 +202,55 @@ def _iterate_type21_zeros(z0: State, g1, g2, d1, d2, steps: int):
 ESET_SCAN_STEPS = 64
 
 
-def classify_eset(z0: State, s: Scenario) -> EsetClassification:
-    """Decide the structure of E from the first few iterates.
+def _scan_eset(z0: State, s: Scenario) -> tuple[list, EsetClassification]:
+    """The normalized states of steps 0..ESET_SCAN_STEPS and the E-set they decide.
 
     The finite-time criteria: with g2 = 0, E is infinite iff x2 vanishes
     at step 1 (then every positive index is in E).  With g2 != 0, E is
     infinite iff the zeros at steps 0..3 match the odd pattern
     (x1(0) = 0, x2(1) = x2(3) = 0) or the even pattern (x1(1) = 0,
-    x2(0) = x2(2) = 0).  Otherwise E is finite and a bounded scan locates
-    its maximum.
+    x2(0) = x2(2) = 0).  Otherwise E is finite and the scan locates its
+    maximum.
     """
     if s.name != "recessive_lethal":
         raise InvalidParameter("E-set classification applies to the recessive_lethal scenario")
     g1, g2, d1, d2 = _type21_params(s)
-    states = _iterate_type21_zeros(z0, g1, g2, d1, d2, ESET_SCAN_STEPS)
+    start = (float(z0.x[0]), float(z0.x[1]), float(z0.y[0]))
+    states = _iterate_type21_zeros(start, g1, g2, d1, d2, ESET_SCAN_STEPS)
     x1s = [st[0] for st in states]
     x2s = [st[1] for st in states]
 
     if abs(g2) <= PARAM_TOL:
         if x2s[1] == 0.0:
-            return EsetClassification(INFINITE_ALL_POSITIVE)
+            return states, EsetClassification(INFINITE_ALL_POSITIVE)
     else:
         if x1s[0] == 0.0 and x2s[1] == 0.0 and x2s[3] == 0.0:
-            return EsetClassification(INFINITE_ODD)
+            return states, EsetClassification(INFINITE_ODD)
         if x1s[1] == 0.0 and x2s[0] == 0.0 and x2s[2] == 0.0:
-            return EsetClassification(INFINITE_EVEN)
+            return states, EsetClassification(INFINITE_EVEN)
 
     zeros = tuple(t for t, v in enumerate(x2s) if v == 0.0)
     t0 = (max(zeros) + 1) if zeros else 0
-    return EsetClassification(FINITE, t0=t0, eset_prefix=zeros)
+    return states, EsetClassification(FINITE, t0=t0, eset_prefix=zeros)
+
+
+def classify_eset(z0: State, s: Scenario) -> EsetClassification:
+    """Decide the structure of E from the first few iterates (see _scan_eset)."""
+    return _scan_eset(z0, s)[1]
 
 
 # ---------------------------------------------------------------------------
 # Limit predictions for the type-(2,1) family
 # ---------------------------------------------------------------------------
+
+
+def _plain(v):
+    return [_plain(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _to_dict(self) -> dict:
+    """The fields of a prediction in order, tuples as lists, for JSON export; eset is left out."""
+    return {k: _plain(v) if isinstance(v, tuple) else v for k, v in vars(self).items() if k != "eset"}
 
 
 @dataclass
@@ -260,7 +262,8 @@ class ClosedFormLimit:
     alternating states (odd step first).  For the eigenvalue branch,
     lambda1 <= lambda2 are the roots of the female-transfer-matrix
     characteristic polynomial and u_value, U_value the interpolation
-    quantities evaluated at the selected root.
+    quantities evaluated at the selected root.  eset is the E-set
+    classification the branch was chosen by; to_dict leaves it out.
     """
 
     kind: str
@@ -276,29 +279,25 @@ class ClosedFormLimit:
     u_value: float | None = None
     U_value: float | None = None
     t0: int = 0
+    eset: EsetClassification | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "boundary": self.boundary,
-            "threshold": self.threshold,
-            "product": self.product,
-            "w_limit": self.w_limit,
-            "v_limit": list(self.v_limit) if self.v_limit else None,
-            "v_period2": [list(v) for v in self.v_period2] if self.v_period2 else None,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "selected_index": self.selected_index,
-            "u_value": self.u_value,
-            "U_value": self.U_value,
-            "t0": self.t0,
-        }
+    to_dict = _to_dict
 
 
-def _trichotomy(product: float, threshold: float) -> tuple[str, bool]:
+def _trichotomy(product: float, threshold: float) -> dict:
+    """The W limit on the side of the threshold the product lies on."""
     if abs(product - threshold) < BOUNDARY_TOL:
-        return "nonzero", True
-    return ("zero", False) if product < threshold else ("infinity", False)
+        w_limit, boundary = "nonzero", True
+    else:
+        w_limit, boundary = ("zero", False) if product < threshold else ("infinity", False)
+    return {"threshold": threshold, "product": product, "w_limit": w_limit, "boundary": boundary}
+
+
+def _type11_trichotomy(gamma: float, x: float, y: float) -> dict:
+    """The type-(1,1) trichotomy of the state (x, y): |x y| against 1/(gamma(1-gamma))."""
+    if gamma <= PARAM_TOL or gamma >= 1.0 - PARAM_TOL:
+        raise DegenerateParameter("threshold 1/(gamma(1-gamma)) needs 0 < gamma < 1")
+    return _trichotomy(abs(x * y), 1.0 / (gamma * (1.0 - gamma)))
 
 
 def predict_limit_type21(
@@ -306,37 +305,28 @@ def predict_limit_type21(
 ) -> ClosedFormLimit:
     """Closed-form limit of the W and V orbits from z0.
 
-    The branch is chosen by the E-set structure, which is recomputed
-    internally; a supplied classification is only cross-checked.
+    The branch is chosen by the E-set structure, recomputed internally and
+    kept as eset; a supplied classification is only cross-checked.
     """
     g1, g2, d1, d2 = _type21_params(s)
     g = 1.0 - g1 - g2
     d = 1.0 - d1 - d2
-    actual = classify_eset(z0, s)
+    states, actual = _scan_eset(z0, s)
     if cls is not None and cls.kind != actual.kind:
         raise InvalidParameter(
             f"supplied classification {cls.kind} disagrees with recomputed {actual.kind}"
         )
     cls = actual
-    x1, x2, y = float(z0.x[0]), float(z0.x[1]), float(z0.y[0])
+    x1, x2, y = states[0]
 
     if cls.kind == INFINITE_ALL_POSITIVE:
         # x2 is identically zero from step 1; the surviving pair follows the
         # one-female-type recursion with coefficient g1
-        if g1 <= PARAM_TOL or g1 >= 1.0 - PARAM_TOL:
-            raise DegenerateParameter("threshold 1/(g1(1-g1)) needs 0 < gamma1 < 1")
-        x1_1 = (g1 * x1 + d1 * x2) * y
-        y_1 = (g * x1 + d * x2) * y
-        prod = abs(x1_1 * y_1)
-        thr = 1.0 / (g1 * (1.0 - g1))
-        w_limit, boundary = _trichotomy(prod, thr)
         return ClosedFormLimit(
             kind="single_type_tail",
-            boundary=boundary,
-            threshold=thr,
-            product=prod,
-            w_limit=w_limit,
+            **_type11_trichotomy(g1, (g1 * x1 + d1 * x2) * y, (g * x1 + d * x2) * y),
             v_limit=(g1, 0.0, 1.0 - g1),
+            eset=cls,
         )
 
     if cls.kind in (INFINITE_ODD, INFINITE_EVEN):
@@ -355,21 +345,16 @@ def predict_limit_type21(
             thr = 1.0 / np.cbrt(g2**2 * d1 * gbar**2 * dbar)
             prod = abs(x1 * y)
             pair = ((0.0, g2, 1.0 - g2), (d1, 0.0, 1.0 - d1))
-        w_limit, boundary = _trichotomy(prod, thr)
         return ClosedFormLimit(
-            kind="alternating_tail",
-            boundary=boundary,
-            threshold=thr,
-            product=prod,
-            w_limit=w_limit,
-            v_period2=pair,
+            kind="alternating_tail", **_trichotomy(prod, thr), v_period2=pair, eset=cls
         )
 
     # finite E: the W orbit always collapses to zero; the V limit comes from
     # the female transfer matrix [[g1, d1], [g2, d2]]
     t0 = cls.t0
     delta_disc = (g1 - d2) ** 2 + 4.0 * g2 * d1
-    states = _iterate_type21_zeros(z0, g1, g2, d1, d2, max(t0, 1))
+    if t0 == len(states):  # x2 vanished at the last scanned step
+        states += _iterate_type21_zeros(states[-1], g1, g2, d1, d2, 1)[1:]
     x1_t0, x2_t0 = states[t0][0], states[t0][1]
 
     if delta_disc < PARAM_TOL:
@@ -394,6 +379,7 @@ def predict_limit_type21(
             lambda1=g1,
             lambda2=g1,
             t0=t0,
+            eset=cls,
         )
 
     root = float(np.sqrt(delta_disc))
@@ -427,6 +413,7 @@ def predict_limit_type21(
         u_value=float(u),
         U_value=float(U),
         t0=t0,
+        eset=cls,
     )
 
 
@@ -478,17 +465,7 @@ class HemophiliaPrediction:
     boundary: bool = False
     fixed_point: tuple | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "extinction_step": self.extinction_step,
-            "threshold": self.threshold,
-            "product": self.product,
-            "w_limit": self.w_limit,
-            "v_constant": list(self.v_constant) if self.v_constant else None,
-            "boundary": self.boundary,
-            "fixed_point": list(self.fixed_point) if self.fixed_point else None,
-        }
+    to_dict = _to_dict
 
 
 def _hemophilia_degenerate_case(mu: float, eta: float) -> tuple[bool, bool]:
@@ -534,13 +511,147 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
     z1 = apply_W(z0, hemophilia_spec(mu, eta))
     prod = float(abs(z1.x[1] * z1.y.sum() / c))
     thr = c / (2.0 * (1.0 - mu))
-    w_limit, boundary = _trichotomy(prod, thr)
     return HemophiliaPrediction(
         kind="trichotomy",
-        threshold=thr,
-        product=prod,
-        w_limit=w_limit,
+        **_trichotomy(prod, thr),
         v_constant=(0.0, (1.0 - mu) / c, (1.0 - mu) / c, (1.0 + mu) / c),
-        boundary=boundary,
         fixed_point=_hemophilia_fixed_point(mu),
     )
+
+
+# ---------------------------------------------------------------------------
+# The scenario table: predictions and their verification against iteration
+# ---------------------------------------------------------------------------
+
+# L1 distance within which a predicted point and an iterated or numeric one agree
+AGREEMENT_TOL = 1e-6
+
+# phi = swap_map of a type-(2,1) algebra as indices: phi z = z[_PHI], phi^T w = w[argsort(_PHI)]
+_PHI = swap_map(type21_spec(0.0, 0.0, 0.0, 0.0)).argmax(axis=1)
+
+
+def _phi(v: list | None) -> list | None:
+    return None if v is None else [v[k] for k in _PHI]
+
+
+def _closed_form_type11(s: Scenario, spec: AlgebraSpec) -> list:
+    return fixed_points.closed_form_fixed_points_type11(float(spec.gamma[0, 0, 0]))
+
+
+def _closed_form_x_inactivation(s: Scenario, spec: AlgebraSpec) -> list:
+    """The recessive_lethal points and family mapped by phi, as records of spec."""
+    points, family = fixed_points._type21_points(*_type21_params(s))
+    if family is not None:
+        family = fixed_points.FamilyDescriptor(family.base_point[_PHI], family.direction[_PHI])
+    return fixed_points._closed_form_records(np.array(points)[:, _PHI], spec, family)
+
+
+def _predict_type11(z0: State, spec: AlgebraSpec, s: Scenario) -> dict:
+    return {"prediction": _type11_trichotomy(float(spec.gamma[0, 0, 0]), float(z0.x[0]), float(z0.y[0]))}
+
+
+def _type21_fields(pred: ClosedFormLimit) -> dict:
+    return {"eset": {"kind": pred.eset.kind, "t0": pred.eset.t0}, "prediction": pred.to_dict()}
+
+
+def _predict_x_inactivation(z0: State, spec: AlgebraSpec, s: Scenario) -> dict:
+    """The recessive_lethal prediction from phi^T z0, its limit states mapped by
+    phi; the E-set and the product refer to the male coordinates of spec."""
+    z_rl = Element.from_vector(z0.vector[np.argsort(_PHI)], 2)
+    out = _type21_fields(predict_limit_type21(z_rl, Scenario("recessive_lethal", s.params)))
+    pred = out["prediction"]
+    pred["v_limit"] = _phi(pred["v_limit"])
+    pred["v_period2"] = pred["v_period2"] and [_phi(v) for v in pred["v_period2"]]
+    return out
+
+
+def _verify_w_limit(z0: State, spec: AlgebraSpec, w_limit: str, fixed_point=None):
+    """Iterate W and test the predicted limit: zero, infinity, or the fixed point."""
+    traj = iterate(z0, spec, operator="W")
+    kind = traj.outcome.kind
+    if w_limit == "infinity":
+        ok = kind == "divergent"
+    elif kind == "converged":
+        target = np.zeros(spec.dim) if w_limit == "zero" else np.asarray(fixed_point)
+        ok = float(np.abs(traj.outcome.point.vector - target).sum()) < AGREEMENT_TOL
+    else:
+        ok = w_limit == "zero" and kind in ("extinct", "numerically_extinct")
+    return ok, {"method": "iteration", "outcome": kind}
+
+
+def _verify_type11(z0: State, spec: AlgebraSpec, pred: dict):
+    if pred["boundary"]:
+        z6 = closed_form_trajectory_type11(z0, float(spec.gamma[0, 0, 0]), 6)
+        err = float(np.abs(z6.vector - z0.vector).sum())
+        return err < AGREEMENT_TOL, {"method": "closed_form", "error": err}
+    return _verify_w_limit(z0, spec, pred["w_limit"])
+
+
+def _verify_type21(z0: State, spec: AlgebraSpec, pred: dict):
+    if pred["boundary"]:
+        return True, {"method": "boundary_not_iterated"}
+    traj = iterate(z0, spec, operator="V")
+    if pred["v_period2"] is not None:
+        if traj.outcome.kind != "cycle" or traj.outcome.period != 2:
+            return False, {"method": "iteration", "outcome": traj.outcome.kind}
+        reps = [r.vector for r in traj.outcome.representatives]
+        err = max(min(float(np.abs(np.array(t) - r).sum()) for r in reps) for t in pred["v_period2"])
+        return err < AGREEMENT_TOL, {"method": "iteration", "cycle_error": err}
+    if traj.outcome.kind != "converged":
+        return False, {"method": "iteration", "outcome": traj.outcome.kind}
+    err = float(np.abs(traj.outcome.point.vector - np.array(pred["v_limit"])).sum())
+    return err < AGREEMENT_TOL, {"method": "iteration", "limit_error": err}
+
+
+def _verify_hemophilia(z0: State, spec: AlgebraSpec, pred: dict):
+    if pred["kind"] == "extinction":
+        z = z0
+        for _ in range(pred["extinction_step"]):
+            z = apply_W(z, spec)
+        ok = bool(np.all(z.vector == 0.0))
+        return ok, {"method": "exact_iteration", "steps": pred["extinction_step"]}
+    traj = iterate(z0, spec, operator="V")
+    if traj.outcome.kind not in ("converged", "max_iterations"):
+        return False, {"method": "iteration", "outcome": traj.outcome.kind}
+    err = float(np.abs(traj.states[-1].vector - np.array(pred["v_constant"])).sum())
+    w_ok, w_detail = _verify_w_limit(z0, spec, pred["w_limit"], pred["fixed_point"])
+    detail = {"method": "iteration", "constancy_error": err, "w_outcome": w_detail["outcome"]}
+    return err < AGREEMENT_TOL and w_ok, detail
+
+
+# build(s) -> spec, closed_form(s, spec) -> W records, predict(z0, spec, s) ->
+# payload fields, verify(z0, spec, fields["prediction"]) -> (agrees, detail)
+ScenarioEntry = namedtuple("ScenarioEntry", "params description build closed_form predict verify")
+
+_TYPE21 = ("gamma1", "gamma2", "delta1", "delta2")
+
+SCENARIOS = {
+    "lr_lethal": ScenarioEntry(
+        ("gamma",), "type (1,1): one female, one male genotype; gamma = female offspring share",
+        lambda s: type11_spec(*_unit_params(s)), _closed_form_type11, _predict_type11, _verify_type11,
+    ),
+    "lr_mutation": ScenarioEntry(
+        ("mu", "eta"), "type (1,1) with gamma = (1-eta)/(2-eta) from mutation rate eta",
+        lambda s: _mutation_spec(*_unit_params(s)), _closed_form_type11, _predict_type11, _verify_type11,
+    ),
+    "recessive_lethal": ScenarioEntry(
+        _TYPE21, "type (2,1): normal/carrier females, one viable male genotype",
+        lambda s: type21_spec(*_type21_params(s)),
+        lambda s, spec: fixed_points.closed_form_fixed_points_type21(*(s.params[k] for k in _TYPE21)),
+        lambda z0, spec, s: _type21_fields(predict_limit_type21(z0, s)), _verify_type21,
+    ),
+    "hemophilia": ScenarioEntry(
+        ("mu", "eta"), "type (2,2): carrier females, affected males with viability mu, fertility eta",
+        lambda s: hemophilia_spec(*_unit_params(s)),
+        lambda s, spec: fixed_points.closed_form_fixed_points_hemophilia(s.params["mu"], s.params["eta"]),
+        lambda z0, spec, s: {
+            "prediction": hemophilia_degenerate_limits(z0, s.params["mu"], s.params["eta"]).to_dict()
+        },
+        _verify_hemophilia,
+    ),
+    "x_inactivation": ScenarioEntry(
+        _TYPE21, "type (1,2): sexes of recessive_lethal exchanged",
+        lambda s: opposite(type21_spec(*_type21_params(s))),
+        _closed_form_x_inactivation, _predict_x_inactivation, _verify_type21,
+    ),
+}

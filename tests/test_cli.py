@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gonosim import cli, random_stochastic
+from test_acceptance import TYPE21_CASE_INSTANCES
+
+from gonosim import cli, random_stochastic, swap_map
 from gonosim.algebra import AlgebraSpec
 from gonosim.cli import main
-from gonosim.scenarios import type11_spec
+from gonosim.scenarios import SCENARIOS, type11_spec, type21_spec
 
 
 def _not_json(token):
@@ -43,6 +45,10 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("source", ["--algebra", "--scenario"])
+    def test_empty_source_name(self, source, tmp_path):
+        assert main(["simulate", source, "", "--init", "1,1", "--out", str(tmp_path / "t.csv")]) == 2
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "garbage.json"
@@ -456,22 +462,9 @@ class TestPredict:
         assert payload["agreement"] is False
 
     def test_unsupported_scenario(self, capsys):
-        code = main(
-            [
-                "predict",
-                "--scenario",
-                "x_inactivation",
-                "--gamma1",
-                "0.2",
-                "--gamma2",
-                "0.2",
-                "--delta1",
-                "0.2",
-                "--delta2",
-                "0.2",
-            ]
-        )
+        code = main(["predict", "--scenario", "nonsense", "--gamma", "0.2"])
         assert code == 2
+        assert "unknown scenario 'nonsense'" in capsys.readouterr().err
 
     def test_degenerate_prediction_fails_cleanly(self, capsys):
         # equal-modulus eigenvalues: no root can be selected
@@ -508,3 +501,119 @@ class TestScenarioList:
             runpy.run_module("gonosim", run_name="__main__")
         assert exc.value.code == 0
         assert "hemophilia" in capsys.readouterr().out
+
+
+TYPE21_FLAGS = ("--gamma1", "--gamma2", "--delta1", "--delta2")
+
+# parameter flags and an initial state for every scenario in the table
+SCENARIO_EXAMPLES = {
+    "lr_lethal": (["--gamma", "0.5"], "1,1"),
+    "lr_mutation": (["--mu", "0.3", "--eta", "0.2"], "1,1"),
+    "recessive_lethal": (["--gamma1", "0.2", "--gamma2", "0.2", "--delta1", "0.3", "--delta2", "0.3"],
+                         "0.3,0.3,0.4"),
+    "hemophilia": (["--mu", "0.4", "--eta", "1"], "1,1,1,1"),
+    "x_inactivation": (["--gamma1", "0.2", "--gamma2", "0.2", "--delta1", "0.3", "--delta2", "0.3"],
+                       "0.4,0.3,0.3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_scenario_is_served(name, capsys):
+    flags, init = SCENARIO_EXAMPLES[name]
+    assert main(["scenario", "list"]) == 0
+    assert any(line.startswith(f"{name}: ") for line in capsys.readouterr().out.splitlines())
+    assert main(["predict", "--scenario", name, *flags, "--init", init]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["scenario"] == name and payload["agreement"] is True
+    assert main(["fixed-points", "--scenario", name, *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["closed_form"] and payload["cross_check"]["pass"] is True
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out else None
+
+
+def _type21_flags(params):
+    return [v for flag, p in zip(TYPE21_FLAGS, params) for v in (flag, repr(float(p)))]
+
+
+def _criterion_4_grid(points):
+    """Parameters and states in the four parameter modes and three start modes
+    of acceptance criterion 4, scaled to both sides of the W thresholds."""
+    rng = np.random.default_rng(7)
+    for i in range(points):
+        mode = i % 4
+        if mode == 0:
+            g1, g2 = rng.dirichlet(np.ones(3))[:2]
+            d1, d2 = rng.dirichlet(np.ones(3))[:2]
+        elif mode == 1:
+            g1, g2 = float(rng.uniform(0.05, 0.9)), 0.0
+            d1, d2 = rng.dirichlet(np.ones(3))[:2]
+        elif mode == 2:
+            g1, d2 = 0.0, 0.0
+            g2, d1 = float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.05, 0.9))
+        else:
+            g1, g2 = rng.dirichlet(np.ones(3))[:2]
+            d1, d2 = 0.0, float(rng.uniform(0.05, 0.9))
+        v = rng.dirichlet(np.ones(3))
+        start_mode = (i // 4) % 3
+        if start_mode == 1:
+            v = np.array([0.0, v[1], v[2]]) / (v[1] + v[2])
+        elif start_mode == 2:
+            v = np.array([v[0], 0.0, v[2]]) / (v[0] + v[2])
+        yield (g1, g2, d1, d2), v * rng.uniform(0.5, 20.0)
+
+
+class TestXInactivation:
+    """x_inactivation is recessive_lethal carried through phi = swap_map(...)."""
+
+    def _inputs(self):
+        rng = np.random.default_rng(3)
+        for params, _, _ in TYPE21_CASE_INSTANCES:
+            for _ in range(3):
+                yield params, rng.dirichlet(np.ones(3)) * rng.uniform(0.5, 4.0)
+        yield from _criterion_4_grid(240)
+
+    def test_predict_is_the_mapped_recessive_lethal_prediction(self, capsys):
+        compared = 0
+        for params, v in self._inputs():
+            phi = swap_map(type21_spec(*params))
+            flags = _type21_flags(params)
+            code, rl = _run(["predict", "--scenario", "recessive_lethal", *flags,
+                             "--init", ",".join(repr(float(c)) for c in v)], capsys)
+            xi_code, xi = _run(["predict", "--scenario", "x_inactivation", *flags,
+                                "--init", ",".join(repr(float(c)) for c in phi @ v)], capsys)
+            assert xi_code == code, (params, v)
+            assert (xi is None) == (rl is None)
+            if rl is None:
+                continue
+            compared += 1
+            assert xi["agreement"] == rl["agreement"] and xi["eset"] == rl["eset"]
+            a, b = rl["prediction"], xi["prediction"]
+            assert b["w_limit"] == a["w_limit"]
+            assert b["v_limit"] == (None if a["v_limit"] is None else (phi @ a["v_limit"]).tolist())
+            expected = None if a["v_period2"] is None else [(phi @ w).tolist() for w in a["v_period2"]]
+            assert b["v_period2"] == expected
+        assert compared >= 200
+
+    def test_closed_form_records_are_the_mapped_points(self, capsys):
+        for params, _, has_family in TYPE21_CASE_INSTANCES:
+            phi = swap_map(type21_spec(*params))
+            flags = _type21_flags(params)
+            code, rl = _run(["fixed-points", "--scenario", "recessive_lethal", *flags], capsys)
+            xi_code, xi = _run(["fixed-points", "--scenario", "x_inactivation", *flags], capsys)
+            assert code == xi_code == 0 and xi["cross_check"]["pass"] is True
+            assert len(xi["closed_form"]) == len(rl["closed_form"])
+            for a, b in zip(rl["closed_form"], xi["closed_form"]):
+                assert b["point"] == (phi @ a["point"]).tolist()
+                assert (b["stability_w"], b["stability_v"]) == (a["stability_w"], a["stability_v"])
+                assert b["residual"] < 1e-10
+                if a["family"] is None:
+                    assert b["family"] is None
+                else:
+                    for key in ("base_point", "direction"):
+                        assert b["family"][key] == (phi @ a["family"][key]).tolist()
+            assert any(r["family"] for r in xi["closed_form"]) == has_family
