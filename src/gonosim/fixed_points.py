@@ -25,9 +25,11 @@ from .errors import (
     NotStochastic,
     ShapeMismatch,
 )
+from .identities import _structure_tensor
 from .scenarios import (
     _hemophilia_degenerate_case,
     _hemophilia_fixed_point,
+    _type21_eigenpairs,
     hemophilia_spec,
     type11_spec,
     type21_spec,
@@ -73,15 +75,11 @@ def _second_derivative(spec: AlgebraSpec) -> np.ndarray:
     """The constant second derivative H of W, shape (dim, dim * dim).
 
     W is quadratic, so its Jacobian is linear in z: J_W(z) = (z @ H)
-    reshaped to (dim, dim), with H[b, a * dim + c] = d^2 W_a / dz_b dz_c.
-    The only non-zero blocks pair a female with a male coordinate.
+    reshaped to (dim, dim), with H[b, a * dim + c] = d^2 W_a / dz_b dz_c,
+    which is the structure constant M[b, c, a] of e_b e_c.
     """
-    n, dim = spec.n, spec.dim
-    K = spec.kernel.reshape(n, spec.nu, dim)
-    H = np.zeros((dim, dim, dim))
-    H[n:, :, :n] = K.transpose(1, 2, 0)  # d/dy_p of dW_a/dx_i
-    H[:n, :, n:] = K.transpose(0, 2, 1)  # d/dx_i of dW_a/dy_p
-    return H.reshape(dim, dim * dim)
+    dim = spec.dim
+    return _structure_tensor(spec).transpose(0, 2, 1).reshape(dim, dim * dim)
 
 
 def _jacobian_W_rows(Z: np.ndarray, H: np.ndarray, rowwise: bool = False) -> np.ndarray:
@@ -586,21 +584,24 @@ def closed_form_fixed_points_type11(gamma: float) -> list[FixedPointRecord]:
 def closed_form_fixed_points_type21(
     g1: float, g2: float, d1: float, d2: float
 ) -> list[FixedPointRecord]:
-    """Full fixed-point case analysis for the type-(2,1) family.
+    """Every W fixed point of the type-(2,1) family, origin first.
 
-    Branches on the determinant D = g1 d2 - g2 d1 of the female transfer
-    matrix.  When D = 0 the male coordinate is forced to 1/(g1 + d2) and
-    the female part solves a rank-one linear system; when D != 0 each
-    real root of D y^2 - (g1 + d2) y + 1 = 0 yields at most one point.
-    The origin is always included.
+    W(x, y) = (y A x, y (g, d) . x) with the female transfer matrix
+    A = [[g1, d1], [g2, d2]] and male shares g = 1 - g1 - g2, d = 1 - d1 - d2,
+    so a non-zero fixed point is (v / Q, 1 / lam) for an eigenpair (lam, v)
+    of A with lam != 0 and Q = (g, d) . v = (1 - lam)(v1 + v2) != 0.  Each
+    eigenvalue gives at most one point; when A = lam I the points form a
+    line, whose family goes on the last record.  The non-zero points come
+    in increasing y.  Raises DegenerateParameter for a negative parameter
+    or a male share below zero.
     """
     points, family = _type21_points(g1, g2, d1, d2)
     return _closed_form_records(points, type21_spec(g1, g2, d1, d2), family)
 
 
 def _type21_points(g1: float, g2: float, d1: float, d2: float):
-    """The type-(2,1) fixed points of the case analysis, origin first, and
-    the family through the last one if the fixed points form a line."""
+    """The type-(2,1) fixed points, origin first, and the family through the
+    last one if the fixed points form a line (see closed_form_fixed_points_type21)."""
     for name, v in (("g1", g1), ("g2", g2), ("d1", d1), ("d2", d2)):
         if v < 0:
             raise DegenerateParameter(f"{name} must be non-negative")
@@ -608,82 +609,19 @@ def _type21_points(g1: float, g2: float, d1: float, d2: float):
     d = 1.0 - d1 - d2
     if g < -CASE_TOL or d < -CASE_TOL:
         raise DegenerateParameter("male shares 1-g1-g2 and 1-d1-d2 must be non-negative")
-    points = [[0.0, 0.0, 0.0]]
-    family = None
-    D = g1 * d2 - g2 * d1
-
-    def near(a, b=0.0):
-        return abs(a - b) < CASE_TOL
-
-    if near(D):
-        if near(g1 + d2) or near(g1 + d2, 1.0):
-            return points, family
-        y = 1.0 / (g1 + d2)
-        if not near(g1) and not near(g1, 1.0) and near(d2) and near(g2):
-            points.append([1.0 / (1.0 - g1), 0.0, 1.0 / g1])
-        elif near(g1) and not near(d2) and not near(d2, 1.0) and near(d1):
-            points.append([0.0, 1.0 / (1.0 - d2), 1.0 / d2])
-        elif (
-            not near(g1)
-            and not near(d2)
-            and not near(g1 + d2, 1.0)
-            and not near(g2)
-            and not near(d1)
-        ):
-            den = (g1 + g2) * (1.0 - g1 - d2)
-            points.append([g1 / den, g2 / den, y])
-        return points, family
-
-    # D != 0: roots of the male-coordinate quadratic
-    if near(d1) and near(g2):
-        if near(g1, d2):
-            if near(g1, 1.0):
-                raise DegenerateParameter("family requires g1 = d2 different from 1")
-            base = np.array([0.5 / (1.0 - g1), 0.5 / (1.0 - g1), 1.0 / g1])
+    points, family = [], None
+    for lam, columns in _type21_eigenpairs(g1, g2, d1, d2):
+        # A = lam I when both columns vanish: every (v1, v2) is an eigenvector
+        line = max(abs(c) for col in columns for c in col) < CASE_TOL
+        v = (1.0, 1.0) if line else max(columns, key=lambda c: abs(c[0]) + abs(c[1]))
+        q = g * v[0] + d * v[1]
+        if abs(lam) < CASE_TOL or abs(q) < CASE_TOL * (abs(v[0]) + abs(v[1])):
+            continue
+        points.append([v[0] / q + 0.0, v[1] / q + 0.0, 1.0 / lam])  # + 0.0 turns -0.0 into 0.0
+        if line:
             direction = np.array([1.0, -1.0, 0.0])
-            family = FamilyDescriptor(base_point=base, direction=direction / np.linalg.norm(direction))
-            points.append(base)
-        else:
-            if not near(g1, 1.0):
-                points.append([1.0 / (1.0 - g1), 0.0, 1.0 / g1])
-            if not near(d2, 1.0):
-                points.append([0.0, 1.0 / (1.0 - d2), 1.0 / d2])
-        return points, family
-
-    if near(d1) and not near(g2):
-        if near(g1, d2):
-            if near(g1, 1.0):
-                raise DegenerateParameter("point requires g1 different from 1")
-            points.append([0.0, 1.0 / (1.0 - g1), 1.0 / g1])
-        else:
-            den = (1.0 - g1) * (g1 + g2 - d2)
-            if not near(g1, 1.0) and not near(g1 + g2 - d2):
-                points.append([(g1 - d2) / den, g2 / den, 1.0 / g1])
-            if not near(d2, 1.0):
-                points.append([0.0, 1.0 / (1.0 - d2), 1.0 / d2])
-        return points, family
-
-    if not near(d1) and near(g2):
-        if near(g1, d2):
-            if near(g1, 1.0):
-                raise DegenerateParameter("point requires g1 different from 1")
-            points.append([1.0 / (1.0 - g1), 0.0, 1.0 / g1])
-        else:
-            if not near(g1, 1.0):
-                points.append([1.0 / (1.0 - g1), 0.0, 1.0 / g1])
-            den = (1.0 - d2) * (d1 + d2 - g1)
-            if not near(d2, 1.0) and not near(d1 + d2 - g1):
-                points.append([d1 / den, (d2 - g1) / den, 1.0 / d2])
-        return points, family
-
-    # both g2 and d1 nonzero: two real roots since the discriminant is positive
-    roots = np.roots([D, -(g1 + d2), 1.0])
-    for y in sorted(float(r.real) for r in roots if abs(r.imag) < CASE_TOL):
-        Q = (g * d1 - d * g1) * y + d
-        if near(Q):
-            raise DegenerateParameter("fixed-point denominator vanishes at a quadratic root")
-        points.append([d1 * y / Q, (1.0 - g1 * y) / Q, y])
-    return points, family
+            family = FamilyDescriptor(np.array(points[-1]), direction / np.linalg.norm(direction))
+    return [[0.0, 0.0, 0.0]] + sorted(points, key=lambda p: p[2]), family
 
 
 def closed_form_fixed_points_hemophilia(mu: float, eta: float) -> list[FixedPointRecord]:
@@ -738,18 +676,25 @@ def stability_transfer_check(fp: FixedPointRecord, spec: AlgebraSpec) -> Transfe
 
     Stability of the unnormalized operator must carry over to the
     normalized one; the reverse implication is not expected and its
-    failure is not an inconsistency.
+    failure is not an inconsistency.  Both spectra and labels are read
+    from fp, a record of spec as make_record, the closed forms and the
+    searches build it; nothing is recomputed.  Raises NotNormalizable for a
+    point with a negative coordinate or zero sum, ValueError for a record
+    without spectra, NotStochastic and AbsorbedToO where V is undefined at
+    the normalized point.
     """
-    zn = normalize_fixed_point(fp)
-    w_eigs = np.linalg.eigvals(jacobian_W(fp.point, spec))
-    v_eigs = np.linalg.eigvals(jacobian_V(zn, spec))
-    sw = classify_spectrum(w_eigs)
-    sv = classify_spectrum(v_eigs)
-    consistent = not (sw == STABLE and sv != STABLE)
+    normalize_fixed_point(fp)
+    if fp.w_eigenvalues is None:
+        raise ValueError("the record carries no spectra; build it with make_record")
+    if not spec.is_stochastic():
+        raise NotStochastic("normalized operator requires a stochastic algebra")
+    if fp.v_eigenvalues is None:
+        raise AbsorbedToO()
+    w_eigs, v_eigs = fp.w_eigenvalues, fp.v_eigenvalues
     return TransferReport(
-        stability_w=sw,
-        stability_v=sv,
-        consistent=consistent,
+        stability_w=fp.stability_w,
+        stability_v=fp.stability_v,
+        consistent=not (fp.stability_w == STABLE and fp.stability_v != STABLE),
         w_spectral_radius=float(np.abs(w_eigs).max()),
         v_spectral_radius=float(np.abs(v_eigs).max()) if v_eigs.size else 0.0,
     )

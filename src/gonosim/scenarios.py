@@ -72,6 +72,30 @@ def type21_spec(g1: float, g2: float, d1: float, d2: float) -> AlgebraSpec:
     return AlgebraSpec(2, 1, gamma, gamma_tilde)
 
 
+def _type21_eigenpairs(g1: float, g2: float, d1: float, d2: float) -> list:
+    """Eigenvalues of the female transfer matrix A = [[g1, d1], [g2, d2]] with their eigenvectors.
+
+    Returns (lam, (c1, c2)) pairs, smaller lam first, where c1 = (lam - d2, g2)
+    and c2 = (d1, lam - g1) are the columns of A - lam' I, lam' the other
+    eigenvalue.  By Cayley-Hamilton A - lam' I = -adj(A - lam I), so each
+    non-zero column is a lam-eigenvector; both vanish only when A = lam I.
+    Non-negative entries give real eigenvalues with lam2 >= |lam1|.  The
+    larger root alone is returned when the roots differ by less than
+    PARAM_TOL or its columns are all below PARAM_TOL (A = lam I).  lam - d2
+    and lam - g1 are formed from g1 - d2 and the root, not from lam, so a
+    triangular A gives them as exact zeros.
+    """
+    root = float(np.sqrt((g1 - d2) ** 2 + 4.0 * g2 * d1))
+    pairs = [
+        ((g1 + d2 + s * root) / 2.0, (((g1 - d2 + s * root) / 2.0, g2), (d1, (d2 - g1 + s * root) / 2.0)))
+        for s in (-1.0, 1.0)
+    ]
+    c1, c2 = pairs[1][1]
+    if root < PARAM_TOL or max(map(abs, c1 + c2)) < PARAM_TOL:
+        return pairs[1:]
+    return pairs
+
+
 def hemophilia_spec(mu: float, eta: float) -> AlgebraSpec:
     """Type (2,2) algebra with male viability mu and fertility eta.
 
@@ -259,11 +283,14 @@ class ClosedFormLimit:
 
     w_limit is "zero", "infinity", or "nonzero" (the boundary of the
     trichotomy); v_limit is a single limit state, v_period2 a pair of
-    alternating states (odd step first).  For the eigenvalue branch,
-    lambda1 <= lambda2 are the roots of the female-transfer-matrix
-    characteristic polynomial and u_value, U_value the interpolation
-    quantities evaluated at the selected root.  eset is the E-set
-    classification the branch was chosen by; to_dict leaves it out.
+    alternating states (odd step first).  For the eigenvalue branches,
+    lambda1 <= lambda2 are the eigenvalues of the female transfer matrix A
+    (equal for repeated_eigenvalue), and selected_index names the
+    smaller-modulus one.  For distinct_eigenvalues, e = (A - lambda1 I) x(t0)
+    is the dominant-eigenvector part of the female state at t0,
+    u_value = e2 / e1 and U_value = (sum of W(e, 1)) / e1, the limit's
+    normalizer in units of e1; both are None when e1 = 0.  eset is the
+    E-set classification the branch was chosen by; to_dict leaves it out.
     """
 
     kind: str
@@ -306,7 +333,14 @@ def predict_limit_type21(
     """Closed-form limit of the W and V orbits from z0.
 
     The branch is chosen by the E-set structure, recomputed internally and
-    kept as eset; a supplied classification is only cross-checked.
+    kept as eset; a supplied classification is only cross-checked.  For a
+    finite E-set the W orbit goes to zero and the V orbit to W(e, 1)
+    normalized, where e = (A - lambda1 I) x(t0) is the part of the female
+    state at t0 = max(E) + 1 along the dominant eigenvector of the female
+    transfer matrix A = [[g1, d1], [g2, d2]] (_type21_eigenpairs).  If that
+    part vanishes, x(t0) is an eigenvector itself (A = lambda I included)
+    and e = x(t0).  Raises EqualModulusEigenvalues when distinct
+    eigenvalues have the same modulus.
     """
     g1, g2, d1, d2 = _type21_params(s)
     g = 1.0 - g1 - g2
@@ -349,69 +383,38 @@ def predict_limit_type21(
             kind="alternating_tail", **_trichotomy(prod, thr), v_period2=pair, eset=cls
         )
 
-    # finite E: the W orbit always collapses to zero; the V limit comes from
-    # the female transfer matrix [[g1, d1], [g2, d2]]
+    # finite E: the W orbit always collapses to zero, and from t0 on the
+    # female part of the V orbit is carried by the transfer matrix A, so it
+    # turns to the dominant eigenvector; (A - lam1 I) x(t0) is its component
+    # there (a Jordan block included)
     t0 = cls.t0
-    delta_disc = (g1 - d2) ** 2 + 4.0 * g2 * d1
     if t0 == len(states):  # x2 vanished at the last scanned step
         states += _iterate_type21_zeros(states[-1], g1, g2, d1, d2, 1)[1:]
-    x1_t0, x2_t0 = states[t0][0], states[t0][1]
-
-    if delta_disc < PARAM_TOL:
-        # repeated eigenvalue: g1 = d2 and g2 d1 = 0
-        if g2 > PARAM_TOL and d1 <= PARAM_TOL:
-            v_limit = (0.0, d2, d)
-        elif g2 <= PARAM_TOL and d1 > PARAM_TOL:
-            v_limit = (g1, 0.0, g)
-        else:
-            tot = x1_t0 + x2_t0
-            if abs(tot) < 1e-300:
-                raise DegenerateDenominator("female mass at the reference step is zero")
-            v_limit = (
-                g1 * x1_t0 / tot,
-                d2 * x2_t0 / tot,
-                (g * x1_t0 + d * x2_t0) / tot,
-            )
-        return ClosedFormLimit(
-            kind="repeated_eigenvalue",
-            w_limit="zero",
-            v_limit=v_limit,
-            lambda1=g1,
-            lambda2=g1,
-            t0=t0,
-            eset=cls,
-        )
-
-    root = float(np.sqrt(delta_disc))
-    lam1 = (g1 + d2 - root) / 2.0
-    lam2 = (g1 + d2 + root) / 2.0
-    if abs(abs(lam1) - abs(lam2)) < 1e-12:
-        raise EqualModulusEigenvalues(
-            f"|lambda1| = |lambda2| = {abs(lam1)}; no root is selected"
-        )
-    idx = 1 if abs(lam1) < abs(lam2) else 2
-    lam = lam1 if idx == 1 else lam2
-    den = (g1 - lam) * x1_t0 + d1 * x2_t0
-    if abs(den) < 1e-300:
-        raise DegenerateDenominator("denominator of u vanishes at the reference step")
-    u = (g2 * x1_t0 + (d2 - lam) * x2_t0) / den
-    U = d1 * u**2 + (d + d1 + g1) * u + g + g1
-    if abs(U) < 1e-300:
-        raise DegenerateDenominator("normalizing quantity U vanishes")
-    v_limit = (
-        (g1 + d1 * u) / U,
-        u * (g1 + d1 * u) / U,
-        (g + d * u) / U,
-    )
+    x1, x2 = states[t0][0], states[t0][1]
+    pairs = _type21_eigenpairs(g1, g2, d1, d2)
+    (lam1, _), (lam2, (c1, c2)) = pairs[0], pairs[-1]
+    distinct = (g1 - d2) ** 2 + 4.0 * g2 * d1 >= PARAM_TOL  # else repeated, lambda1 = lambda2
+    if not distinct:
+        lam1 = lam2
+    elif abs(abs(lam1) - abs(lam2)) < 1e-12:
+        raise EqualModulusEigenvalues(f"|lambda1| = |lambda2| = {abs(lam1)}; no root is selected")
+    e1, e2 = c1[0] * x1 + c2[0] * x2, c1[1] * x1 + c2[1] * x2
+    if abs(e1) + abs(e2) <= PARAM_TOL * (abs(x1) + abs(x2)):
+        e1, e2 = x1, x2  # x(t0) is an eigenvector already (A = lam I included)
+    limit = (g1 * e1 + d1 * e2, g2 * e1 + d2 * e2, g * e1 + d * e2)  # W of (e, 1)
+    total = sum(limit)
+    if total == 0.0:
+        raise DegenerateDenominator("the limit direction has zero coordinate sum")
     return ClosedFormLimit(
-        kind="distinct_eigenvalues",
+        kind="distinct_eigenvalues" if distinct else "repeated_eigenvalue",
         w_limit="zero",
-        v_limit=v_limit,
+        v_limit=tuple(c / total for c in limit),
         lambda1=lam1,
         lambda2=lam2,
-        selected_index=idx,
-        u_value=float(u),
-        U_value=float(U),
+        # lam2 >= |lam1| for non-negative A, so the smaller-modulus root is lam1
+        selected_index=1 if distinct else None,
+        u_value=e2 / e1 if distinct and e1 else None,
+        U_value=total / e1 if distinct and e1 else None,
         t0=t0,
         eset=cls,
     )

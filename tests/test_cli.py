@@ -243,6 +243,18 @@ class TestFixedPoints:
         assert payload["cross_check"]["max_mismatch"] <= 1e-6
         assert len(payload["closed_form"]) == 2
 
+    @pytest.mark.parametrize(
+        "params, point",
+        [((0.0, 0.0, 0.1, 0.1), [5 / 9, 5 / 9, 10.0]), ((0.3, 0.2, 0.25, 0.25), [10 / 9, 8 / 9, 2.0])],
+    )
+    def test_type21_closed_form_holds_every_numeric_root(self, params, point, capsys):
+        code, payload = _run(["fixed-points", "--scenario", "recessive_lethal", *_type21_flags(params)], capsys)
+        assert code == 0 and payload["cross_check"]["pass"] is True
+        closed = [np.array(r["point"]) for r in payload["closed_form"]]
+        assert any(np.abs(c - point).sum() < 1e-12 for c in closed)
+        for rec in payload["records"]:
+            assert min(np.abs(c - rec["point"]).sum() for c in closed) < 1e-6
+
     def test_algebra_source_numeric_only(self, good_algebra, capsys):
         assert main(["fixed-points", "--algebra", good_algebra]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -390,6 +402,29 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert payload["eset"]["kind"] == "finite"
         assert payload["agreement"] is True
+
+    def test_type21_zero_delta1_agreement(self, capsys):
+        code = main(
+            [
+                "predict",
+                "--scenario",
+                "recessive_lethal",
+                "--gamma1",
+                "0.224",
+                "--gamma2",
+                "0.638",
+                "--delta1",
+                "0",
+                "--delta2",
+                "0.487",
+                "--init",
+                "0.3,0.3,0.4",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["agreement"] is True
+        assert payload["prediction"]["v_limit"] == pytest.approx([0.0, 0.487, 0.513], abs=1e-12)
 
     def test_type21_cycle_agreement(self, capsys):
         code = main(

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gonosim import (
+    AlgebraSpec,
     Element,
+    FixedPointRecord,
     apply_V,
     apply_W,
     classify_spectrum,
@@ -21,9 +23,11 @@ from gonosim import (
     stability_transfer_check,
 )
 from gonosim.errors import (
+    AbsorbedToO,
     DegenerateParameter,
     NotIdempotent,
     NotNormalizable,
+    NotStochastic,
     UncoveredCase,
 )
 from gonosim.scenarios import (
@@ -208,6 +212,53 @@ class TestClosedFormType21:
             [0.2 / den, 0.2 / den, 1.0 / (0.2 + 0.3)], abs=1e-12
         )
 
+    def test_empty_first_column_has_its_point(self):
+        # A = [[0, 0.1], [0, 0.1]]: the eigenvalue 0.1 gives (5/9, 5/9, 10)
+        recs = closed_form_fixed_points_type21(0.0, 0.0, 0.1, 0.1)
+        pts = [r.point.vector for r in recs]
+        assert len(pts) == 2 and not pts[0].any()
+        assert pts[1] == pytest.approx([5 / 9, 5 / 9, 10.0], rel=1e-12)
+        assert recs[1].residual < 1e-12
+
+    def test_equal_male_shares(self):
+        # g = d: the second eigenvector sums to zero and gives no point
+        recs = closed_form_fixed_points_type21(0.3, 0.2, 0.25, 0.25)
+        pts = [r.point.vector for r in recs]
+        assert len(pts) == 2 and not pts[0].any()
+        assert pts[1] == pytest.approx([10 / 9, 8 / 9, 2.0], rel=1e-12)
+        assert all(r.residual < 1e-12 and r.family is None for r in recs)
+
+    def test_identity_transfer_matrix_fixes_only_the_origin(self):
+        # A = I leaves no male offspring, so y' = 0 and only the origin is fixed
+        recs = closed_form_fixed_points_type21(1.0, 0.0, 0.0, 1.0)
+        assert len(recs) == 1 and not recs[0].point.vector.any()
+
+    def test_points_in_increasing_y(self):
+        # the triangular mode g1 < d2 has its points at y = 1/d2 < 1/g1
+        ys = [r.point.vector[2] for r in closed_form_fixed_points_type21(0.1, 0.0, 0.3, 0.7)]
+        assert ys[0] == 0.0 and ys[1:] == sorted(ys[1:])
+        assert ys[1:] == pytest.approx([1 / 0.7, 1 / 0.1], rel=1e-12)
+
+    def test_nearly_equal_diagonal_keeps_both_points(self):
+        # g1 and d2 a little apart: two distinct eigenvalues, two points, no line
+        g1, d2 = 0.3, 0.3000001
+        recs = closed_form_fixed_points_type21(g1, 0.0, 0.0, d2)
+        pts = [r.point.vector for r in recs]
+        assert len(pts) == 3 and not pts[0].any()
+        assert pts[1] == pytest.approx([0.0, 1 / (1 - d2), 1 / d2], rel=1e-12)
+        assert pts[2] == pytest.approx([1 / (1 - g1), 0.0, 1 / g1], rel=1e-12)
+        assert all(r.residual < 1e-12 and r.family is None for r in recs)
+
+    def test_nearly_repeated_eigenvalue_keeps_both_roots(self):
+        # discriminant 4e-14: the eigenvalues 0.3 -+ 1e-7 have the eigenvectors
+        # (1, -1), which sums to zero when g = d and gives no point, and (1, 1)
+        recs = closed_form_fixed_points_type21(0.3, 1e-7, 1e-7, 0.3)
+        assert len(recs) == 2
+        q = 2 * (0.7 - 1e-7)
+        assert recs[1].point.vector == pytest.approx([1 / q, 1 / q, 1 / (0.3 + 1e-7)], rel=1e-12)
+        recs = closed_form_fixed_points_type21(0.3, 1e-7, 2e-7, 0.3)
+        assert len(recs) == 3 and all(r.residual < 1e-12 for r in recs)
+
     def test_negative_parameter_rejected(self):
         with pytest.raises(DegenerateParameter):
             closed_form_fixed_points_type21(-0.1, 0.2, 0.2, 0.2)
@@ -296,6 +347,31 @@ class TestStabilityTransfer:
             spec = type11_spec(gamma)
             for rec in closed_form_fixed_points_type11(gamma)[1:]:
                 assert stability_transfer_check(rec, spec).consistent
+
+    def test_spectra_are_those_of_the_record(self):
+        spec = type21_spec(0.3, 0.2, 0.2, 0.2)
+        recs = [r for r in closed_form_fixed_points_type21(0.3, 0.2, 0.2, 0.2)[1:] if (r.point.vector >= 0).all()]
+        assert recs
+        for rec in recs:
+            ref = make_record(rec.point, spec, "W")
+            rep = stability_transfer_check(rec, spec)
+            assert (rep.stability_w, rep.stability_v) == (ref.stability_w, ref.stability_v)
+            assert rep.w_spectral_radius == float(np.abs(ref.w_eigenvalues).max())
+            assert rep.v_spectral_radius == float(np.abs(ref.v_eigenvalues).max())
+
+    def test_undefined_normalization_rejected(self):
+        with pytest.raises(NotStochastic):
+            spec = AlgebraSpec(1, 1, [[[-0.5]]], [[[1.5]]])
+            stability_transfer_check(make_record(Element.from_vector([1.0, 1.0], 1), spec), spec)
+        spec = type21_spec(0.3, 0.3, 0.3, 0.3)
+        with pytest.raises(AbsorbedToO):  # no male mass
+            stability_transfer_check(make_record(Element.from_vector([1.0, 0.0, 0.0], 2), spec), spec)
+
+    def test_record_without_spectra_rejected(self):
+        spec = type11_spec(0.5)
+        rec = closed_form_fixed_points_type11(0.5)[1]
+        with pytest.raises(ValueError):
+            stability_transfer_check(FixedPointRecord(rec.point, "W", rec.residual), spec)
 
     def test_nonzero_nonneg_points_have_large_mass(self):
         # every non-negative nonzero fixed point of the doubling map has

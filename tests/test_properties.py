@@ -1,4 +1,5 @@
-"""Property tests on random stochastic algebras from (1,1) to (4,4).
+"""Property tests on random stochastic algebras from (1,1) to (4,4), and
+on the type-(2,1) family.
 
 Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_newton import (  # noqa: E402
     assert_records_match,
@@ -17,13 +18,27 @@ from test_newton import (  # noqa: E402
     simplex_points,
 )
 
-from gonosim import idempotent_correspondence, random_stochastic, solve_fixed_points_numeric  # noqa: E402
-from gonosim.fixed_points import _records  # noqa: E402
+from gonosim import (  # noqa: E402
+    closed_form_fixed_points_type21,
+    idempotent_correspondence,
+    random_stochastic,
+    solve_fixed_points_numeric,
+)
+from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL, _records  # noqa: E402
+from gonosim.scenarios import type21_spec  # noqa: E402
 
 algebras = st.builds(
     random_stochastic, st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)
 )
 seeds = st.integers(0, 2**32 - 1)
+
+# a row (g1, g2) of the type-(2,1) family: grid values, where the degenerate
+# cases sit, or a Dirichlet draw
+EDGE = (0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0)
+type21_rows = st.one_of(
+    st.tuples(st.sampled_from(EDGE), st.sampled_from(EDGE)).filter(lambda r: r[0] + r[1] <= 1.0),
+    seeds.map(lambda s: tuple(np.random.default_rng(s).dirichlet(np.ones(3))[:2].tolist())),
+)
 
 
 @given(algebras, seeds)
@@ -42,3 +57,23 @@ def test_half_of_every_W_root_is_idempotent(spec):
     for rec in solve_fixed_points_numeric(spec, "W", grid=2):
         half = idempotent_correspondence(rec, spec)
         assert np.array_equal(half.vector, rec.point.vector / 2.0)
+
+
+@given(type21_rows, type21_rows, st.sampled_from((None, 1e-6)))
+def test_type21_closed_form_is_the_whole_fixed_point_set(row_g, row_d, gap):
+    # every closed-form point is fixed, and every root of the default numeric
+    # search is a closed-form point or lies on the closed-form family; a gap
+    # sets d2 = g1 (1 + gap), where the eigenvalues nearly repeat
+    if gap is not None:
+        row_d = (row_d[0], row_g[0] * (1.0 + gap))
+        assume(sum(row_d) <= 1.0)
+    params = (*row_g, *row_d)
+    spec = type21_spec(*params)
+    closed = closed_form_fixed_points_type21(*params)
+    assert all(rec.residual < RESIDUAL_TOL for rec in closed)
+    points = [rec.point.vector for rec in closed]
+    families = [rec.family for rec in closed if rec.family is not None]
+    for rec in solve_fixed_points_numeric(spec, "W"):
+        v = rec.point.vector
+        near = min(np.abs(v - p).sum() for p in points) < DEDUP_TOL * max(1.0, np.abs(v).sum())
+        assert near or any(f.contains(v) for f in families), (params, v)

@@ -25,7 +25,8 @@ from gonosim.errors import (
     MaleExtinction,
     UncoveredCase,
 )
-from gonosim.scenarios import hemophilia_spec, type11_spec, type21_spec
+from gonosim.scenarios import SCENARIOS, hemophilia_spec, type11_spec, type21_spec
+from test_cli import _criterion_4_grid
 
 
 def rl(g1, g2, d1, d2):
@@ -229,6 +230,38 @@ class TestPredictLimit:
                 snapshots[step] = z.vector
         extrapolated = 2.0 * snapshots[400] - snapshots[200]
         assert extrapolated == pytest.approx(pred.v_limit, abs=1e-4)
+
+    def test_triangular_limit_with_zero_delta1(self):
+        # the reference component e = (A - lambda1 I) x(t0) has e1 = 0 exactly,
+        # so u and U are reported as null
+        s = rl(0.224, 0.638, 0.0, 0.487)
+        pred = predict_limit_type21(Element.from_vector([0.3, 0.3, 0.4], 2), s)
+        assert pred.kind == "distinct_eigenvalues" and pred.selected_index == 1
+        assert pred.v_limit == pytest.approx((0.0, 0.487, 0.513), abs=1e-12)
+        assert pred.u_value is None and pred.U_value is None
+
+    def test_start_on_the_smaller_eigenvector(self):
+        # x1 = 0 stays 0 when delta1 = 0, so the orbit keeps the eigenvalue d2 < g1
+        s = rl(0.5, 0.3, 0.0, 0.2)
+        pred = predict_limit_type21(Element.from_vector([0.0, 0.6, 0.4], 2), s)
+        assert pred.kind == "distinct_eigenvalues"
+        assert pred.v_limit == pytest.approx((0.0, 0.2, 0.8), abs=1e-12)
+
+    def test_zero_delta1_grid_agrees_with_iteration(self):
+        # the delta1 = 0 mode of the criterion-4 grid: A is triangular, so
+        # lambda1 is g1 or d2 and the reference component can vanish exactly
+        checked = 0
+        for i, (params, v) in enumerate(_criterion_4_grid(400)):
+            if i % 4 != 3:
+                continue
+            s = rl(*(float(p) for p in params))
+            spec = build_algebra(s)
+            entry = SCENARIOS["recessive_lethal"]
+            z0 = Element.from_vector(v, 2)
+            agrees, detail = entry.verify(z0, spec, entry.predict(z0, spec, s)["prediction"])
+            assert agrees, (params, v, detail)
+            checked += 1
+        assert checked == 100
 
     def test_equal_modulus_raises(self):
         s = rl(0.0, 0.3, 0.4, 0.0)
