@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +52,30 @@ def json_line(obj) -> str:
         return _JSON.encode(obj) + "\n"
     except ValueError:
         return _JSON.encode(_finite_or_null(obj)) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path in place: the file ends holding exactly its bytes.
+
+    An existing regular file is overwritten from its start and then cut to
+    the new length, never truncated to zero first: on ext4, closing a file
+    that was truncated to zero starts a writeback (auto_da_alloc), which
+    costs more than the write itself.  Otherwise this is a text-mode open
+    for writing: symlinks are followed, the inode, its hard links and its
+    mode are kept, a new file gets 0o666 & ~umask, and a path that is not a
+    regular file (/dev/null, a FIFO) is written without the cut.  A crash
+    mid-write can leave the new bytes over the tail of the old ones.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def _readonly(a):
@@ -141,8 +167,7 @@ class AlgebraSpec:
             raise ShapeMismatch(f"malformed algebra dictionary: {exc}") from exc
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(json_line(self.to_dict()))
+        write_text(path, json_line(self.to_dict()))
 
     @classmethod
     def load(cls, path) -> "AlgebraSpec":

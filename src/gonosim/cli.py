@@ -3,7 +3,7 @@
 Subcommands: validate, simulate, fixed-points, identities, predict, and
 scenario.  Exit codes: 0 on success, 1 on a domain-level failure (constraint
 violation, starting in the absorbing set, cross-check mismatch), 2 on
-unreadable or malformed input.
+unreadable or malformed input or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fixed_points as fpmod
 from . import scenarios as scmod
-from .algebra import AlgebraSpec, Element, json_line, random_stochastic, validate
+from .algebra import AlgebraSpec, Element, json_line, random_stochastic, validate, write_text
 from .dynamics import IterationOptions, apply_V, iterate
 from .errors import AbsorbedToO, GonosimError
 from .identities import check_identities
@@ -31,9 +31,16 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_algebra(path: str) -> AlgebraSpec:
-    with open(path) as fh:
-        return AlgebraSpec.from_dict(json.load(fh))
+class _Unwritable(Exception):
+    """An output path could not be written; main exits 2 with this message."""
+
+
+def _write(write, path, *args) -> None:
+    """write(path, *args), with an OSError raised as _Unwritable naming path."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _scenario_from_args(args) -> scmod.Scenario:
@@ -45,7 +52,7 @@ def _resolve_spec(args) -> AlgebraSpec:
     if [args.algebra, args.scenario, args.random].count(None) != 2:
         raise ValueError("provide exactly one of --algebra, --scenario, --random")
     if args.algebra is not None:
-        return _load_algebra(args.algebra)
+        return AlgebraSpec.load(args.algebra)
     if args.scenario is not None:
         return scmod.build_algebra(_scenario_from_args(args))
     n, nu = (int(v) for v in args.random.split(","))
@@ -69,15 +76,14 @@ def _initial_state(args, spec: AlgebraSpec) -> Element:
 def _emit(payload: dict, out: str | None) -> None:
     text = json_line(payload)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(write_text, out, text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_validate(args) -> int:
     try:
-        spec = _load_algebra(args.path)
+        spec = AlgebraSpec.load(args.path)
     except (OSError, json.JSONDecodeError, GonosimError) as exc:
         return _fail(2, f"cannot read algebra: {exc}")
     report = validate(spec)
@@ -113,10 +119,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         return _fail(2, f"bad input: {exc}")
     out = args.out or f"trajectory.{args.format}"
-    if args.format == "csv":
-        traj.to_csv(out)
-    else:
-        traj.to_json(out)
+    _write(traj.to_csv if args.format == "csv" else traj.to_json, out)
     print(f"{traj.outcome.describe()} -> {out}")
     return 0
 
@@ -155,7 +158,7 @@ def cmd_fixed_points(args) -> int:
 
 def cmd_identities(args) -> int:
     try:
-        spec = _load_algebra(args.path)
+        spec = AlgebraSpec.load(args.path)
     except (OSError, json.JSONDecodeError, GonosimError) as exc:
         return _fail(2, f"cannot read algebra: {exc}")
     try:
@@ -268,6 +271,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except GonosimError as exc:
         return _fail(1, str(exc))
+    except _Unwritable as exc:
+        return _fail(2, str(exc))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, json_line, multiply
+from .algebra import AlgebraSpec, Element, State, json_line, multiply, write_text
 from .errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
@@ -95,13 +95,13 @@ class Trajectory:
         rows[:, n + 1 : -1] = [s.y for s in self.states]
         rows[:, -1] = self.omegas
         line = "%d," + ",".join(["%.17g"] * (n + nu + 1)) + "\n"
-        with open(path, "w") as fh:
-            fh.write(
-                ",".join(header)
-                + "\n"
-                + (line * len(rows)) % tuple(rows.ravel().tolist())
-                + f"# {self.outcome.describe()}\n"
-            )
+        write_text(
+            path,
+            ",".join(header)
+            + "\n"
+            + (line * len(rows)) % tuple(rows.ravel().tolist())
+            + f"# {self.outcome.describe()}\n",
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -118,8 +118,7 @@ class Trajectory:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(json_line(self.to_dict()))
+        write_text(path, json_line(self.to_dict()))
 
 
 def _step_rows(Z: np.ndarray, start: int, stop: int, spec: AlgebraSpec, normalize: bool) -> int:

@@ -52,9 +52,5 @@ class MaleExtinction(GonosimError):
     """The male coordinate vanished, so the classification criteria do not apply."""
 
 
-class EqualModulusEigenvalues(GonosimError):
-    """The two eigenvalue moduli coincide; the limit formula does not select a root."""
-
-
 class InvalidParameter(GonosimError):
     """Scenario parameter outside its admissible range."""

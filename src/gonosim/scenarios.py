@@ -33,7 +33,6 @@ from .dynamics import apply_W, iterate
 from .errors import (
     DegenerateDenominator,
     DegenerateParameter,
-    EqualModulusEigenvalues,
     InvalidParameter,
     MaleExtinction,
     UncoveredCase,
@@ -327,6 +326,15 @@ def _type11_trichotomy(gamma: float, x: float, y: float) -> dict:
     return _trichotomy(abs(x * y), 1.0 / (gamma * (1.0 - gamma)))
 
 
+def _unit_w(e1: float, e2: float, g1, g2, d1, d2) -> tuple:
+    """W of the state (e1, e2, 1) scaled to unit coordinate sum, and that sum."""
+    w = (g1 * e1 + d1 * e2, g2 * e1 + d2 * e2, (1.0 - g1 - g2) * e1 + (1.0 - d1 - d2) * e2)
+    total = sum(w)
+    if total == 0.0:
+        raise DegenerateDenominator("the limit direction has zero coordinate sum")
+    return tuple(c / total for c in w), total
+
+
 def predict_limit_type21(
     z0: State, s: Scenario, cls: EsetClassification | None = None
 ) -> ClosedFormLimit:
@@ -339,8 +347,10 @@ def predict_limit_type21(
     state at t0 = max(E) + 1 along the dominant eigenvector of the female
     transfer matrix A = [[g1, d1], [g2, d2]] (_type21_eigenpairs).  If that
     part vanishes, x(t0) is an eigenvector itself (A = lambda I included)
-    and e = x(t0).  Raises EqualModulusEigenvalues when distinct
-    eigenvalues have the same modulus.
+    and e = x(t0).  Distinct eigenvalues of equal modulus, lambda1 =
+    -lambda2, need g1 = d2 = 0; then A^2 = g2 d1 I, so from t0 on the V
+    orbit is the period-2 cycle of W(x(t0), 1) and W(A x(t0), 1),
+    normalized (kind opposite_eigenvalues).
     """
     g1, g2, d1, d2 = _type21_params(s)
     g = 1.0 - g1 - g2
@@ -397,18 +407,27 @@ def predict_limit_type21(
     if not distinct:
         lam1 = lam2
     elif abs(abs(lam1) - abs(lam2)) < 1e-12:
-        raise EqualModulusEigenvalues(f"|lambda1| = |lambda2| = {abs(lam1)}; no root is selected")
+        # up to scale, W(x(t0), 1) is the state at step t0 + 1 and W(A x(t0), 1)
+        # the one at t0 + 2, as A x(t0) is the female part at t0 + 1
+        ax1, ax2 = g1 * x1 + d1 * x2, g2 * x1 + d2 * x2
+        pair = (_unit_w(x1, x2, g1, g2, d1, d2)[0], _unit_w(ax1, ax2, g1, g2, d1, d2)[0])
+        return ClosedFormLimit(
+            kind="opposite_eigenvalues",
+            w_limit="zero",
+            v_period2=pair if t0 % 2 == 0 else pair[::-1],  # odd step first
+            lambda1=lam1,
+            lambda2=lam2,
+            t0=t0,
+            eset=cls,
+        )
     e1, e2 = c1[0] * x1 + c2[0] * x2, c1[1] * x1 + c2[1] * x2
     if abs(e1) + abs(e2) <= PARAM_TOL * (abs(x1) + abs(x2)):
         e1, e2 = x1, x2  # x(t0) is an eigenvector already (A = lam I included)
-    limit = (g1 * e1 + d1 * e2, g2 * e1 + d2 * e2, g * e1 + d * e2)  # W of (e, 1)
-    total = sum(limit)
-    if total == 0.0:
-        raise DegenerateDenominator("the limit direction has zero coordinate sum")
+    v_limit, total = _unit_w(e1, e2, g1, g2, d1, d2)
     return ClosedFormLimit(
         kind="distinct_eigenvalues" if distinct else "repeated_eigenvalue",
         w_limit="zero",
-        v_limit=tuple(c / total for c in limit),
+        v_limit=v_limit,
         lambda1=lam1,
         lambda2=lam2,
         # lam2 >= |lam1| for non-negative A, so the smaller-modulus root is lam1

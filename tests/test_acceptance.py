@@ -35,7 +35,7 @@ from gonosim import (
     verify_coordinate_bounds,
     verify_omega_bounds,
 )
-from gonosim.errors import DegenerateDenominator, EqualModulusEigenvalues
+from gonosim.errors import DegenerateDenominator
 from gonosim.fixed_points import jacobian_V
 from gonosim.scenarios import hemophilia_spec, type11_spec, type21_spec
 
@@ -293,7 +293,7 @@ def test_criterion_6_limit_from_transfer_matrix_eigenvalues():
         )
         try:
             pred = predict_limit_type21(z0, s)
-        except (EqualModulusEigenvalues, DegenerateDenominator):
+        except DegenerateDenominator:
             continue
         if pred.kind != "distinct_eigenvalues":
             continue

@@ -501,8 +501,9 @@ class TestPredict:
         assert code == 2
         assert "unknown scenario 'nonsense'" in capsys.readouterr().err
 
-    def test_degenerate_prediction_fails_cleanly(self, capsys):
-        # equal-modulus eigenvalues: no root can be selected
+    def test_type21_equal_modulus_agreement(self, capsys):
+        # g1 = d2 = 0 with a finite E-set: lambda1 = -lambda2 and the V orbit
+        # is a period-2 cycle from step 1
         code = main(
             [
                 "predict",
@@ -513,14 +514,65 @@ class TestPredict:
                 "--gamma2",
                 "0.3",
                 "--delta1",
-                "0.4",
+                "0.2",
                 "--delta2",
                 "0",
                 "--init",
                 "0.3,0.3,0.4",
             ]
         )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["prediction"]["kind"] == "opposite_eigenvalues"
+        odd, even = payload["prediction"]["v_period2"]
+        assert odd == pytest.approx([0.1, 0.15, 0.75], abs=1e-15)
+        assert even == pytest.approx([0.12, 0.12, 0.76], abs=1e-15)
+        assert payload["agreement"] is True
+
+    def test_degenerate_prediction_fails_cleanly(self, capsys):
+        # gamma2 = 1 leaves no male offspring of x1, so the male line dies
+        # out during the E-set scan and no branch applies
+        code = main(
+            [
+                "predict",
+                "--scenario",
+                "recessive_lethal",
+                "--gamma1",
+                "0",
+                "--gamma2",
+                "1",
+                "--delta1",
+                "0.4",
+                "--delta2",
+                "0",
+                "--init",
+                "0,0.6,0.4",
+            ]
+        )
         assert code == 1
+        assert "prediction failed: male coordinate vanished" in capsys.readouterr().err
+
+
+UNWRITABLE_COMMANDS = {
+    "validate": lambda alg: ["validate", alg],
+    "simulate_csv": lambda alg: ["simulate", "--random", "1,1", "--format", "csv"],
+    "simulate_json": lambda alg: ["simulate", "--random", "1,1", "--format", "json"],
+    "fixed_points": lambda alg: ["fixed-points", "--algebra", alg],
+    "identities": lambda alg: ["identities", alg, "--samples", "1"],
+    "predict": lambda alg: ["predict", "--scenario", "lr_lethal", "--gamma", "0.5", "--init", "1,1"],
+}
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", sorted(UNWRITABLE_COMMANDS))
+    def test_exits_2_with_message(self, command, target, good_algebra, tmp_path, capsys):
+        out = tmp_path / "no" / "x.out" if target == "missing_dir" else tmp_path
+        reason = "No such file or directory" if target == "missing_dir" else "Is a directory"
+        assert main(UNWRITABLE_COMMANDS[command](good_algebra) + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
 
 
 class TestScenarioList:

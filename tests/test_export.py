@@ -3,10 +3,16 @@
 ``reference_json`` and ``reference_csv`` are those writers: ``json.dumps``
 with ``indent=2`` and a per-value ``.17g`` loop.  The new ones must give the
 same parsed values in the same key order, every float equal bit for bit,
-the same CSV bytes, and one trailing newline.
+the same CSV bytes, and one trailing newline.  ``old_write`` is the
+``open(path, "w")`` body every export had before ``write_text`` wrote in
+place; each export must leave the same bytes and file metadata as it did.
 """
 
+import builtins
+import io
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -207,3 +213,139 @@ class TestCliPayloads:
         out = tmp_path / "out.csv"
         assert main(["simulate", *source, "--out", str(out)]) == 0
         assert out.read_bytes() == reference_csv(written[0]).encode()
+
+
+def old_write(path, text: str) -> None:
+    """The body every export had before writing in place."""
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _exports():
+    """(name, write(path), the text it must leave) for each of the four exports."""
+    spec = random_stochastic(2, 2, 5)
+    traj = _trajectory(2, 2, "V")
+    payload = {"records": [{"point": [0.1, 1 / 3], "stable": True}], "pass": None}
+    return [
+        ("save", spec.save, json_line(spec.to_dict())),
+        ("to_csv", traj.to_csv, reference_csv(traj)),
+        ("to_json", traj.to_json, json_line(traj.to_dict())),
+        ("emit", lambda path: cli._emit(payload, str(path)), json_line(payload)),
+    ]
+
+
+EXPORTS = _exports()
+
+
+@pytest.fixture(params=EXPORTS, ids=[name for name, _, _ in EXPORTS])
+def export(request):
+    return request.param[1:]
+
+
+class TestWriteInPlace:
+    @pytest.mark.parametrize("before", [None, "longer", "shorter"])
+    def test_same_bytes_as_the_old_writer(self, export, before, tmp_path):
+        write, text = export
+        old, new = tmp_path / "old", tmp_path / "new"
+        if before is not None:
+            filler = "x" * (len(text) + 500) if before == "longer" else "y\n"
+            old.write_text(filler)
+            new.write_text(filler)
+        old_write(old, text)
+        write(new)
+        assert new.read_bytes() == old.read_bytes() == text.encode()
+
+    def test_rewrite_keeps_the_inode(self, export, tmp_path):
+        write, text = export
+        path = tmp_path / "out"
+        path.write_text("z" * 4096)
+        inode = path.stat().st_ino
+        write(path)
+        assert path.stat().st_ino == inode and path.read_text() == text
+
+    def test_symlink_is_followed(self, export, tmp_path):
+        write, text = export
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("z" * 4096)
+        link.symlink_to(target)
+        write(link)
+        assert link.is_symlink() and target.read_text() == text
+
+    def test_hard_link_sees_the_bytes(self, export, tmp_path):
+        write, text = export
+        path, other = tmp_path / "out", tmp_path / "other"
+        path.write_text("z" * 4096)
+        os.link(path, other)
+        write(path)
+        assert other.read_text() == text and other.stat().st_nlink == 2
+
+    def test_mode_is_kept(self, export, tmp_path):
+        write, text = export
+        path = tmp_path / "out"
+        path.write_text("z" * 4096)
+        path.chmod(0o600)
+        write(path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600 and path.read_text() == text
+
+    def test_new_file_mode_follows_umask(self, export, tmp_path):
+        write, _ = export
+        old, new = tmp_path / "old", tmp_path / "new"
+        mask = os.umask(0o027)
+        try:
+            old_write(old, "")
+            write(new)
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(old.stat().st_mode) == 0o640
+
+    def test_non_regular_target_is_not_cut(self, export):
+        write, _ = export
+        write(os.devnull)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "ALG"],
+        ["simulate", *LR, "--init", "1,1"],
+        ["simulate", *LR, "--init", "1,1", "--format", "json"],
+    ])
+    def test_cli_out_dev_null(self, argv, algebra, capsys):
+        argv = [algebra["good"] if a == "ALG" else a for a in argv]
+        assert main(argv + ["--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def _is_write_mode(mode) -> bool:
+    return any(c in mode for c in "wax+")
+
+
+class TestNoTruncatingWriter:
+    """No export opens its path with open(): that would bring back the truncate."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """(file, mode) of every open()/io.open() call while the test runs."""
+        seen = []
+        real = io.open
+
+        def spy(file, mode="r", *args, **kwargs):
+            seen.append((file, mode))
+            return real(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        return seen
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_cli_json_exports(self, command, algebra, opened, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(COMMANDS[command](algebra) + ["--out", str(out)]) in (0, 1)
+        assert out.stat().st_size > 0
+        assert [(f, m) for f, m in opened if _is_write_mode(m)] == []
+
+    def test_cli_csv_export_and_save(self, algebra, opened, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--algebra", algebra["good"], "--init", "1,1", "--out", str(out)]) == 0
+        random_stochastic(2, 2, 1).save(tmp_path / "a.json")
+        assert out.stat().st_size > 0 and (tmp_path / "a.json").stat().st_size > 0
+        # the spy sees the algebra file being read, so it is in place
+        assert (algebra["good"], "r") in opened
+        assert [(f, m) for f, m in opened if _is_write_mode(m)] == []

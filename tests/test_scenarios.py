@@ -20,7 +20,6 @@ from gonosim import (
 )
 from gonosim.errors import (
     DegenerateParameter,
-    EqualModulusEigenvalues,
     InvalidParameter,
     MaleExtinction,
     UncoveredCase,
@@ -263,11 +262,41 @@ class TestPredictLimit:
             checked += 1
         assert checked == 100
 
-    def test_equal_modulus_raises(self):
+    def test_equal_modulus_gives_period_two_cycle(self):
+        # g1 = d2 = 0 and a finite E-set: A^2 = g2 d1 I, so the V orbit
+        # alternates between W(x, 1) and W(A x, 1), normalized, from step 1
         s = rl(0.0, 0.3, 0.4, 0.0)
         z0 = Element.from_vector([0.3, 0.3, 0.4], 2)
-        with pytest.raises(EqualModulusEigenvalues):
-            predict_limit_type21(z0, s)
+        pred = predict_limit_type21(z0, s)
+        assert pred.kind == "opposite_eigenvalues" and pred.eset.t0 == 0
+        assert pred.lambda1 == -pred.lambda2 == pytest.approx(-np.sqrt(0.12), abs=1e-15)
+        assert pred.w_limit == "zero" and pred.v_limit is None
+        odd, even = pred.v_period2
+        assert odd == pytest.approx((0.2, 0.15, 0.65), abs=1e-15)
+        assert even == pytest.approx((6 / 35, 6 / 35, 23 / 35), abs=1e-15)
+        spec = build_algebra(s)
+        z = z0
+        for step in range(1, 9):
+            z = apply_V(z, spec)
+            assert z.vector == pytest.approx(odd if step % 2 else even, abs=1e-15)
+
+    def test_equal_modulus_grid_agrees_with_iteration(self):
+        # the g1 = d2 = 0 mode of the criterion-4 grid: every finite E-set
+        # there has opposite eigenvalues
+        kinds = []
+        for i, (params, v) in enumerate(_criterion_4_grid(400)):
+            if i % 4 != 2:
+                continue
+            s = rl(*(float(p) for p in params))
+            spec = build_algebra(s)
+            entry = SCENARIOS["recessive_lethal"]
+            z0 = Element.from_vector(v, 2)
+            pred = entry.predict(z0, spec, s)["prediction"]
+            agrees, detail = entry.verify(z0, spec, pred)
+            assert agrees, (params, v, detail)
+            kinds.append(pred["kind"])
+        assert kinds.count("opposite_eigenvalues") == 34
+        assert set(kinds) == {"opposite_eigenvalues", "alternating_tail"}
 
     def test_mismatched_classification_rejected(self):
         s = rl(0.2, 0.2, 0.2, 0.2)
