@@ -19,6 +19,7 @@ from .dynamics import (
     apply_V,
     apply_W,
     iterate,
+    support_orbit,
     verify_conjugacy,
     verify_coordinate_bounds,
     verify_omega_bounds,

@@ -182,6 +182,8 @@ def cmd_predict(args) -> int:
     try:
         payload.update(entry.predict(z0, spec, s))
         agree, detail = entry.verify(z0, spec, payload["prediction"])
+    except ValueError as exc:  # a state the prediction does not admit, such as a negative one
+        return _fail(2, f"bad input: {exc}")
     except GonosimError as exc:
         return _fail(1, f"prediction failed: {exc}")
 

@@ -171,6 +171,38 @@ def apply_V(z: State, spec: AlgebraSpec) -> State:
     return Element.from_vector(_orbit(z, spec, 1, normalize=True)[1], spec.n)
 
 
+def support_orbit(spec: AlgebraSpec, z: State) -> tuple[list, int]:
+    """The supports of the W orbit of z, up to their first repeat.
+
+    Returns the distinct masks S_0, ..., S_{p+q-1} (tuples of bools, one
+    per coordinate) and the index p where their cycle starts, so that
+    S_t = S_{p + (t - p) % q} for t >= p.  With a stochastic kernel and a
+    non-negative state no sum cancels, so S_{t+1} is exactly the set of k
+    with K[i nu + j, k] != 0 for some i in the female and j in the male part
+    of S_t: the exact zeros of the orbit, with no step budget and no
+    underflow.  Raises NotStochastic for an algebra that is not stochastic
+    and ValueError for a state with a negative or non-finite coordinate.
+    """
+    if not z.conforms(spec):
+        raise ShapeMismatch("state does not conform to the algebra type")
+    if not spec.is_stochastic():
+        raise NotStochastic("the support orbit requires a stochastic algebra")
+    v = z.vector.tolist()
+    if not all(0.0 <= c < math.inf for c in v):
+        raise ValueError("the support orbit requires a finite state without negative coordinates")
+    n, nu = spec.n, spec.nu
+    # a rounding residue below zero, which a stochastic kernel may hold, is not zero in W either
+    K = (spec.kernel != 0.0).tolist()
+    s = tuple(c > 0.0 for c in v)
+    masks, seen = [], {}
+    while s not in seen:
+        seen[s] = len(masks)
+        masks.append(s)
+        rows = [K[i * nu + j] for i in range(n) if s[i] for j in range(nu) if s[n + j]]
+        s = tuple(map(any, zip(*rows))) if rows else (False,) * len(v)
+    return masks, seen[s]
+
+
 def _underflowed(z: np.ndarray, n: int) -> bool:
     """Every coordinate and the coordinate sum below UNDERFLOW_OMEGA in size."""
     return np.abs(z).max() < UNDERFLOW_OMEGA and abs(z[:n].sum() + z[n:].sum()) < UNDERFLOW_OMEGA

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .identities import _structure_tensor
 from .scenarios import (
-    _hemophilia_degenerate_case,
     _hemophilia_fixed_point,
+    _require_eta_one,
     _type21_eigenpairs,
     hemophilia_spec,
     type11_spec,
@@ -628,9 +628,9 @@ def closed_form_fixed_points_hemophilia(mu: float, eta: float) -> list[FixedPoin
     """Fixed points of the hemophilia family when mu = 1 or eta = 1."""
     if not (0.0 <= mu <= 1.0 and 0.0 <= eta <= 1.0):
         raise DegenerateParameter("mu and eta must lie in [0, 1]")
-    mu_is_one, eta_is_one = _hemophilia_degenerate_case(mu, eta)
     points = [[0.0, 0.0, 0.0, 0.0]]
-    if not mu_is_one and eta_is_one:
+    if mu < 1.0:
+        _require_eta_one(eta)
         points.append(_hemophilia_fixed_point(mu))
     return _closed_form_records(points, hemophilia_spec(mu, eta))
 

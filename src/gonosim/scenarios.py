@@ -15,9 +15,12 @@ they run, so that a patched module attribute is seen.
   its closed forms carried through phi = swap_map(type21_spec(...)).
 
 Beyond construction, this module evaluates the closed forms known for
-these families: trajectory formulas, limit predictions driven by the
-structural-zero pattern of the heterozygous female coordinate, and the
-Lyapunov bound of the hemophilia model.
+these families: trajectory formulas, limit predictions and the Lyapunov
+bound of the hemophilia model.  The structural zeros the predictions turn
+on (the E-set of the heterozygous female coordinate, male extinction, the
+exact hemophilia extinction step) are all read from dynamics.support_orbit,
+so they are exact; a state with a negative coordinate, whose sums could
+cancel, is rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import fixed_points
 from .algebra import AlgebraSpec, Element, State, opposite, swap_map
-from .dynamics import apply_W, iterate
+from .dynamics import _orbit, apply_W, iterate, support_orbit
 from .errors import (
     DegenerateDenominator,
     DegenerateParameter,
@@ -186,7 +189,10 @@ class EsetClassification:
 
     kinds: infinite_all_positive_steps (every t >= 1 in E), infinite_even
     (E = even indices), infinite_odd (E = odd indices), finite.  For the
-    finite kind t0 = max(E) + 1, or 0 when E is empty.
+    finite kind eset_prefix lists E and t0 = max(E) + 1, or 0 when E is
+    empty.  A finite E lies before the cycle of the support orbit, which
+    has at most the three supports {x1, y}, {x2, y}, {x1, x2, y} while the
+    males survive, so t0 <= 2.
     """
 
     kind: str
@@ -194,72 +200,30 @@ class EsetClassification:
     eset_prefix: tuple = ()
 
 
-def _iterate_type21_zeros(start: tuple, g1, g2, d1, d2, steps: int) -> list:
-    """Normalized iteration from (x1, x2, y), preserving the exact-zero pattern.
+def classify_eset(z0: State, s: Scenario) -> EsetClassification:
+    """Decide the structure of E exactly, from the support orbit of z0.
 
-    Each state is rescaled by its L1 norm; the positive rescaling keeps
-    every structurally zero coordinate exactly 0.0 while preventing the
-    doubling-exponent underflow that would create spurious zeros.
-    Raises MaleExtinction the moment the male coordinate hits 0.0.
-    """
-    g = 1.0 - g1 - g2
-    d = 1.0 - d1 - d2
-    x1, x2, y = start
-    if y == 0.0:
-        raise MaleExtinction("male coordinate is zero at step 0")
-    out = [start]
-    for _ in range(steps):
-        x1, x2, y = (
-            (g1 * x1 + d1 * x2) * y,
-            (g2 * x1 + d2 * x2) * y,
-            (g * x1 + d * x2) * y,
-        )
-        if y == 0.0:
-            raise MaleExtinction("male coordinate vanished during the scan")
-        scale = abs(x1) + abs(x2) + abs(y)
-        x1, x2, y = x1 / scale, x2 / scale, y / scale
-        out.append((x1, x2, y))
-    return out
-
-
-ESET_SCAN_STEPS = 64
-
-
-def _scan_eset(z0: State, s: Scenario) -> tuple[list, EsetClassification]:
-    """The normalized states of steps 0..ESET_SCAN_STEPS and the E-set they decide.
-
-    The finite-time criteria: with g2 = 0, E is infinite iff x2 vanishes
-    at step 1 (then every positive index is in E).  With g2 != 0, E is
-    infinite iff the zeros at steps 0..3 match the odd pattern
-    (x1(0) = 0, x2(1) = x2(3) = 0) or the even pattern (x1(1) = 0,
-    x2(0) = x2(2) = 0).  Otherwise E is finite and the scan locates its
-    maximum.
+    x2 is in E at step t iff it is missing from the support S_t.  Raises
+    MaleExtinction when a support loses the male coordinate (the orbit is
+    then exactly zero from the next step), and ValueError for a state with
+    a negative coordinate, whose zeros need not be structural.
     """
     if s.name != "recessive_lethal":
         raise InvalidParameter("E-set classification applies to the recessive_lethal scenario")
-    g1, g2, d1, d2 = _type21_params(s)
-    start = (float(z0.x[0]), float(z0.x[1]), float(z0.y[0]))
-    states = _iterate_type21_zeros(start, g1, g2, d1, d2, ESET_SCAN_STEPS)
-    x1s = [st[0] for st in states]
-    x2s = [st[1] for st in states]
-
-    if abs(g2) <= PARAM_TOL:
-        if x2s[1] == 0.0:
-            return states, EsetClassification(INFINITE_ALL_POSITIVE)
-    else:
-        if x1s[0] == 0.0 and x2s[1] == 0.0 and x2s[3] == 0.0:
-            return states, EsetClassification(INFINITE_ODD)
-        if x1s[1] == 0.0 and x2s[0] == 0.0 and x2s[2] == 0.0:
-            return states, EsetClassification(INFINITE_EVEN)
-
-    zeros = tuple(t for t, v in enumerate(x2s) if v == 0.0)
-    t0 = (max(zeros) + 1) if zeros else 0
-    return states, EsetClassification(FINITE, t0=t0, eset_prefix=zeros)
-
-
-def classify_eset(z0: State, s: Scenario) -> EsetClassification:
-    """Decide the structure of E from the first few iterates (see _scan_eset)."""
-    return _scan_eset(z0, s)[1]
+    masks, p = support_orbit(type21_spec(*_type21_params(s)), z0)
+    for t, m in enumerate(masks):
+        if not m[2]:
+            raise MaleExtinction(f"male coordinate vanished at step {t}")
+    in_e = [not m[1] for m in masks]
+    if not any(in_e[p:]):
+        zeros = tuple(t for t in range(p) if in_e[t])
+        return EsetClassification(FINITE, t0=(max(zeros) + 1) if zeros else 0, eset_prefix=zeros)
+    # x2 is missing from a cycle of supports in two ways only: {x1, y} fixed
+    # (g2 = 0, and then x2 is missing from step 1 on), or {x1, y} and {x2, y}
+    # alternating from step 0 (g1 = d2 = 0)
+    if all(in_e[p:]) and all(in_e[1:]):
+        return EsetClassification(INFINITE_ALL_POSITIVE)
+    return EsetClassification(INFINITE_EVEN if in_e[0] else INFINITE_ODD)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +319,13 @@ def predict_limit_type21(
     g1, g2, d1, d2 = _type21_params(s)
     g = 1.0 - g1 - g2
     d = 1.0 - d1 - d2
-    states, actual = _scan_eset(z0, s)
+    actual = classify_eset(z0, s)
     if cls is not None and cls.kind != actual.kind:
         raise InvalidParameter(
             f"supplied classification {cls.kind} disagrees with recomputed {actual.kind}"
         )
     cls = actual
-    x1, x2, y = states[0]
+    x1, x2, y = z0.vector.tolist()
 
     if cls.kind == INFINITE_ALL_POSITIVE:
         # x2 is identically zero from step 1; the surviving pair follows the
@@ -398,9 +362,7 @@ def predict_limit_type21(
     # turns to the dominant eigenvector; (A - lam1 I) x(t0) is its component
     # there (a Jordan block included)
     t0 = cls.t0
-    if t0 == len(states):  # x2 vanished at the last scanned step
-        states += _iterate_type21_zeros(states[-1], g1, g2, d1, d2, 1)[1:]
-    x1, x2 = states[t0][0], states[t0][1]
+    x1, x2 = _orbit(z0, type21_spec(g1, g2, d1, d2), t0, normalize=True)[t0, :2].tolist()
     pairs = _type21_eigenpairs(g1, g2, d1, d2)
     (lam1, _), (lam2, (c1, c2)) = pairs[0], pairs[-1]
     distinct = (g1 - d2) ** 2 + 4.0 * g2 * d1 >= PARAM_TOL  # else repeated, lambda1 = lambda2
@@ -490,16 +452,11 @@ class HemophiliaPrediction:
     to_dict = _to_dict
 
 
-def _hemophilia_degenerate_case(mu: float, eta: float) -> tuple[bool, bool]:
-    """Whether mu = 1 and whether eta = 1, to within PARAM_TOL.
-
-    The hemophilia closed forms need one of the two; UncoveredCase otherwise.
-    """
-    mu_is_one = abs(mu - 1.0) < PARAM_TOL
-    eta_is_one = abs(eta - 1.0) < PARAM_TOL
-    if not mu_is_one and not eta_is_one:
+def _require_eta_one(eta: float) -> None:
+    """UncoveredCase unless eta = 1 to within PARAM_TOL, which the closed
+    forms of a surviving hemophilia orbit need."""
+    if abs(eta - 1.0) >= PARAM_TOL:
         raise UncoveredCase("no closed form for mu < 1 and eta < 1; use the numeric solver")
-    return mu_is_one, eta_is_one
 
 
 def _hemophilia_fixed_point(mu: float) -> tuple:
@@ -512,25 +469,31 @@ def _hemophilia_fixed_point(mu: float) -> tuple:
 
 
 def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> HemophiliaPrediction:
-    """Limit behaviour when mu = 1 or eta = 1.
+    """Limit behaviour of the W orbit when it dies out exactly or when eta = 1.
 
-    mu = eta = 1: exact extinction at step 2.  mu = 1, eta < 1: exact
-    extinction at step 3.  mu < 1, eta = 1: from step 1 on x1 = 0, and
+    Extinction is decided by the support orbit of z0 in the algebra at
+    (mu, eta): the W orbit is exactly zero from step p on iff the support
+    orbit reaches the empty support, first at index p.  From a state with
+    both sexes present that happens at mu = 1 and at no mu < 1.  At mu = 1,
+    p = 2 when eta = 1; when eta < 1, p = 3, or 2 if y1 = 0 at the start.
+    A surviving orbit has a closed form only for eta = 1 (UncoveredCase
+    otherwise).  With eta = 1 and mu < 1, from step 1 on x1 = 0, and
     u(t) = x2(t) (y1(t) + y2(t)) / (3 - mu) follows u(t+1) = k u(t)^2 with
     k = 2 (1 - mu) / (3 - mu).  So the W orbit goes to zero when
     |u(1)| < 1/k, blows up above that value and stays on the non-zero
     fixed point at equality (w_limit "nonzero"); u(1) comes from one W
     step.  The V orbit is constant from step 2 (from step 1 when x1 = 0).
+    Raises ValueError for a state with a negative coordinate.
     """
     mu = _check_unit_interval("mu", mu)
     eta = _check_unit_interval("eta", eta)
-    mu_is_one, eta_is_one = _hemophilia_degenerate_case(mu, eta)
-    if mu_is_one:
-        return HemophiliaPrediction(
-            kind="extinction", extinction_step=2 if eta_is_one else 3, w_limit="zero"
-        )
+    spec = hemophilia_spec(mu, eta)
+    masks, p = support_orbit(spec, z0)
+    if not any(masks[p]):
+        return HemophiliaPrediction(kind="extinction", extinction_step=p, w_limit="zero")
+    _require_eta_one(eta)
     c = 3.0 - mu
-    z1 = apply_W(z0, hemophilia_spec(mu, eta))
+    z1 = apply_W(z0, spec)
     prod = float(abs(z1.x[1] * z1.y.sum() / c))
     thr = c / (2.0 * (1.0 - mu))
     return HemophiliaPrediction(
@@ -627,11 +590,11 @@ def _verify_type21(z0: State, spec: AlgebraSpec, pred: dict):
 
 def _verify_hemophilia(z0: State, spec: AlgebraSpec, pred: dict):
     if pred["kind"] == "extinction":
-        z = z0
-        for _ in range(pred["extinction_step"]):
-            z = apply_W(z, spec)
-        ok = bool(np.all(z.vector == 0.0))
-        return ok, {"method": "exact_iteration", "steps": pred["extinction_step"]}
+        # the float W orbit must be exactly zero first at the predicted step
+        k = pred["extinction_step"]
+        Z = _orbit(z0, spec, k, normalize=False)
+        ok = not Z[k].any() and (k == 0 or bool(Z[k - 1].any()))
+        return ok, {"method": "exact_iteration", "steps": k}
     traj = iterate(z0, spec, operator="V")
     if traj.outcome.kind not in ("converged", "max_iterations"):
         return False, {"method": "iteration", "outcome": traj.outcome.kind}

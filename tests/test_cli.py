@@ -468,6 +468,39 @@ class TestPredict:
         assert payload["prediction"]["extinction_step"] == 2
         assert payload["agreement"] is True
 
+    @pytest.mark.parametrize(
+        "mu, eta, init, code, kind",
+        [
+            ("1", "0.5", "0,0.5,0,0.5", 0, "extinction"),  # exactly zero at step 2
+            ("0.9999999999999", "1", "0.25,0.25,0.25,0.25", 0, "trichotomy"),
+            ("0.9999999999999", "0.5", "0.25,0.25,0.25,0.25", 1, None),  # no closed form
+        ],
+    )
+    def test_hemophilia_extinction_from_the_support_orbit(self, mu, eta, init, code, kind, capsys):
+        assert main(["predict", "--scenario", "hemophilia", "--mu", mu, "--eta", eta, "--init", init]) == code
+        captured = capsys.readouterr()
+        if kind is None:
+            assert "prediction failed: no closed form" in captured.err
+        else:
+            payload = json.loads(captured.out)
+            assert payload["prediction"]["kind"] == kind and payload["agreement"] is True
+            assert payload["prediction"]["extinction_step"] == (2 if kind == "extinction" else None)
+
+    @pytest.mark.parametrize(
+        "scenario, flags, init",
+        [
+            ("recessive_lethal", ["--gamma1", "0.2", "--gamma2", "0.2", "--delta1", "0.3", "--delta2", "0.3"],
+             "-0.2,0.6,0.6"),
+            ("x_inactivation", ["--gamma1", "0.2", "--gamma2", "0.2", "--delta1", "0.3", "--delta2", "0.3"],
+             "0.6,-0.2,0.6"),
+            ("hemophilia", ["--mu", "0.4", "--eta", "1"], "0.5,0.5,-0.1,0.5"),
+        ],
+    )
+    def test_negative_state_is_bad_input(self, scenario, flags, init, capsys):
+        assert main(["predict", "--scenario", scenario, *flags, f"--init={init}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad input" in captured.err
+
     HEMOPHILIA_ETA1 = ["predict", "--scenario", "hemophilia", "--mu", "0.4", "--eta", "1"]
 
     @pytest.mark.parametrize(
@@ -530,8 +563,8 @@ class TestPredict:
         assert payload["agreement"] is True
 
     def test_degenerate_prediction_fails_cleanly(self, capsys):
-        # gamma2 = 1 leaves no male offspring of x1, so the male line dies
-        # out during the E-set scan and no branch applies
+        # gamma2 = 1 leaves no male offspring of x1, so the support orbit
+        # loses the male coordinate and no branch applies
         code = main(
             [
                 "predict",

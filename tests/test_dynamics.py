@@ -13,19 +13,21 @@ from gonosim import (
     omega,
     opposite,
     random_stochastic,
+    support_orbit,
     swap_map,
     verify_conjugacy,
     verify_coordinate_bounds,
     verify_omega_bounds,
 )
 from gonosim.algebra import AlgebraSpec
-from gonosim.errors import AbsorbedToO, NotStochastic
+from gonosim.errors import AbsorbedToO, NotStochastic, ShapeMismatch
 from gonosim.scenarios import (
     Scenario,
     build_algebra,
     hemophilia_spec,
     predict_limit_type21,
     type11_spec,
+    type21_spec,
 )
 
 
@@ -240,6 +242,28 @@ class TestIterate:
         assert len(traj.states) == 1 and traj.outcome.kind == "max_iterations"
         traj = iterate(z0, type11_spec(0.5), operator, IterationOptions(patience=1, max_period=1))
         assert traj.outcome.kind in ("converged", "extinct", "numerically_extinct")
+
+
+class TestSupportOrbit:
+    def test_alternating_cycle(self):
+        # g1 = d2 = 0: the females alternate between x1 and x2
+        masks, p = support_orbit(type21_spec(0.0, 0.3, 0.4, 0.0), Element.from_vector([0.0, 0.6, 0.4], 2))
+        assert (masks, p) == ([(False, True, True), (True, False, True)], 0)
+
+    def test_extinction_is_the_empty_fixed_support(self):
+        # both lethal and sterile affected males: the W orbit is zero from step 2
+        masks, p = support_orbit(hemophilia_spec(1.0, 1.0), Element.from_vector([0.25] * 4, 2))
+        assert p == 2 and len(masks) == 3 and not any(masks[2])
+
+    def test_rejects_states_and_algebras_that_can_cancel(self):
+        spec = type21_spec(0.2, 0.2, 0.3, 0.3)
+        for bad in ([-0.2, 0.6, 0.6], [np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5]):
+            with pytest.raises(ValueError):
+                support_orbit(spec, Element.from_vector(bad, 2))
+        with pytest.raises(NotStochastic):
+            support_orbit(AlgebraSpec(1, 1, [[[1.5]]], [[[-0.5]]]), Element.from_vector([1.0, 1.0], 1))
+        with pytest.raises(ShapeMismatch):
+            support_orbit(spec, Element.from_vector([0.5, 0.5], 1))
 
 
 class TestBounds:

@@ -295,14 +295,18 @@ class TestClosedFormHemophilia:
         assert closed_form_fixed_points_hemophilia(mu, 1.0)[1].point.vector.tolist() == list(point)
 
     def test_same_cases_as_the_limit_prediction(self):
-        # both read mu = 1 within the same tolerance
+        # both read mu = 1 exactly: below it every constant of the eta < 1
+        # algebra is positive and the eta = 1 algebra has its non-zero point
         z0 = Element(np.array([0.2, 0.3]), np.array([0.25, 0.25]))
-        assert len(closed_form_fixed_points_hemophilia(1.0 - 5e-13, 0.5)) == 1
-        assert hemophilia_degenerate_limits(z0, 1.0 - 5e-13, 0.5).kind == "extinction"
-        with pytest.raises(UncoveredCase):
-            closed_form_fixed_points_hemophilia(1.0 - 5e-12, 0.5)
-        with pytest.raises(UncoveredCase):
-            hemophilia_degenerate_limits(z0, 1.0 - 5e-12, 0.5)
+        assert len(closed_form_fixed_points_hemophilia(1.0, 0.5)) == 1
+        assert hemophilia_degenerate_limits(z0, 1.0, 0.5).kind == "extinction"
+        for mu in (1.0 - 5e-13, 1.0 - 5e-12):
+            with pytest.raises(UncoveredCase):
+                closed_form_fixed_points_hemophilia(mu, 0.5)
+            with pytest.raises(UncoveredCase):
+                hemophilia_degenerate_limits(z0, mu, 0.5)
+            assert len(closed_form_fixed_points_hemophilia(mu, 1.0)) == 2
+            assert hemophilia_degenerate_limits(z0, mu, 1.0).kind == "trichotomy"
 
 
 class TestCorrespondences:

@@ -5,6 +5,8 @@ Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,14 @@ from test_newton import (  # noqa: E402
 )
 
 from gonosim import (  # noqa: E402
+    Element,
     closed_form_fixed_points_type21,
     idempotent_correspondence,
     random_stochastic,
     solve_fixed_points_numeric,
+    support_orbit,
 )
+from gonosim.algebra import AlgebraSpec  # noqa: E402
 from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL, _records  # noqa: E402
 from gonosim.scenarios import type21_spec  # noqa: E402
 
@@ -77,3 +82,22 @@ def test_type21_closed_form_is_the_whole_fixed_point_set(row_g, row_d, gap):
         v = rec.point.vector
         near = min(np.abs(v - p).sum() for p in points) < DEDUP_TOL * max(1.0, np.abs(v).sum())
         assert near or any(f.contains(v) for f in families), (params, v)
+
+
+@given(st.builds(random_stochastic, st.integers(1, 3), st.integers(1, 3), seeds), seeds)
+def test_support_orbit_is_the_zero_pattern_of_the_exact_W_orbit(spec, seed):
+    # random zeros in the constants and the state; W is then iterated in
+    # exact rationals over the preperiod and two periods of the support orbit
+    rng = np.random.default_rng(seed)
+    n, nu = spec.n, spec.nu
+    buf = np.concatenate([spec.gamma, spec.gamma_tilde], axis=2) * (rng.random((n, nu, n + nu)) < 0.6)
+    spec = AlgebraSpec(n, nu, buf[:, :, :n], buf[:, :, n:])
+    v = rng.dirichlet(np.ones(n + nu)) * (rng.random(n + nu) < 0.7)
+    masks, p = support_orbit(spec, Element.from_vector(v, n))
+    q = len(masks) - p
+    K = [[Fraction(c) for c in row] for row in spec.kernel.tolist()]
+    z = [Fraction(c) for c in v.tolist()]
+    for t in range(p + 2 * q):
+        assert tuple(c != 0 for c in z) == masks[t if t < p else p + (t - p) % q], t
+        xy = [z[i] * z[n + j] for i in range(n) for j in range(nu)]
+        z = [sum(c * row[k] for c, row in zip(xy, K) if c) for k in range(n + nu)]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,54 @@ class TestClassifyEset:
             classify_eset(
                 Element.from_vector([0.5, 0.5], 1), Scenario("lr_lethal", {"gamma": 0.5})
             )
+
+    def test_subnormal_gamma2_keeps_x2_alive(self):
+        # x2(1) = gamma2 x1 y underflows to 0.0 in floats, but is not zero
+        cls = classify_eset(Element.from_vector([0.5, 0.0, 0.5], 2), rl(0.4, 5e-324, 0.2, 0.3))
+        assert (cls.kind, cls.t0, cls.eset_prefix) == ("finite", 1, (0,))
+
+    def test_finite_eset_ends_by_step_one(self):
+        # an orbit that keeps its males has at most three supports
+        for params, v in _criterion_4_grid(400):
+            cls = classify_eset(Element.from_vector(v, 2), rl(*params))
+            assert cls.t0 <= 2 and set(cls.eset_prefix) <= {0, 1}
+
+    def test_every_zero_pattern_matches_exact_arithmetic(self):
+        # every support of the two offspring rows and of the start, with
+        # rational constants; E and male extinction against 12 exact steps
+        supports = [m for m in itertools.product((0, 1), repeat=3) if any(m)]
+        for row_g, row_d in itertools.product(supports, repeat=2):
+            g1, g2, g = (Fraction(b, sum(row_g)) for b in row_g)
+            d1, d2, d = (Fraction(b, sum(row_d)) for b in row_d)
+            s = rl(float(g1), float(g2), float(d1), float(d2))
+            for start in itertools.product((0, 1), repeat=3):
+                a, b, c = (Fraction(v) for v in start)
+                zeros, males = set(), True
+                for t in range(13):
+                    zeros |= {t} if b == 0 else set()
+                    males = males and c != 0
+                    a, b, c = (g1 * a + d1 * b) * c, (g2 * a + d2 * b) * c, (g * a + d * b) * c
+                z0 = Element.from_vector([float(v) for v in start], 2)
+                if not males:
+                    with pytest.raises(MaleExtinction):
+                        classify_eset(z0, s)
+                    continue
+                cls = classify_eset(z0, s)
+                expected = {
+                    "finite": set(cls.eset_prefix),
+                    "infinite_all_positive_steps": set(range(1, 13)) | (zeros & {0}),
+                    "infinite_even": set(range(0, 13, 2)),
+                    "infinite_odd": set(range(1, 13, 2)),
+                }[cls.kind]
+                assert zeros == expected, (row_g, row_d, start, cls)
+
+    def test_negative_state_rejected(self):
+        s = rl(0.2, 0.2, 0.3, 0.3)
+        z0 = Element.from_vector([-0.2, 0.6, 0.6], 2)
+        with pytest.raises(ValueError):
+            classify_eset(z0, s)
+        with pytest.raises(ValueError):
+            predict_limit_type21(z0, s)
 
     def test_zero_pattern_matches_exact_arithmetic(self):
         # replay the recursion in exact rationals and compare zero sets
@@ -373,6 +422,36 @@ class TestHemophilia:
         assert np.abs(z2.vector).sum() > 0.0
         z3 = apply_W(z2, spec)
         assert np.all(z3.vector == 0.0)
+
+    @pytest.mark.parametrize(
+        "mu, eta, start, step",
+        [
+            (1.0, 0.5, [0.0, 0.5, 0.0, 0.5], 2),  # no healthy males: one step sooner
+            (1.0, 0.3, [0.5, 0.0, 0.5, 0.0], 3),
+            (1.0, 1.0, [0.0, 0.5, 0.5, 0.0], 2),
+            (0.5, 0.5, [0.5, 0.5, 0.0, 0.0], 1),  # no males at all
+            (0.5, 1.0, [0.0, 0.0, 0.5, 0.5], 1),
+            (0.5, 0.5, [0.0, 0.0, 0.0, 0.0], 0),
+        ],
+    )
+    def test_extinction_step_is_the_first_exact_zero(self, mu, eta, start, step):
+        z0 = Element.from_vector(start, 2)
+        pred = hemophilia_degenerate_limits(z0, mu, eta)
+        assert (pred.kind, pred.extinction_step) == ("extinction", step)
+        agrees, _ = SCENARIOS["hemophilia"].verify(z0, hemophilia_spec(mu, eta), pred.to_dict())
+        assert agrees
+
+    def test_extinction_verifier_checks_the_step(self):
+        # the orbit is exactly zero first at step 2, so steps 1 and 3 are refuted
+        z0 = Element.from_vector([0.0, 0.5, 0.0, 0.5], 2)
+        spec, entry = hemophilia_spec(1.0, 0.5), SCENARIOS["hemophilia"]
+        pred = hemophilia_degenerate_limits(z0, 1.0, 0.5).to_dict()
+        for step in (1, 3):
+            assert not entry.verify(z0, spec, dict(pred, extinction_step=step))[0]
+
+    def test_negative_state_rejected(self):
+        with pytest.raises(ValueError):
+            hemophilia_degenerate_limits(Element.from_vector([-0.2, 0.6, 0.6, 0.1], 2), 0.5, 1.0)
 
     def test_trichotomy_zero_side(self):
         z0 = Element.from_vector([0.25, 0.25, 0.25, 0.25], 2)
