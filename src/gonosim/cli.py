@@ -177,11 +177,10 @@ def cmd_predict(args) -> int:
     except (ValueError, GonosimError) as exc:
         return _fail(2, f"bad input: {exc}")
 
-    entry = scmod.SCENARIOS[s.name]
     payload: dict = {"scenario": s.name, "params": s.params}
     try:
-        payload.update(entry.predict(z0, spec, s))
-        agree, detail = entry.verify(z0, spec, payload["prediction"])
+        payload.update(scmod.SCENARIOS[s.name].predict(z0, spec, s))
+        agree, detail = scmod.verify_prediction(z0, spec, payload["prediction"])
     except ValueError as exc:  # a state the prediction does not admit, such as a negative one
         return _fail(2, f"bad input: {exc}")
     except GonosimError as exc:
@@ -199,21 +198,16 @@ def cmd_scenario(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output path (default: stdout or trajectory.<fmt>)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-period", type=int, default=8)
-
-
-def _add_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algebra", help="path to an algebra JSON file")
+def _add_source(p: argparse.ArgumentParser, any_algebra: bool = True) -> None:
+    """--scenario with its flags, --algebra and --random if any_algebra, --out and --seed."""
+    if any_algebra:
+        p.add_argument("--algebra", help="path to an algebra JSON file")
+        p.add_argument("--random", help="n,nu for a random stochastic algebra")
     p.add_argument("--scenario", help="scenario name (see: scenario list)")
-    p.add_argument("--random", help="n,nu for a random stochastic algebra")
     for flag in SCENARIO_FLAGS:
         p.add_argument(f"--{flag}", type=float, default=None)
+    p.add_argument("--out", help="output path (default: stdout or trajectory.<fmt>)")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,13 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("--operator", choices=("W", "V"), default="W")
     p.add_argument("--init", help="comma-separated initial state")
-    _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--max-period", type=int, default=8)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fixed-points", help="solve for fixed points and stability")
     _add_source(p)
     p.add_argument("--operator", choices=("W", "V"), default="W")
-    _add_common(p)
     p.set_defaults(func=cmd_fixed_points)
 
     p = sub.add_parser("identities", help="search for algebra-identity violations")
@@ -249,9 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("predict", help="closed-form limit prediction with verification")
-    _add_source(p)
+    _add_source(p, any_algebra=False)
     p.add_argument("--init", help="comma-separated initial state")
-    _add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("scenario", help="scenario utilities")

@@ -28,6 +28,7 @@ from .errors import (
 from .identities import _structure_tensor
 from .scenarios import (
     _hemophilia_fixed_point,
+    _male_shares,
     _require_eta_one,
     _type21_eigenpairs,
     hemophilia_spec,
@@ -605,8 +606,7 @@ def _type21_points(g1: float, g2: float, d1: float, d2: float):
     for name, v in (("g1", g1), ("g2", g2), ("d1", d1), ("d2", d2)):
         if v < 0:
             raise DegenerateParameter(f"{name} must be non-negative")
-    g = 1.0 - g1 - g2
-    d = 1.0 - d1 - d2
+    g, d = _male_shares(g1, g2, d1, d2)
     if g < -CASE_TOL or d < -CASE_TOL:
         raise DegenerateParameter("male shares 1-g1-g2 and 1-d1-d2 must be non-negative")
     points, family = [], None

@@ -2,9 +2,10 @@
 
 ``SCENARIOS`` is the one table of scenarios.  Each entry maps a name to
 its parameter names, a description, its algebra builder, its closed-form
-W fixed points, its limit predictor and the predictor's verifier against
-iteration.  These call the public functions through their module when
-they run, so that a patched module attribute is seen.
+W fixed points and its limit predictor.  These call the public functions
+through their module when they run, so that a patched module attribute is
+seen.  One verifier, verify_prediction, checks every prediction against
+iteration.
 
 * lr_lethal: one female and one male type, male offspring share gamma.
 * lr_mutation: same algebra with gamma derived from a mutation rate.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixed_points
-from .algebra import AlgebraSpec, Element, State, opposite, swap_map
+from .algebra import AlgebraSpec, Element, State, omega, opposite, swap_map
 from .dynamics import _orbit, apply_W, iterate, support_orbit
 from .errors import (
     DegenerateDenominator,
@@ -65,10 +66,14 @@ def type11_spec(gamma: float) -> AlgebraSpec:
     return AlgebraSpec(1, 1, g, gt)
 
 
+def _male_shares(g1: float, g2: float, d1: float, d2: float) -> tuple[float, float]:
+    """1 - g1 - g2 and 1 - d1 - d2, with a rounding residue in [-PARAM_TOL, 0) read as 0.0."""
+    return tuple(0.0 if -PARAM_TOL <= m < 0.0 else m for m in (1.0 - g1 - g2, 1.0 - d1 - d2))
+
+
 def type21_spec(g1: float, g2: float, d1: float, d2: float) -> AlgebraSpec:
     """Type (2,1): e1 m = g1 e1 + g2 e2 + (1-g1-g2) m, e2 m likewise with d's."""
-    g = 1.0 - g1 - g2
-    d = 1.0 - d1 - d2
+    g, d = _male_shares(g1, g2, d1, d2)
     gamma = np.array([[[g1, g2]], [[d1, d2]]])
     gamma_tilde = np.array([[[g]], [[d]]])
     return AlgebraSpec(2, 1, gamma, gamma_tilde)
@@ -143,10 +148,9 @@ def _type21_params(s: Scenario) -> tuple[float, float, float, float]:
     for name, v in (("gamma1", g1), ("gamma2", g2), ("delta1", d1), ("delta2", d2)):
         if v < 0.0:
             raise InvalidParameter(f"{name} = {v} is negative")
-    if 1.0 - g1 - g2 < -PARAM_TOL:
-        raise InvalidParameter(f"gamma1 + gamma2 = {g1 + g2} exceeds 1")
-    if 1.0 - d1 - d2 < -PARAM_TOL:
-        raise InvalidParameter(f"delta1 + delta2 = {d1 + d2} exceeds 1")
+    for name, share in zip(("gamma", "delta"), _male_shares(g1, g2, d1, d2)):
+        if share < 0.0:
+            raise InvalidParameter(f"{name}1 + {name}2 exceeds 1 by {-share}")
     return g1, g2, d1, d2
 
 
@@ -200,17 +204,18 @@ class EsetClassification:
     eset_prefix: tuple = ()
 
 
-def classify_eset(z0: State, s: Scenario) -> EsetClassification:
+def classify_eset(z0: State, s: Scenario, spec: AlgebraSpec | None = None) -> EsetClassification:
     """Decide the structure of E exactly, from the support orbit of z0.
 
-    x2 is in E at step t iff it is missing from the support S_t.  Raises
+    x2 is in E at step t iff it is missing from the support S_t.  spec, the
+    algebra of s, is built unless given.  Raises
     MaleExtinction when a support loses the male coordinate (the orbit is
     then exactly zero from the next step), and ValueError for a state with
     a negative coordinate, whose zeros need not be structural.
     """
     if s.name != "recessive_lethal":
         raise InvalidParameter("E-set classification applies to the recessive_lethal scenario")
-    masks, p = support_orbit(type21_spec(*_type21_params(s)), z0)
+    masks, p = support_orbit(spec or type21_spec(*_type21_params(s)), z0)
     for t, m in enumerate(masks):
         if not m[2]:
             raise MaleExtinction(f"male coordinate vanished at step {t}")
@@ -244,8 +249,9 @@ def _to_dict(self) -> dict:
 class ClosedFormLimit:
     """Prediction record for the type-(2,1) asymptotics.
 
-    w_limit is "zero", "infinity", or "nonzero" (the boundary of the
-    trichotomy); v_limit is a single limit state, v_period2 a pair of
+    w_limit is "zero", "infinity", "nonzero" (the boundary of the
+    trichotomy), or None where it is not derived (a finite E-set with
+    omega(z0) >= 4); v_limit is a single limit state, v_period2 a pair of
     alternating states (odd step first).  For the eigenvalue branches,
     lambda1 <= lambda2 are the eigenvalues of the female transfer matrix A
     (equal for repeated_eigenvalue), and selected_index names the
@@ -290,9 +296,9 @@ def _type11_trichotomy(gamma: float, x: float, y: float) -> dict:
     return _trichotomy(abs(x * y), 1.0 / (gamma * (1.0 - gamma)))
 
 
-def _unit_w(e1: float, e2: float, g1, g2, d1, d2) -> tuple:
-    """W of the state (e1, e2, 1) scaled to unit coordinate sum, and that sum."""
-    w = (g1 * e1 + d1 * e2, g2 * e1 + d2 * e2, (1.0 - g1 - g2) * e1 + (1.0 - d1 - d2) * e2)
+def _unit_w(e1: float, e2: float, spec: AlgebraSpec) -> tuple:
+    """W of the type-(2,1) state (e1, e2, 1) scaled to unit coordinate sum, and that sum."""
+    w = [g * e1 + d * e2 for g, d in zip(*spec.kernel.tolist())]
     total = sum(w)
     if total == 0.0:
         raise DegenerateDenominator("the limit direction has zero coordinate sum")
@@ -300,14 +306,16 @@ def _unit_w(e1: float, e2: float, g1, g2, d1, d2) -> tuple:
 
 
 def predict_limit_type21(
-    z0: State, s: Scenario, cls: EsetClassification | None = None
+    z0: State, s: Scenario, cls: EsetClassification | None = None, spec: AlgebraSpec | None = None
 ) -> ClosedFormLimit:
     """Closed-form limit of the W and V orbits from z0.
 
     The branch is chosen by the E-set structure, recomputed internally and
-    kept as eset; a supplied classification is only cross-checked.  For a
-    finite E-set the W orbit goes to zero and the V orbit to W(e, 1)
-    normalized, where e = (A - lambda1 I) x(t0) is the part of the female
+    kept as eset; a supplied classification is only cross-checked.  spec, the
+    algebra of s, is built unless given.  For a finite E-set the W limit is
+    "zero" when omega(z0) < 4 - BOUNDARY_TOL, as omega(W(z)) = omega(x)
+    omega(y) <= omega(z)^2 / 4 sends such a mass to zero, and None (not
+    derived) otherwise; the V orbit goes to W(e, 1) normalized, where e = (A - lambda1 I) x(t0) is the part of the female
     state at t0 = max(E) + 1 along the dominant eigenvector of the female
     transfer matrix A = [[g1, d1], [g2, d2]] (_type21_eigenpairs).  If that
     part vanishes, x(t0) is an eigenvector itself (A = lambda I included)
@@ -317,9 +325,9 @@ def predict_limit_type21(
     normalized (kind opposite_eigenvalues).
     """
     g1, g2, d1, d2 = _type21_params(s)
-    g = 1.0 - g1 - g2
-    d = 1.0 - d1 - d2
-    actual = classify_eset(z0, s)
+    g, d = _male_shares(g1, g2, d1, d2)
+    spec = spec or type21_spec(g1, g2, d1, d2)
+    actual = classify_eset(z0, s, spec)
     if cls is not None and cls.kind != actual.kind:
         raise InvalidParameter(
             f"supplied classification {cls.kind} disagrees with recomputed {actual.kind}"
@@ -357,12 +365,12 @@ def predict_limit_type21(
             kind="alternating_tail", **_trichotomy(prod, thr), v_period2=pair, eset=cls
         )
 
-    # finite E: the W orbit always collapses to zero, and from t0 on the
-    # female part of the V orbit is carried by the transfer matrix A, so it
-    # turns to the dominant eigenvector; (A - lam1 I) x(t0) is its component
-    # there (a Jordan block included)
+    # finite E: from t0 on the female part of the V orbit is carried by the
+    # transfer matrix A, so it turns to the dominant eigenvector;
+    # (A - lam1 I) x(t0) is its component there (a Jordan block included)
+    w_limit = "zero" if omega(z0) < 4.0 - BOUNDARY_TOL else None
     t0 = cls.t0
-    x1, x2 = _orbit(z0, type21_spec(g1, g2, d1, d2), t0, normalize=True)[t0, :2].tolist()
+    x1, x2 = _orbit(z0, spec, t0, normalize=True)[t0, :2].tolist()
     pairs = _type21_eigenpairs(g1, g2, d1, d2)
     (lam1, _), (lam2, (c1, c2)) = pairs[0], pairs[-1]
     distinct = (g1 - d2) ** 2 + 4.0 * g2 * d1 >= PARAM_TOL  # else repeated, lambda1 = lambda2
@@ -372,10 +380,10 @@ def predict_limit_type21(
         # up to scale, W(x(t0), 1) is the state at step t0 + 1 and W(A x(t0), 1)
         # the one at t0 + 2, as A x(t0) is the female part at t0 + 1
         ax1, ax2 = g1 * x1 + d1 * x2, g2 * x1 + d2 * x2
-        pair = (_unit_w(x1, x2, g1, g2, d1, d2)[0], _unit_w(ax1, ax2, g1, g2, d1, d2)[0])
+        pair = (_unit_w(x1, x2, spec)[0], _unit_w(ax1, ax2, spec)[0])
         return ClosedFormLimit(
             kind="opposite_eigenvalues",
-            w_limit="zero",
+            w_limit=w_limit,
             v_period2=pair if t0 % 2 == 0 else pair[::-1],  # odd step first
             lambda1=lam1,
             lambda2=lam2,
@@ -385,10 +393,10 @@ def predict_limit_type21(
     e1, e2 = c1[0] * x1 + c2[0] * x2, c1[1] * x1 + c2[1] * x2
     if abs(e1) + abs(e2) <= PARAM_TOL * (abs(x1) + abs(x2)):
         e1, e2 = x1, x2  # x(t0) is an eigenvector already (A = lam I included)
-    v_limit, total = _unit_w(e1, e2, g1, g2, d1, d2)
+    v_limit, total = _unit_w(e1, e2, spec)
     return ClosedFormLimit(
         kind="distinct_eigenvalues" if distinct else "repeated_eigenvalue",
-        w_limit="zero",
+        w_limit=w_limit,
         v_limit=v_limit,
         lambda1=lam1,
         lambda2=lam2,
@@ -505,7 +513,7 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
 
 
 # ---------------------------------------------------------------------------
-# The scenario table: predictions and their verification against iteration
+# The scenario table, and the verifier of its predictions against iteration
 # ---------------------------------------------------------------------------
 
 # L1 distance within which a predicted point and an iterated or numeric one agree
@@ -550,93 +558,87 @@ def _predict_x_inactivation(z0: State, spec: AlgebraSpec, s: Scenario) -> dict:
     return out
 
 
-def _verify_w_limit(z0: State, spec: AlgebraSpec, w_limit: str, fixed_point=None):
-    """Iterate W and test the predicted limit: zero, infinity, or the fixed point."""
-    traj = iterate(z0, spec, operator="W")
-    kind = traj.outcome.kind
-    if w_limit == "infinity":
-        ok = kind == "divergent"
-    elif kind == "converged":
-        target = np.zeros(spec.dim) if w_limit == "zero" else np.asarray(fixed_point)
-        ok = float(np.abs(traj.outcome.point.vector - target).sum()) < AGREEMENT_TOL
-    else:
-        ok = w_limit == "zero" and kind in ("extinct", "numerically_extinct")
-    return ok, {"method": "iteration", "outcome": kind}
+# the W limit of an orbit that does not converge, by its outcome
+_W_LIMITS = {"extinct": "zero", "numerically_extinct": "zero", "divergent": "infinity", "cycle": "nonzero"}
 
 
-def _verify_type11(z0: State, spec: AlgebraSpec, pred: dict):
-    if pred["boundary"]:
-        z6 = closed_form_trajectory_type11(z0, float(spec.gamma[0, 0, 0]), 6)
-        err = float(np.abs(z6.vector - z0.vector).sum())
-        return err < AGREEMENT_TOL, {"method": "closed_form", "error": err}
-    return _verify_w_limit(z0, spec, pred["w_limit"])
+def _l1(v) -> float:
+    return float(np.abs(v).sum())
 
 
-def _verify_type21(z0: State, spec: AlgebraSpec, pred: dict):
-    if pred["boundary"]:
-        return True, {"method": "boundary_not_iterated"}
-    traj = iterate(z0, spec, operator="V")
-    if pred["v_period2"] is not None:
-        if traj.outcome.kind != "cycle" or traj.outcome.period != 2:
-            return False, {"method": "iteration", "outcome": traj.outcome.kind}
-        reps = [r.vector for r in traj.outcome.representatives]
-        err = max(min(float(np.abs(np.array(t) - r).sum()) for r in reps) for t in pred["v_period2"])
-        return err < AGREEMENT_TOL, {"method": "iteration", "cycle_error": err}
-    if traj.outcome.kind != "converged":
-        return False, {"method": "iteration", "outcome": traj.outcome.kind}
-    err = float(np.abs(traj.outcome.point.vector - np.array(pred["v_limit"])).sum())
-    return err < AGREEMENT_TOL, {"method": "iteration", "limit_error": err}
+def verify_prediction(z0: State, spec: AlgebraSpec, prediction: dict) -> tuple[bool, dict]:
+    """Check every non-null claim of a prediction against the orbits of z0.
 
-
-def _verify_hemophilia(z0: State, spec: AlgebraSpec, pred: dict):
-    if pred["kind"] == "extinction":
-        # the float W orbit must be exactly zero first at the predicted step
-        k = pred["extinction_step"]
+    extinction_step k: the float W orbit is exactly zero first at step k.
+    w_limit, by iterating W: "zero" is an extinct orbit or one converged to
+    0, "infinity" a divergent one, "nonzero" one converged to fixed_point if
+    the prediction gives one, else to a non-zero point, or a cycle.
+    v_limit or v_constant, and v_period2, by iterating V: it converges to
+    the point, or is a cycle through the pair.  Points agree within
+    AGREEMENT_TOL in L1.  The detail gives the outcome of each orbit
+    iterated and v_distance, the largest distance from a predicted state to
+    the V limit (None where an orbit was not needed or has another shape).
+    """
+    claim = prediction.get
+    checks = []
+    detail = {"method": "iteration", "w_outcome": None, "v_outcome": None, "v_distance": None}
+    k = claim("extinction_step")
+    if k is not None:
         Z = _orbit(z0, spec, k, normalize=False)
-        ok = not Z[k].any() and (k == 0 or bool(Z[k - 1].any()))
-        return ok, {"method": "exact_iteration", "steps": k}
-    traj = iterate(z0, spec, operator="V")
-    if traj.outcome.kind not in ("converged", "max_iterations"):
-        return False, {"method": "iteration", "outcome": traj.outcome.kind}
-    err = float(np.abs(traj.states[-1].vector - np.array(pred["v_constant"])).sum())
-    w_ok, w_detail = _verify_w_limit(z0, spec, pred["w_limit"], pred["fixed_point"])
-    detail = {"method": "iteration", "constancy_error": err, "w_outcome": w_detail["outcome"]}
-    return err < AGREEMENT_TOL and w_ok, detail
+        checks.append(not Z[k].any() and (k == 0 or bool(Z[k - 1].any())))
+    w_limit = claim("w_limit")
+    if w_limit is not None:
+        out = iterate(z0, spec, operator="W").outcome
+        detail["w_outcome"] = out.kind
+        point = out.point.vector if out.kind == "converged" else None
+        fixed_point = claim("fixed_point") if w_limit == "nonzero" else None
+        if fixed_point is not None:
+            checks.append(point is not None and _l1(point - np.asarray(fixed_point)) < AGREEMENT_TOL)
+        elif point is not None:
+            checks.append(w_limit == ("zero" if _l1(point) < AGREEMENT_TOL else "nonzero"))
+        else:
+            checks.append(w_limit == _W_LIMITS.get(out.kind))
+    v_states = claim("v_period2") or [v for v in (claim("v_limit"), claim("v_constant")) if v is not None]
+    if v_states:
+        out = iterate(z0, spec, operator="V").outcome
+        detail["v_outcome"] = out.kind
+        reached = out.representatives or ((out.point,) if out.point is not None else ())
+        if len(reached) == len(v_states):
+            detail["v_distance"] = max(min(_l1(r.vector - np.asarray(v)) for r in reached) for v in v_states)
+        checks.append(detail["v_distance"] is not None and detail["v_distance"] < AGREEMENT_TOL)
+    return all(checks), detail
 
 
 # build(s) -> spec, closed_form(s, spec) -> W records, predict(z0, spec, s) ->
-# payload fields, verify(z0, spec, fields["prediction"]) -> (agrees, detail)
-ScenarioEntry = namedtuple("ScenarioEntry", "params description build closed_form predict verify")
+# payload fields, among them the "prediction" that verify_prediction checks
+ScenarioEntry = namedtuple("ScenarioEntry", "params description build closed_form predict")
 
 _TYPE21 = ("gamma1", "gamma2", "delta1", "delta2")
 
 SCENARIOS = {
     "lr_lethal": ScenarioEntry(
         ("gamma",), "type (1,1): one female, one male genotype; gamma = female offspring share",
-        lambda s: type11_spec(*_unit_params(s)), _closed_form_type11, _predict_type11, _verify_type11,
+        lambda s: type11_spec(*_unit_params(s)), _closed_form_type11, _predict_type11,
     ),
     "lr_mutation": ScenarioEntry(
         ("mu", "eta"), "type (1,1) with gamma = (1-eta)/(2-eta) from mutation rate eta",
-        lambda s: _mutation_spec(*_unit_params(s)), _closed_form_type11, _predict_type11, _verify_type11,
+        lambda s: _mutation_spec(*_unit_params(s)), _closed_form_type11, _predict_type11,
     ),
     "recessive_lethal": ScenarioEntry(
         _TYPE21, "type (2,1): normal/carrier females, one viable male genotype",
         lambda s: type21_spec(*_type21_params(s)),
         lambda s, spec: fixed_points.closed_form_fixed_points_type21(*(s.params[k] for k in _TYPE21)),
-        lambda z0, spec, s: _type21_fields(predict_limit_type21(z0, s)), _verify_type21,
+        lambda z0, spec, s: _type21_fields(predict_limit_type21(z0, s, spec=spec)),
     ),
     "hemophilia": ScenarioEntry(
         ("mu", "eta"), "type (2,2): carrier females, affected males with viability mu, fertility eta",
         lambda s: hemophilia_spec(*_unit_params(s)),
         lambda s, spec: fixed_points.closed_form_fixed_points_hemophilia(s.params["mu"], s.params["eta"]),
-        lambda z0, spec, s: {
-            "prediction": hemophilia_degenerate_limits(z0, s.params["mu"], s.params["eta"]).to_dict()
-        },
-        _verify_hemophilia,
+        lambda z0, spec, s: {"prediction": hemophilia_degenerate_limits(z0, **s.params).to_dict()},
     ),
     "x_inactivation": ScenarioEntry(
         _TYPE21, "type (1,2): sexes of recessive_lethal exchanged",
         lambda s: opposite(type21_spec(*_type21_params(s))),
-        _closed_form_x_inactivation, _predict_x_inactivation, _verify_type21,
+        _closed_form_x_inactivation, _predict_x_inactivation,
     ),
 }

@@ -8,7 +8,7 @@ import pytest
 
 from test_acceptance import TYPE21_CASE_INSTANCES
 
-from gonosim import cli, random_stochastic, swap_map
+from gonosim import Element, cli, iterate, random_stochastic, swap_map
 from gonosim.algebra import AlgebraSpec
 from gonosim.cli import main
 from gonosim.scenarios import SCENARIOS, type11_spec, type21_spec
@@ -300,6 +300,40 @@ class TestParserReuse:
         assert open(tmp_path / "c.csv").read().splitlines()[-1].startswith("# outcome=converged")
 
 
+# every flag each command reads, with a value that parses
+KEPT_FLAGS = {
+    "simulate": ["--algebra", "a.json", "--random", "1,1", "--scenario", "lr_lethal", "--gamma", "0.5",
+                 "--out", "o", "--seed", "1", "--operator", "V", "--init", "1,1", "--format", "json",
+                 "--steps", "5", "--tol", "1e-6", "--max-period", "3"],
+    "fixed-points": ["--algebra", "a.json", "--random", "1,1", "--scenario", "lr_lethal", "--gamma", "0.5",
+                     "--out", "o", "--seed", "1", "--operator", "V"],
+    "predict": ["--scenario", "recessive_lethal", "--gamma1", "0.2", "--gamma2", "0.2", "--delta1", "0.3",
+                "--delta2", "0.3", "--mu", "0.5", "--eta", "1", "--gamma", "0.5", "--out", "o", "--seed", "1",
+                "--init", "0.3,0.3,0.4"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+    def test_every_kept_flag_parses(self, command):
+        args = cli.build_parser().parse_args([command, *KEPT_FLAGS[command]])
+        flags = KEPT_FLAGS[command][::2]
+        assert [getattr(args, f[2:].replace("-", "_")) is not None for f in flags] == [True] * len(flags)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("fixed-points", "--format", "json"), ("fixed-points", "--steps", "5"),
+         ("fixed-points", "--tol", "1e-6"), ("fixed-points", "--max-period", "3"),
+         ("predict", "--format", "json"), ("predict", "--steps", "5"), ("predict", "--tol", "1e-6"),
+         ("predict", "--max-period", "3"), ("predict", "--algebra", "a.json"), ("predict", "--random", "1,1")],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "lr_lethal", "--gamma", "0.5", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 class TestIdentities:
     def test_report(self, good_algebra, capsys):
         assert main(["identities", good_algebra, "--samples", "3"]) == 0
@@ -528,6 +562,74 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert payload["prediction"]["w_limit"] == "infinity"
         assert payload["agreement"] is False
+
+    @pytest.mark.parametrize(
+        "flags, init",
+        [(["--scenario", "lr_lethal", "--gamma", "0.5"], "1,4"),
+         (["--scenario", "recessive_lethal", "--gamma1", "0.5", "--gamma2", "0", "--delta1", "0.3",
+           "--delta2", "0.4"], "2,0,2")],
+    )
+    def test_boundary_prediction_is_iterated(self, flags, init, capsys):
+        # x y = 4 on the threshold 1/(gamma (1 - gamma)) = 4: the W orbit sits on
+        # the fixed point (2, 2), or (2, 0, 2), from step 1
+        code, payload = _run(["predict", *flags, "--init", init], capsys)
+        assert code == 0 and payload["agreement"] is True
+        assert payload["prediction"]["boundary"] is True and payload["prediction"]["w_limit"] == "nonzero"
+        assert payload["verification"]["w_outcome"] == "converged"
+        assert payload["verification"]["v_outcome"] == (None if init == "1,4" else "converged")
+
+    def test_type21_tampered_v_limit_disagrees(self, monkeypatch, capsys):
+        real = cli.scmod.predict_limit_type21
+
+        def tampered(z0, s, cls=None, spec=None):
+            pred = real(z0, s, cls, spec)
+            pred.v_limit = (0.3, 0.3, 0.4)
+            return pred
+
+        monkeypatch.setattr(cli.scmod, "predict_limit_type21", tampered)
+        code, payload = _run(["predict", "--scenario", "recessive_lethal", *SCENARIO_EXAMPLES["recessive_lethal"][0],
+                              "--init", "0.3,0.3,0.4"], capsys)
+        assert code == 1 and payload["agreement"] is False
+        assert payload["verification"]["v_outcome"] == "converged"
+        assert payload["verification"]["v_distance"] > 0.1
+
+    def test_male_share_rounding_residue_is_zero(self, capsys):
+        # 1 - g1 - g2 rounds to -5.55e-17 here; read as 0, x1 has no male
+        # offspring and the males die out at step 1
+        flags = _type21_flags((0.8730834737037929, 0.12691652629620714, 1.0, 0.0))
+        assert main(["predict", "--scenario", "recessive_lethal", *flags, "--init", "0.5,0,0.5"]) == 1
+        assert "prediction failed: male coordinate vanished at step 1" in capsys.readouterr().err
+
+    def test_type21_algebra_built_once(self, monkeypatch, capsys):
+        calls = []
+        real = cli.scmod.type21_spec
+        monkeypatch.setattr(cli.scmod, "type21_spec", lambda *p: calls.append(p) or real(*p))
+        flags, init = SCENARIO_EXAMPLES["recessive_lethal"]
+        assert main(["predict", "--scenario", "recessive_lethal", *flags, "--init", init]) == 0
+        assert len(calls) == 1
+
+    def test_criterion_4_grid(self, capsys):
+        # every W limit a prediction states is the one iteration reaches, and
+        # every claim holds except at two points whose V orbits converge too
+        # slowly for the default step budget
+        stated, agree = 0, []
+        for params, v in _criterion_4_grid(400):
+            code, payload = _run(["predict", "--scenario", "recessive_lethal", *_type21_flags(params),
+                                  "--init", ",".join(repr(float(c)) for c in v)], capsys)
+            agree.append(payload["agreement"])
+            w_limit = payload["prediction"]["w_limit"]
+            if w_limit is None:
+                assert payload["eset"]["kind"] == "finite" and v.sum() >= 4.0
+                continue
+            stated += 1
+            out = iterate(Element.from_vector(v, 2), type21_spec(*params), "W").outcome
+            if out.kind == "converged":
+                reached = "zero" if np.abs(out.point.vector).sum() < 1e-6 else "nonzero"
+            else:
+                reached = {"extinct": "zero", "numerically_extinct": "zero", "divergent": "infinity"}[out.kind]
+            assert w_limit == reached, (params, v)
+        assert stated == 136
+        assert (agree.count(True), agree.count(False)) == (398, 2)
 
     def test_unsupported_scenario(self, capsys):
         code = main(["predict", "--scenario", "nonsense", "--gamma", "0.2"])

@@ -22,8 +22,12 @@ from test_newton import (  # noqa: E402
 
 from gonosim import (  # noqa: E402
     Element,
+    IterationOptions,
+    apply_W,
     closed_form_fixed_points_type21,
     idempotent_correspondence,
+    iterate,
+    omega,
     random_stochastic,
     solve_fixed_points_numeric,
     support_orbit,
@@ -101,3 +105,32 @@ def test_support_orbit_is_the_zero_pattern_of_the_exact_W_orbit(spec, seed):
         assert tuple(c != 0 for c in z) == masks[t if t < p else p + (t - p) % q], t
         xy = [z[i] * z[n + j] for i in range(n) for j in range(nu)]
         z = [sum(c * row[k] for c, row in zip(xy, K) if c) for k in range(n + nu)]
+
+
+# relative slack for the rounding of row sums that are 1 only to a few ulps
+MASS_SLACK = 1e-12
+
+
+def _state(spec, seed, mass):
+    """A non-negative state of the given mass: random zeros, or for every
+    third seed equal female and male masses, where the mass bound is tight."""
+    rng = np.random.default_rng(seed)
+    v = rng.dirichlet(np.ones(spec.dim)) * (rng.random(spec.dim) < 0.8)
+    if seed % 3 == 0:
+        v = np.concatenate([rng.dirichlet(np.ones(spec.n)), rng.dirichlet(np.ones(spec.nu))])
+    total = v.sum()
+    return Element.from_vector(v * (mass / total if total else 0.0), spec.n)
+
+
+@given(algebras, seeds, st.floats(0.0, 50.0))
+def test_mass_of_W_is_at_most_a_quarter_of_the_squared_mass(spec, seed, mass):
+    # omega(W(z)) = omega(x) omega(y) <= omega(z)^2 / 4 for a stochastic algebra
+    z = _state(spec, seed, mass)
+    assert omega(apply_W(z, spec)) <= omega(z) ** 2 / 4.0 * (1.0 + MASS_SLACK)
+
+
+@given(algebras, seeds, st.floats(0.0, 4.0))
+def test_mass_does_not_increase_from_at_most_four(spec, seed, mass):
+    omegas = iterate(_state(spec, seed, mass), spec, "W", IterationOptions(max_steps=40)).omegas
+    for before, after in zip(omegas, omegas[1:]):
+        assert after <= before * (1.0 + MASS_SLACK)

@@ -25,7 +25,7 @@ from gonosim.errors import (
     MaleExtinction,
     UncoveredCase,
 )
-from gonosim.scenarios import SCENARIOS, hemophilia_spec, type11_spec, type21_spec
+from gonosim.scenarios import SCENARIOS, hemophilia_spec, type11_spec, type21_spec, verify_prediction
 from test_cli import _criterion_4_grid
 
 
@@ -306,7 +306,7 @@ class TestPredictLimit:
             spec = build_algebra(s)
             entry = SCENARIOS["recessive_lethal"]
             z0 = Element.from_vector(v, 2)
-            agrees, detail = entry.verify(z0, spec, entry.predict(z0, spec, s)["prediction"])
+            agrees, detail = verify_prediction(z0, spec, entry.predict(z0, spec, s)["prediction"])
             assert agrees, (params, v, detail)
             checked += 1
         assert checked == 100
@@ -341,11 +341,31 @@ class TestPredictLimit:
             entry = SCENARIOS["recessive_lethal"]
             z0 = Element.from_vector(v, 2)
             pred = entry.predict(z0, spec, s)["prediction"]
-            agrees, detail = entry.verify(z0, spec, pred)
+            agrees, detail = verify_prediction(z0, spec, pred)
             assert agrees, (params, v, detail)
             kinds.append(pred["kind"])
         assert kinds.count("opposite_eigenvalues") == 34
         assert set(kinds) == {"opposite_eigenvalues", "alternating_tail"}
+
+    @pytest.mark.parametrize("state, w_limit", [([1.2, 1.2, 1.5], "zero"), ([1.2, 1.2, 1.6], None)])
+    def test_finite_eset_w_limit_needs_mass_below_four(self, state, w_limit):
+        # omega(W(z)) <= omega(z)^2 / 4 sends a mass below 4 to zero; the W
+        # limit of a larger mass is not derived, so it is not claimed or iterated
+        s, z0 = rl(0.2, 0.2, 0.2, 0.2), Element.from_vector(state, 2)
+        pred = predict_limit_type21(z0, s)
+        assert pred.kind == "distinct_eigenvalues" and pred.w_limit == w_limit
+        agrees, detail = verify_prediction(z0, build_algebra(s), pred.to_dict())
+        assert agrees and detail["v_outcome"] == "converged" and detail["v_distance"] < 1e-9
+        assert detail["w_outcome"] == ("converged" if w_limit else None)
+
+    def test_male_share_rounding_residue_is_exact_zero(self):
+        # 1 - g1 - g2 is -5.55e-17 in floats: the male share is exactly 0, so
+        # x1 has no male offspring and from (0.5, 0, 0.5) the males die at step 1
+        params = (0.8730834737037929, 0.12691652629620714, 1.0, 0.0)
+        assert 1.0 - params[0] - params[1] < 0.0
+        assert type21_spec(*params).gamma_tilde[0, 0, 0] == 0.0
+        with pytest.raises(MaleExtinction, match="step 1"):
+            predict_limit_type21(Element.from_vector([0.5, 0.0, 0.5], 2), rl(*params))
 
     def test_mismatched_classification_rejected(self):
         s = rl(0.2, 0.2, 0.2, 0.2)
@@ -438,16 +458,16 @@ class TestHemophilia:
         z0 = Element.from_vector(start, 2)
         pred = hemophilia_degenerate_limits(z0, mu, eta)
         assert (pred.kind, pred.extinction_step) == ("extinction", step)
-        agrees, _ = SCENARIOS["hemophilia"].verify(z0, hemophilia_spec(mu, eta), pred.to_dict())
+        agrees, _ = verify_prediction(z0, hemophilia_spec(mu, eta), pred.to_dict())
         assert agrees
 
     def test_extinction_verifier_checks_the_step(self):
         # the orbit is exactly zero first at step 2, so steps 1 and 3 are refuted
         z0 = Element.from_vector([0.0, 0.5, 0.0, 0.5], 2)
-        spec, entry = hemophilia_spec(1.0, 0.5), SCENARIOS["hemophilia"]
+        spec = hemophilia_spec(1.0, 0.5)
         pred = hemophilia_degenerate_limits(z0, 1.0, 0.5).to_dict()
         for step in (1, 3):
-            assert not entry.verify(z0, spec, dict(pred, extinction_step=step))[0]
+            assert not verify_prediction(z0, spec, dict(pred, extinction_step=step))[0]
 
     def test_negative_state_rejected(self):
         with pytest.raises(ValueError):
