@@ -136,7 +136,7 @@ def cmd_fixed_points(args) -> int:
     if args.scenario is not None and args.operator == "W":
         s = _scenario_from_args(args)
         try:
-            closed = scmod.SCENARIOS[s.name].closed_form(s, spec)
+            closed = fpmod.closed_form_records(*scmod.SCENARIOS[s.name].closed_form(s, spec), spec)
         except GonosimError:
             pass  # no closed form at these parameters
 

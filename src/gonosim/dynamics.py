@@ -13,7 +13,7 @@ equality.  A separate "numerically extinct" outcome catches underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -346,7 +346,6 @@ class BoundReport:
     all_pass: bool
     first_violation: dict | None = None
     checked_steps: int = 0
-    details: list = field(default_factory=list)
 
 
 def _log_or_none(v: float):

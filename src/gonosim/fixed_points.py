@@ -3,7 +3,8 @@
 Numeric side: multi-start Newton on op(z) - z with the analytic Jacobian,
 run from every start at once, then deduplication and detection of
 one-parameter families through null directions of the linearization.
-Closed-form side: the known fixed points of the three scenario families.
+Closed-form side: records of the scenario fixed points, whose formulas
+live in scenarios.
 Stability is read off Jacobian spectra; for the normalized operator the
 Jacobian is restricted to the tangent space of the simplex.
 """
@@ -19,7 +20,6 @@ from .algebra import AlgebraSpec, Element, State, multiply, omega
 from .dynamics import apply_V, apply_W
 from .errors import (
     AbsorbedToO,
-    DegenerateParameter,
     NotIdempotent,
     NotNormalizable,
     NotStochastic,
@@ -27,12 +27,11 @@ from .errors import (
 )
 from .identities import _structure_tensor
 from .scenarios import (
-    _hemophilia_fixed_point,
-    _male_shares,
-    _require_eta_one,
-    _type21_eigenpairs,
+    hemophilia_fixed_points,
     hemophilia_spec,
+    type11_fixed_points,
     type11_spec,
+    type21_fixed_points,
     type21_spec,
 )
 
@@ -41,7 +40,6 @@ DEDUP_TOL = 1e-6
 # coordinates of an accepted root within this factor of max(1, |root|_inf) of
 # zero are set to exactly 0.0, so structural zeros survive the Newton rounding
 ROOT_ZERO_TOL = 1e-14
-CASE_TOL = 1e-12
 MARGINAL_BAND = 1e-9
 NEWTON_MAX_ITER = 100
 NEWTON_STEP_TOL = 1e-13  # a start stops once its L1 step falls below this
@@ -171,10 +169,10 @@ class FamilyDescriptor:
     direction: np.ndarray
     parameter_range_tested: tuple = (-0.1, 0.1)
 
-    def contains(self, v: np.ndarray, tol: float = DEDUP_TOL) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         rel = v - self.base_point
         proj = rel - (rel @ self.direction) * self.direction
-        return float(np.abs(proj).sum()) < tol
+        return float(np.abs(proj).sum()) < DEDUP_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -432,7 +430,8 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
 
     A near-zero singular value of J - I gives the candidate direction (for
     V, of the tangent-space Jacobian, since V keeps the unit sum); the line
-    counts as a family when both probes 0.1 away along it are fixed too.
+    counts as a family when the probes at both ends of
+    FamilyDescriptor.parameter_range_tested along it are fixed too.
     """
     z = Element.from_vector(v, spec.n)
     if operator == "W":
@@ -445,7 +444,7 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
     if svals[-1] >= 1e-8:
         return None
     direction = T @ vt[-1]
-    for off in (-0.1, 0.1):
+    for off in FamilyDescriptor.parameter_range_tested:
         cand = Element.from_vector(v + off * direction, spec.n)
         if _residual(cand, spec, operator) >= RESIDUAL_TOL:
             return None
@@ -565,21 +564,18 @@ def _deduplicate(accepted: np.ndarray, spec: AlgebraSpec, operator: str):
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_records(
-    points: list, spec: AlgebraSpec, family: FamilyDescriptor | None = None
-) -> list[FixedPointRecord]:
-    """W records of closed-form points in one pass; a family goes on the last point."""
+def closed_form_records(points: list, line: tuple | None, spec: AlgebraSpec) -> list[FixedPointRecord]:
+    """W records of spec at closed-form points in one pass; a line (base,
+    direction) of fixed points goes on the last record as its family."""
     records = _records(np.array(points, dtype=float), spec, "W")
-    if family is not None:
-        records[-1].family = family
+    if line is not None:
+        records[-1].family = FamilyDescriptor(*line)
     return records
 
 
 def closed_form_fixed_points_type11(gamma: float) -> list[FixedPointRecord]:
     """Fixed points (0, 0) and (1/(1-gamma), 1/gamma) of the type-(1,1) family."""
-    if abs(gamma) < CASE_TOL or abs(gamma - 1.0) < CASE_TOL:
-        raise DegenerateParameter("only the origin is fixed when gamma is 0 or 1")
-    return _closed_form_records([[0.0, 0.0], [1.0 / (1.0 - gamma), 1.0 / gamma]], type11_spec(gamma))
+    return closed_form_records(*type11_fixed_points(gamma), type11_spec(gamma))
 
 
 def closed_form_fixed_points_type21(
@@ -596,43 +592,12 @@ def closed_form_fixed_points_type21(
     in increasing y.  Raises DegenerateParameter for a negative parameter
     or a male share below zero.
     """
-    points, family = _type21_points(g1, g2, d1, d2)
-    return _closed_form_records(points, type21_spec(g1, g2, d1, d2), family)
-
-
-def _type21_points(g1: float, g2: float, d1: float, d2: float):
-    """The type-(2,1) fixed points, origin first, and the family through the
-    last one if the fixed points form a line (see closed_form_fixed_points_type21)."""
-    for name, v in (("g1", g1), ("g2", g2), ("d1", d1), ("d2", d2)):
-        if v < 0:
-            raise DegenerateParameter(f"{name} must be non-negative")
-    g, d = _male_shares(g1, g2, d1, d2)
-    if g < -CASE_TOL or d < -CASE_TOL:
-        raise DegenerateParameter("male shares 1-g1-g2 and 1-d1-d2 must be non-negative")
-    points, family = [], None
-    for lam, columns in _type21_eigenpairs(g1, g2, d1, d2):
-        # A = lam I when both columns vanish: every (v1, v2) is an eigenvector
-        line = max(abs(c) for col in columns for c in col) < CASE_TOL
-        v = (1.0, 1.0) if line else max(columns, key=lambda c: abs(c[0]) + abs(c[1]))
-        q = g * v[0] + d * v[1]
-        if abs(lam) < CASE_TOL or abs(q) < CASE_TOL * (abs(v[0]) + abs(v[1])):
-            continue
-        points.append([v[0] / q + 0.0, v[1] / q + 0.0, 1.0 / lam])  # + 0.0 turns -0.0 into 0.0
-        if line:
-            direction = np.array([1.0, -1.0, 0.0])
-            family = FamilyDescriptor(np.array(points[-1]), direction / np.linalg.norm(direction))
-    return [[0.0, 0.0, 0.0]] + sorted(points, key=lambda p: p[2]), family
+    return closed_form_records(*type21_fixed_points(g1, g2, d1, d2), type21_spec(g1, g2, d1, d2))
 
 
 def closed_form_fixed_points_hemophilia(mu: float, eta: float) -> list[FixedPointRecord]:
     """Fixed points of the hemophilia family when mu = 1 or eta = 1."""
-    if not (0.0 <= mu <= 1.0 and 0.0 <= eta <= 1.0):
-        raise DegenerateParameter("mu and eta must lie in [0, 1]")
-    points = [[0.0, 0.0, 0.0, 0.0]]
-    if mu < 1.0:
-        _require_eta_one(eta)
-        points.append(_hemophilia_fixed_point(mu))
-    return _closed_form_records(points, hemophilia_spec(mu, eta))
+    return closed_form_records(*hemophilia_fixed_points(mu, eta), hemophilia_spec(mu, eta))
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +609,8 @@ def idempotent_correspondence(fp: FixedPointRecord, spec: AlgebraSpec) -> Elemen
     """Half of a fixed point of the unnormalized operator squares to itself."""
     half = Element(fp.point.x / 2.0, fp.point.y / 2.0)
     defect = multiply(half, half, spec) - half
-    if float(np.abs(defect.vector).sum()) > 1e-10:
+    # the half of a root has defect residual / 2, so every accepted root passes
+    if float(np.abs(defect.vector).sum()) > RESIDUAL_TOL:
         raise NotIdempotent(
             f"half of the supplied point fails to square to itself (defect {np.abs(defect.vector).sum():.3e})"
         )

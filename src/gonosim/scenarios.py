@@ -2,10 +2,10 @@
 
 ``SCENARIOS`` is the one table of scenarios.  Each entry maps a name to
 its parameter names, a description, its algebra builder, its closed-form
-W fixed points and its limit predictor.  These call the public functions
-through their module when they run, so that a patched module attribute is
-seen.  One verifier, verify_prediction, checks every prediction against
-iteration.
+W fixed points and its limit predictor.  The fixed-point formulas
+(type11_fixed_points, type21_fixed_points, hemophilia_fixed_points) live
+here and return plain points; fixed_points makes the records of them.  One
+verifier, verify_prediction, checks every prediction against iteration.
 
 * lr_lethal: one female and one male type, male offspring share gamma.
 * lr_mutation: same algebra with gamma derived from a mutation rate.
@@ -16,8 +16,8 @@ iteration.
   its closed forms carried through phi = swap_map(type21_spec(...)).
 
 Beyond construction, this module evaluates the closed forms known for
-these families: trajectory formulas, limit predictions and the Lyapunov
-bound of the hemophilia model.  The structural zeros the predictions turn
+these families: fixed points, trajectories, limit predictions and the
+Lyapunov bound of the hemophilia model.  The structural zeros the predictions turn
 on (the E-set of the heterozygous female coordinate, male extinction, the
 exact hemophilia extinction step) are all read from dynamics.support_orbit,
 so they are exact; a state with a negative coordinate, whose sums could
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fixed_points
 from .algebra import AlgebraSpec, Element, State, omega, opposite, swap_map
 from .dynamics import _orbit, apply_W, iterate, support_orbit
 from .errors import (
@@ -101,6 +100,31 @@ def _type21_eigenpairs(g1: float, g2: float, d1: float, d2: float) -> list:
     if root < PARAM_TOL or max(map(abs, c1 + c2)) < PARAM_TOL:
         return pairs[1:]
     return pairs
+
+
+def type21_fixed_points(g1: float, g2: float, d1: float, d2: float) -> tuple:
+    """The type-(2,1) W fixed points, origin first, and the line (base, direction)
+    through the last one if they form a line, else None (the formula is given
+    at fixed_points.closed_form_fixed_points_type21)."""
+    for name, v in (("g1", g1), ("g2", g2), ("d1", d1), ("d2", d2)):
+        if v < 0:
+            raise DegenerateParameter(f"{name} must be non-negative")
+    g, d = _male_shares(g1, g2, d1, d2)
+    if g < 0.0 or d < 0.0:
+        raise DegenerateParameter("male shares 1-g1-g2 and 1-d1-d2 must be non-negative")
+    points, line = [], None
+    for lam, columns in _type21_eigenpairs(g1, g2, d1, d2):
+        # A = lam I when both columns vanish: every (v1, v2) is an eigenvector
+        on_line = max(abs(c) for col in columns for c in col) < PARAM_TOL
+        v = (1.0, 1.0) if on_line else max(columns, key=lambda c: abs(c[0]) + abs(c[1]))
+        q = g * v[0] + d * v[1]
+        if abs(lam) < PARAM_TOL or abs(q) < PARAM_TOL * (abs(v[0]) + abs(v[1])):
+            continue
+        points.append([v[0] / q + 0.0, v[1] / q + 0.0, 1.0 / lam])  # + 0.0 turns -0.0 into 0.0
+        if on_line:
+            direction = np.array([1.0, -1.0, 0.0])
+            line = (np.array(points[-1]), direction / np.linalg.norm(direction))
+    return [[0.0, 0.0, 0.0]] + sorted(points, key=lambda p: p[2]), line
 
 
 def hemophilia_spec(mu: float, eta: float) -> AlgebraSpec:
@@ -289,10 +313,21 @@ def _trichotomy(product: float, threshold: float) -> dict:
     return {"threshold": threshold, "product": product, "w_limit": w_limit, "boundary": boundary}
 
 
+def _require_open_gamma(gamma: float) -> None:
+    """DegenerateParameter unless PARAM_TOL < gamma < 1 - PARAM_TOL."""
+    if not PARAM_TOL < gamma < 1.0 - PARAM_TOL:
+        raise DegenerateParameter(f"gamma = {gamma}: the type-(1,1) closed forms need 0 < gamma < 1")
+
+
+def type11_fixed_points(gamma: float) -> tuple:
+    """The W fixed points (0, 0) and (1/(1-gamma), 1/gamma) of type (1,1), and no line."""
+    _require_open_gamma(gamma)
+    return [[0.0, 0.0], [1.0 / (1.0 - gamma), 1.0 / gamma]], None
+
+
 def _type11_trichotomy(gamma: float, x: float, y: float) -> dict:
     """The type-(1,1) trichotomy of the state (x, y): |x y| against 1/(gamma(1-gamma))."""
-    if gamma <= PARAM_TOL or gamma >= 1.0 - PARAM_TOL:
-        raise DegenerateParameter("threshold 1/(gamma(1-gamma)) needs 0 < gamma < 1")
+    _require_open_gamma(gamma)
     return _trichotomy(abs(x * y), 1.0 / (gamma * (1.0 - gamma)))
 
 
@@ -376,7 +411,7 @@ def predict_limit_type21(
     distinct = (g1 - d2) ** 2 + 4.0 * g2 * d1 >= PARAM_TOL  # else repeated, lambda1 = lambda2
     if not distinct:
         lam1 = lam2
-    elif abs(abs(lam1) - abs(lam2)) < 1e-12:
+    elif abs(abs(lam1) - abs(lam2)) < PARAM_TOL:
         # up to scale, W(x(t0), 1) is the state at step t0 + 1 and W(A x(t0), 1)
         # the one at t0 + 2, as A x(t0) is the female part at t0 + 1
         ax1, ax2 = g1 * x1 + d1 * x2, g2 * x1 + d2 * x2
@@ -460,20 +495,19 @@ class HemophiliaPrediction:
     to_dict = _to_dict
 
 
-def _require_eta_one(eta: float) -> None:
-    """UncoveredCase unless eta = 1 to within PARAM_TOL, which the closed
-    forms of a surviving hemophilia orbit need."""
-    if abs(eta - 1.0) >= PARAM_TOL:
-        raise UncoveredCase("no closed form for mu < 1 and eta < 1; use the numeric solver")
-
-
-def _hemophilia_fixed_point(mu: float) -> tuple:
-    """The non-zero W fixed point of the eta = 1, mu < 1 model.
-
-    (0, c/2, c/2, (1 + mu) c / (2 (1 - mu))) with c = 3 - mu.
-    """
-    c = 3.0 - mu
-    return (0.0, c / 2.0, c / 2.0, (1.0 + mu) * c / (2.0 * (1.0 - mu)))
+def hemophilia_fixed_points(mu: float, eta: float) -> tuple:
+    """The hemophilia W fixed points, and no line: the origin, and for mu < 1 (which needs
+    eta = 1 to within PARAM_TOL, else UncoveredCase) (0, c/2, c/2, (1 + mu) c / (2 (1 - mu)))
+    with c = 3 - mu.  Raises DegenerateParameter for mu or eta outside [0, 1]."""
+    if not (0.0 <= mu <= 1.0 and 0.0 <= eta <= 1.0):
+        raise DegenerateParameter("mu and eta must lie in [0, 1]")
+    points = [[0.0, 0.0, 0.0, 0.0]]
+    if mu < 1.0:
+        if abs(eta - 1.0) >= PARAM_TOL:
+            raise UncoveredCase("no closed form for mu < 1 and eta < 1; use the numeric solver")
+        c = 3.0 - mu
+        points.append([0.0, c / 2.0, c / 2.0, (1.0 + mu) * c / (2.0 * (1.0 - mu))])
+    return points, None
 
 
 def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> HemophiliaPrediction:
@@ -499,7 +533,7 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
     masks, p = support_orbit(spec, z0)
     if not any(masks[p]):
         return HemophiliaPrediction(kind="extinction", extinction_step=p, w_limit="zero")
-    _require_eta_one(eta)
+    fixed_point = tuple(hemophilia_fixed_points(mu, eta)[0][1])  # UncoveredCase unless eta = 1
     c = 3.0 - mu
     z1 = apply_W(z0, spec)
     prod = float(abs(z1.x[1] * z1.y.sum() / c))
@@ -508,7 +542,7 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
         kind="trichotomy",
         **_trichotomy(prod, thr),
         v_constant=(0.0, (1.0 - mu) / c, (1.0 - mu) / c, (1.0 + mu) / c),
-        fixed_point=_hemophilia_fixed_point(mu),
+        fixed_point=fixed_point,
     )
 
 
@@ -527,16 +561,14 @@ def _phi(v: list | None) -> list | None:
     return None if v is None else [v[k] for k in _PHI]
 
 
-def _closed_form_type11(s: Scenario, spec: AlgebraSpec) -> list:
-    return fixed_points.closed_form_fixed_points_type11(float(spec.gamma[0, 0, 0]))
+def _fixed_points_type11(s: Scenario, spec: AlgebraSpec) -> tuple:
+    return type11_fixed_points(float(spec.gamma[0, 0, 0]))
 
 
-def _closed_form_x_inactivation(s: Scenario, spec: AlgebraSpec) -> list:
-    """The recessive_lethal points and family mapped by phi, as records of spec."""
-    points, family = fixed_points._type21_points(*_type21_params(s))
-    if family is not None:
-        family = fixed_points.FamilyDescriptor(family.base_point[_PHI], family.direction[_PHI])
-    return fixed_points._closed_form_records(np.array(points)[:, _PHI], spec, family)
+def _fixed_points_x_inactivation(s: Scenario, spec: AlgebraSpec) -> tuple:
+    """The recessive_lethal points and line mapped by phi."""
+    points, line = type21_fixed_points(*_type21_params(s))
+    return np.array(points)[:, _PHI], None if line is None else tuple(v[_PHI] for v in line)
 
 
 def _predict_type11(z0: State, spec: AlgebraSpec, s: Scenario) -> dict:
@@ -609,8 +641,8 @@ def verify_prediction(z0: State, spec: AlgebraSpec, prediction: dict) -> tuple[b
     return all(checks), detail
 
 
-# build(s) -> spec, closed_form(s, spec) -> W records, predict(z0, spec, s) ->
-# payload fields, among them the "prediction" that verify_prediction checks
+# build(s) -> spec, closed_form(s, spec) -> (W fixed points, line or None),
+# predict(z0, spec, s) -> payload fields, with the "prediction" verify_prediction checks
 ScenarioEntry = namedtuple("ScenarioEntry", "params description build closed_form predict")
 
 _TYPE21 = ("gamma1", "gamma2", "delta1", "delta2")
@@ -618,27 +650,27 @@ _TYPE21 = ("gamma1", "gamma2", "delta1", "delta2")
 SCENARIOS = {
     "lr_lethal": ScenarioEntry(
         ("gamma",), "type (1,1): one female, one male genotype; gamma = female offspring share",
-        lambda s: type11_spec(*_unit_params(s)), _closed_form_type11, _predict_type11,
+        lambda s: type11_spec(*_unit_params(s)), _fixed_points_type11, _predict_type11,
     ),
     "lr_mutation": ScenarioEntry(
         ("mu", "eta"), "type (1,1) with gamma = (1-eta)/(2-eta) from mutation rate eta",
-        lambda s: _mutation_spec(*_unit_params(s)), _closed_form_type11, _predict_type11,
+        lambda s: _mutation_spec(*_unit_params(s)), _fixed_points_type11, _predict_type11,
     ),
     "recessive_lethal": ScenarioEntry(
         _TYPE21, "type (2,1): normal/carrier females, one viable male genotype",
         lambda s: type21_spec(*_type21_params(s)),
-        lambda s, spec: fixed_points.closed_form_fixed_points_type21(*(s.params[k] for k in _TYPE21)),
+        lambda s, spec: type21_fixed_points(*_type21_params(s)),
         lambda z0, spec, s: _type21_fields(predict_limit_type21(z0, s, spec=spec)),
     ),
     "hemophilia": ScenarioEntry(
         ("mu", "eta"), "type (2,2): carrier females, affected males with viability mu, fertility eta",
         lambda s: hemophilia_spec(*_unit_params(s)),
-        lambda s, spec: fixed_points.closed_form_fixed_points_hemophilia(s.params["mu"], s.params["eta"]),
+        lambda s, spec: hemophilia_fixed_points(s.params["mu"], s.params["eta"]),
         lambda z0, spec, s: {"prediction": hemophilia_degenerate_limits(z0, **s.params).to_dict()},
     ),
     "x_inactivation": ScenarioEntry(
         _TYPE21, "type (1,2): sexes of recessive_lethal exchanged",
         lambda s: opposite(type21_spec(*_type21_params(s))),
-        _closed_form_x_inactivation, _predict_x_inactivation,
+        _fixed_points_x_inactivation, _predict_x_inactivation,
     ),
 }

@@ -255,6 +255,22 @@ class TestFixedPoints:
         for rec in payload["records"]:
             assert min(np.abs(c - rec["point"]).sum() for c in closed) < 1e-6
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_algebra_built_once(self, name, monkeypatch, capsys):
+        # the closed-form records are made on the algebra the command built
+        calls = []
+
+        def counted(real):
+            return lambda *p: calls.append(p) or real(*p)
+
+        for builder in ("type11_spec", "type21_spec", "hemophilia_spec"):
+            wrapper = counted(getattr(cli.scmod, builder))
+            for module in (cli.scmod, cli.fpmod):
+                monkeypatch.setattr(module, builder, wrapper)
+        code, payload = _run(["fixed-points", "--scenario", name, *SCENARIO_EXAMPLES[name][0]], capsys)
+        assert code == 0 and payload["closed_form"]
+        assert len(calls) == 1
+
     def test_algebra_source_numeric_only(self, good_algebra, capsys):
         assert main(["fixed-points", "--algebra", good_algebra]) == 0
         payload = json.loads(capsys.readouterr().out)

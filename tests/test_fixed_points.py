@@ -168,6 +168,12 @@ class TestClosedFormType11:
         with pytest.raises(DegenerateParameter):
             closed_form_fixed_points_type11(0.0)
 
+    @pytest.mark.parametrize("gamma", [-0.5, 1.5])
+    def test_gamma_outside_the_unit_interval_rejected(self, gamma):
+        # no type-(1,1) algebra has this gamma, though the formula gives finite points
+        with pytest.raises(DegenerateParameter):
+            closed_form_fixed_points_type11(gamma)
+
     def test_matches_numeric(self):
         for gamma in (0.2, 0.5, 0.8):
             cf = closed_form_fixed_points_type11(gamma)

@@ -28,9 +28,13 @@ from gonosim import (  # noqa: E402
     idempotent_correspondence,
     iterate,
     omega,
+    opposite,
     random_stochastic,
     solve_fixed_points_numeric,
     support_orbit,
+    swap_map,
+    verify_coordinate_bounds,
+    verify_conjugacy,
 )
 from gonosim.algebra import AlgebraSpec  # noqa: E402
 from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL, _records  # noqa: E402
@@ -62,7 +66,7 @@ def test_records_equal_the_reference_record_by_record(spec, seed):
 @given(algebras)
 def test_half_of_every_W_root_is_idempotent(spec):
     # z = W(z) if and only if (z/2)^2 = z/2; idempotent_correspondence
-    # raises NotIdempotent on a defect above 1e-10
+    # raises NotIdempotent on a defect above RESIDUAL_TOL
     for rec in solve_fixed_points_numeric(spec, "W", grid=2):
         half = idempotent_correspondence(rec, spec)
         assert np.array_equal(half.vector, rec.point.vector / 2.0)
@@ -134,3 +138,29 @@ def test_mass_does_not_increase_from_at_most_four(spec, seed, mass):
     omegas = iterate(_state(spec, seed, mass), spec, "W", IterationOptions(max_steps=40)).omegas
     for before, after in zip(omegas, omegas[1:]):
         assert after <= before * (1.0 + MASS_SLACK)
+
+
+def _dirichlet_state(spec, seed, mass=1.0):
+    return Element.from_vector(np.random.default_rng(seed).dirichlet(np.ones(spec.dim)) * mass, spec.n)
+
+
+@given(algebras, seeds)
+def test_V_orbit_stays_inside_the_coordinate_envelopes(spec, seed):
+    # for t >= 1 each coordinate of V^t(z) lies between the extremes of its kernel column
+    assert verify_coordinate_bounds(_dirichlet_state(spec, seed), spec, 8).all_pass
+
+
+@given(algebras, seeds)
+def test_swap_map_conjugates_an_algebra_and_its_opposite(spec, seed):
+    assert verify_conjugacy(spec, opposite(spec), swap_map(spec), samples=5, seed=seed)
+
+
+@given(algebras, seeds, st.floats(0.5, 8.0))
+def test_W_orbit_of_the_swapped_state_is_the_swapped_orbit(spec, seed, mass):
+    # the opposite kernel sums in another order, so the states agree to rounding only
+    phi = swap_map(spec)
+    z = _dirichlet_state(spec, seed, mass)
+    a = iterate(z, spec, "W", IterationOptions(max_steps=60))
+    b = iterate(Element.from_vector(phi @ z.vector, spec.nu), opposite(spec), "W", IterationOptions(max_steps=60))
+    assert (b.outcome.kind, b.outcome.step) == (a.outcome.kind, a.outcome.step)
+    np.testing.assert_allclose([v.vector for v in b.states], [phi @ v.vector for v in a.states], rtol=1e-9)

@@ -1,8 +1,11 @@
 """The public names of the gonosim package, pinned so that they change only on purpose."""
 
+import ast
+import inspect
 import types
 
 import gonosim
+from gonosim import fixed_points, scenarios
 
 PUBLIC_NAMES = {
     # algebra
@@ -67,3 +70,31 @@ def test_exported_names_are_pinned():
     }
     assert exported == PUBLIC_NAMES
 
+
+def _imports(module) -> list[tuple[str, list[str]]]:
+    """(module, names) of every import statement in the source of module."""
+    found = []
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            found.append((node.module or "", [a.name for a in node.names]))
+        elif isinstance(node, ast.Import):
+            found += [(a.name, []) for a in node.names]
+    return found
+
+
+def test_scenarios_does_not_import_fixed_points():
+    # fixed_points imports scenarios, so the reverse import would be a cycle
+    for module, names in _imports(scenarios):
+        assert "fixed_points" not in module.split(".") and "fixed_points" not in names, (module, names)
+
+
+def test_fixed_points_takes_only_builders_and_point_formulas_from_scenarios():
+    taken = {name for module, names in _imports(fixed_points) if module == "scenarios" for name in names}
+    assert taken == {
+        "hemophilia_fixed_points",
+        "hemophilia_spec",
+        "type11_fixed_points",
+        "type11_spec",
+        "type21_fixed_points",
+        "type21_spec",
+    }
