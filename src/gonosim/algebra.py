@@ -24,6 +24,8 @@ from .errors import ShapeMismatch, SingularBasisChange
 SUM_TOL = 1e-12
 # entries in [-NEG_TOL, 0) count as zero when testing stochasticity
 NEG_TOL = 1e-15
+# a basis change or an isomorphism with |det| below this is numerically singular
+SINGULAR_DET_TOL = 1e-12
 
 # the C encoder, which refuses NaN and infinities instead of writing tokens
 # that are not JSON
@@ -329,7 +331,7 @@ def change_basis(spec: AlgebraSpec, bc: BasisChange) -> AlgebraSpec:
     alpha, alpha_t = bc.alpha, bc.alpha_tilde
     if alpha.shape != (spec.n, spec.n) or alpha_t.shape != (spec.nu, spec.nu):
         raise ShapeMismatch("basis-change matrices do not match the algebra type")
-    if abs(np.linalg.det(alpha)) < 1e-12 or abs(np.linalg.det(alpha_t)) < 1e-12:
+    if abs(np.linalg.det(alpha)) < SINGULAR_DET_TOL or abs(np.linalg.det(alpha_t)) < SINGULAR_DET_TOL:
         raise SingularBasisChange("basis-change matrix is numerically singular")
     alpha_inv = np.linalg.inv(alpha)
     alpha_t_inv = np.linalg.inv(alpha_t)

@@ -140,19 +140,25 @@ def cmd_fixed_points(args) -> int:
         except GonosimError:
             pass  # no closed form at these parameters
 
-    max_mismatch = 0.0
+    # the numeric search may miss roots: every closed-form point must be fixed, and every
+    # numeric root (both ends of a numeric line) a closed-form point or on its line
+    fixed, max_mismatch = True, 0.0
     if closed is not None:
         payload["closed_form"] = [r.to_dict() for r in closed]
-        points = [r.point.vector for r in numeric if r.family is None]
-        families = [r.family for r in numeric if r.family is not None]
-        for v in [r.point.vector for r in closed if r.family is None]:
-            if not any(f.contains(v) for f in families):
-                best = min((float(np.abs(v - p).sum()) for p in points), default=float("inf"))
-                max_mismatch = max(max_mismatch, best)
-        payload["cross_check"] = {"max_mismatch": max_mismatch, "pass": max_mismatch <= scmod.AGREEMENT_TOL}
+        fixed = all(r.residual <= fpmod.RESIDUAL_TOL * max(1.0, np.abs(r.point.vector).max()) for r in closed)
+        points = [r.point.vector for r in closed]
+        families = [r.family for r in closed if r.family is not None]
+        for r in numeric:
+            v = r.point.vector
+            for u in (v,) if r.family is None else (v, v + r.family.direction):
+                if not any(f.contains(u) for f in families):
+                    max_mismatch = max(max_mismatch, min(float(np.abs(u - p).sum()) for p in points))
+        payload["cross_check"] = {"max_mismatch": max_mismatch, "pass": fixed and max_mismatch <= scmod.AGREEMENT_TOL}
     _emit(payload, args.out)
+    if not fixed:
+        return _fail(1, "a closed-form point is not fixed")
     if max_mismatch > scmod.AGREEMENT_TOL:
-        return _fail(1, f"closed-form vs numeric mismatch {max_mismatch:.3e}")
+        return _fail(1, f"numeric root outside the closed form: distance {max_mismatch:.3e}")
     return 0
 
 

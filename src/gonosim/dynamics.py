@@ -17,10 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, json_line, multiply, write_text
+from .algebra import SINGULAR_DET_TOL, AlgebraSpec, Element, State, json_line, multiply, write_text
 from .errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
+# relative slack for the rounding of s(t): on the log of each mass envelope and in the monotone test
+BOUND_SLACK = 1e-9
+# s(t) does not increase once s(0) <= 4; the margin admits a start that sums to 4 up to rounding
+MONOTONE_MASS = 4.0 + 1e-12
+# absolute slack of the monotone test, for a mass decayed to rounding size
+MONOTONE_ABS_SLACK = 1e-15
+# a zero mass fails a lower envelope only above this: a smaller bound may be a rounded zero
+ZERO_LOWER_BOUND = 1e-290
+# the last step whose doubling exponents 2^(t-1) and 4^floor(t/2) are finite floats
+MAX_BOUND_STEPS = 1023
+# a V coordinate is a convex combination of its kernel column, up to rounding
+COORDINATE_TOL = 1e-12
 # A return within conv_tol to an earlier state counts as a cycle only while
 # the orbit still moves by at least this multiple of conv_tol per step.  An
 # orbit converging from alternating sides at rate lambda returns within
@@ -348,11 +360,6 @@ class BoundReport:
     checked_steps: int = 0
 
 
-def _log_or_none(v: float):
-    # subnormal values have lost mantissa bits; treat them as underflowed zero
-    return np.log(v) if v > UNDERFLOW_OMEGA else None
-
-
 def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport:
     """Check the growth/decay envelopes of the coordinate-sum sequence s(t).
 
@@ -371,11 +378,20 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
 
     The doubling and odd-refinement envelopes are anchored at s(1) rather
     than s(0) because s(1) is a product of sex totals, not a square, and
-    admits no two-sided comparison with s(0)^2.  Comparisons run in log
-    space to dodge overflow of the doubling exponents.  The orbit comes
-    from the stepper iterate uses.  Requires a stochastic algebra and a
-    non-negative z0.
+    admits no two-sided comparison with s(0)^2.  At t = 1 every envelope
+    compares s(1) with itself, so only the monotone test can fail there.
+
+    Comparisons run in log space to dodge overflow of the doubling
+    exponents.  A mass at or below UNDERFLOW_OMEGA (subnormal, zero,
+    negative or NaN) has log 0 = -inf, and a zero factor makes an envelope
+    zero even when the other factor overflowed.  A zero s(t) fails a lower
+    envelope only above ZERO_LOWER_BOUND.  The report holds the first
+    violation in (t, bound) order.  The orbit comes from the stepper
+    iterate uses.  Requires a stochastic algebra, a non-negative z0 and
+    0 <= t_max <= MAX_BOUND_STEPS (else ValueError).
     """
+    if not 0 <= t_max <= MAX_BOUND_STEPS:
+        raise ValueError(f"t_max must be between 0 and {MAX_BOUND_STEPS}, got {t_max}")
     if not spec.is_stochastic():
         raise NotStochastic("omega bounds require a stochastic algebra")
     g = spec.female_row_sums()
@@ -384,91 +400,60 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     # rounding is monotone, so the largest product of a female and a male
     # row sum is one of the four products of their extremes
     max_cross = float(max(a * b for a in (g.min(), g.max()) for b in (gt.min(), gt.max())))
-    oms = _row_omegas(_orbit(z0, spec, max(t_max, 0), normalize=False), spec.n).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        oms = _row_omegas(_orbit(z0, spec, t_max, normalize=False), spec.n).tolist()
+    log_m, log_M, log_M16, *logs = (
+        float(np.log(v)) if v > UNDERFLOW_OMEGA else -math.inf
+        for v in (min_sqrt, max_cross, max_cross / 16.0, *oms)
+    )
 
-    slack = 1e-9
-    report = BoundReport(all_pass=True, checked_steps=t_max)
-
-    def fail(t, which, lhs, rhs):
-        report.all_pass = False
-        if report.first_violation is None:
-            report.first_violation = {"t": t, "bound": which, "lhs": lhs, "rhs": rhs}
-
-    def check_lower(t, which, log_lb):
-        """log_lb None means a zero lower bound: trivially satisfied."""
-        if log_lb is None:
-            return
-        log_om = _log_or_none(oms[t])
-        if log_om is None:
-            if log_lb > np.log(1e-290):
-                fail(t, which, 0.0, float(np.exp(min(log_lb, 700.0))))
-        elif log_om < log_lb - slack:
-            fail(t, which, oms[t], float(np.exp(min(log_lb, 700.0))))
-
-    def check_upper(t, which, log_ub):
-        """log_ub None means a zero upper bound: omega must be zero too."""
-        log_om = _log_or_none(oms[t])
-        if log_om is None:
-            return
-        if log_ub is None:
-            fail(t, which, oms[t], 0.0)
-        elif log_om > log_ub + slack:
-            fail(t, which, oms[t], float(np.exp(min(log_ub, 700.0))))
-
-    def combine(log_base, exponent, log_anchor, anchor_exp):
-        if log_base is None or log_anchor is None:
-            # a zero factor with positive exponent collapses the bound to zero
-            if (log_base is None and exponent > 0) or (log_anchor is None and anchor_exp > 0):
-                return None
-            return (log_base or 0.0) * exponent + (log_anchor or 0.0) * anchor_exp
-        return log_base * exponent + log_anchor * anchor_exp
-
-    monotone = oms[0] <= 4.0 + 1e-12
-    log_m = _log_or_none(min_sqrt)
-    log_M = _log_or_none(max_cross)
-    log_M16 = _log_or_none(max_cross / 16.0)
-    log_om0 = _log_or_none(oms[0])
-    log_om1 = _log_or_none(oms[1]) if t_max >= 1 else None
-
-    for t in range(t_max + 1):
-        if monotone and t >= 1 and oms[t] > oms[t - 1] * (1 + slack) + 1e-15:
-            fail(t, "monotone_decrease", oms[t], oms[t - 1])
-
-        if t >= 2:
-            prev = _log_or_none(oms[t - 1])
-            check_lower(t, "step_lower", combine(log_m, 2.0, prev, 2.0))
-            check_upper(t, "step_upper", combine(log_M, 1.0, prev, 2.0))
-
-        if t >= 1:
-            e = 2.0 ** (t - 1)
-            check_lower(t, "lower", combine(log_m, 2.0 * (e - 1.0), log_om1, e))
-            check_upper(t, "upper", combine(log_M, e - 1.0, log_om1, e))
-
-        half = t // 2
-        four_h = 4.0**half
-        ref_exp = (four_h - 1.0) / 3.0
-        if t >= 2 and t % 2 == 0:
-            check_upper(t, "refined_upper_even", combine(log_M16, ref_exp, log_om0, four_h))
-        elif t >= 1 and t % 2 == 1:
-            check_upper(t, "refined_upper_odd", combine(log_M16, ref_exp, log_om1, four_h))
-    return report
+    monotone = oms[0] <= MONOTONE_MASS
+    for t in range(1, t_max + 1):
+        s, log_s = oms[t], logs[t]
+        if monotone and s > oms[t - 1] * (1 + BOUND_SLACK) + MONOTONE_ABS_SLACK:
+            return BoundReport(False, {"t": t, "bound": "monotone_decrease", "lhs": s, "rhs": oms[t - 1]}, t_max)
+        if t == 1:
+            continue
+        e, four_h = 2.0 ** (t - 1), 4.0 ** (t // 2)
+        refined = "refined_upper_odd" if t % 2 else "refined_upper_even"
+        # (name, upper, log base, exponent, log anchor, anchor exponent), every exponent positive
+        envelopes = (
+            ("step_lower", False, log_m, 2.0, logs[t - 1], 2.0),
+            ("step_upper", True, log_M, 1.0, logs[t - 1], 2.0),
+            ("lower", False, log_m, 2.0 * (e - 1.0), logs[1], e),
+            ("upper", True, log_M, e - 1.0, logs[1], e),
+            (refined, True, log_M16, (four_h - 1.0) / 3.0, logs[t % 2], four_h),
+        )
+        for name, upper, log_base, p, log_anchor, q in envelopes:
+            b = -math.inf if -math.inf in (log_base, log_anchor) else log_base * p + log_anchor * q
+            if upper:
+                bad = log_s > b + BOUND_SLACK
+            else:
+                bad = b > np.log(ZERO_LOWER_BOUND) if log_s == -math.inf else log_s < b - BOUND_SLACK
+            if bad:
+                lhs, rhs = (s if log_s > -math.inf else 0.0), float(np.exp(min(b, 700.0)))
+                return BoundReport(False, {"t": t, "bound": name, "lhs": lhs, "rhs": rhs}, t_max)
+    return BoundReport(True, None, t_max)
 
 
 def verify_coordinate_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport:
     """Check the per-coordinate envelopes along the V orbit, for t >= 1.
 
     Each female coordinate of V^t(z0) must lie between the min and max of
-    the corresponding gamma[:, :, k] slab, and analogously for males: one
-    comparison of the whole orbit with the column extremes of the kernel.
+    the corresponding gamma[:, :, k] slab, within COORDINATE_TOL, and
+    analogously for males: one comparison of the whole orbit with the
+    column extremes of the kernel.  Raises ValueError for t_max below 0.
     """
+    if t_max < 0:
+        raise ValueError(f"t_max must be at least 0, got {t_max}")
     if not spec.is_stochastic():
         raise NotStochastic("coordinate bounds require a stochastic algebra")
-    tol = 1e-12
-    lo = spec.kernel.min(axis=0) - tol
-    hi = spec.kernel.max(axis=0) + tol
+    lo = spec.kernel.min(axis=0) - COORDINATE_TOL
+    hi = spec.kernel.max(axis=0) + COORDINATE_TOL
     report = BoundReport(all_pass=True, checked_steps=t_max)
     # raises AbsorbedToO if the orbit hits the boundary set
-    Z = _orbit(z0, spec, max(t_max, 0), normalize=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = _orbit(z0, spec, t_max, normalize=True)
     bad = np.flatnonzero(~((Z[1:] >= lo) & (Z[1:] <= hi)).all(axis=1))
     if len(bad):
         t = int(bad[0]) + 1
@@ -494,7 +479,7 @@ def verify_conjugacy(
     d1 = spec1.dim
     if phi.shape != (spec2.dim, d1):
         raise ShapeMismatch("phi has the wrong shape for these algebras")
-    if phi.shape[0] == phi.shape[1] and abs(np.linalg.det(phi)) < 1e-12:
+    if phi.shape[0] == phi.shape[1] and abs(np.linalg.det(phi)) < SINGULAR_DET_TOL:
         raise SingularMap("phi is numerically singular")
 
     rng = np.random.default_rng(seed)

@@ -41,6 +41,8 @@ DEDUP_TOL = 1e-6
 # zero are set to exactly 0.0, so structural zeros survive the Newton rounding
 ROOT_ZERO_TOL = 1e-14
 MARGINAL_BAND = 1e-9
+# J - I has a candidate family direction when its smallest singular value is below this
+FAMILY_SINGULAR_TOL = 1e-8
 NEWTON_MAX_ITER = 100
 NEWTON_STEP_TOL = 1e-13  # a start stops once its L1 step falls below this
 NEWTON_DIVERGENCE = 1e8  # a start fails once a coordinate exceeds this in size
@@ -441,7 +443,7 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
         T = _simplex_tangent_basis(spec.dim)
         J = jacobian_V(z, spec) - np.eye(spec.dim - 1)
     _, svals, vt = np.linalg.svd(J)
-    if svals[-1] >= 1e-8:
+    if svals[-1] >= FAMILY_SINGULAR_TOL:
         return None
     direction = T @ vt[-1]
     for off in FamilyDescriptor.parameter_range_tested:

@@ -6,6 +6,7 @@ before, stepping through apply_W / apply_V one Element at a time.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,17 @@ import pytest
 from gonosim import Element, apply_V, apply_W, omega, random_stochastic
 from gonosim.algebra import AlgebraSpec
 from gonosim.dynamics import (
+    UNDERFLOW_OMEGA,
     BoundReport,
-    _log_or_none,
     verify_coordinate_bounds,
     verify_omega_bounds,
 )
 from gonosim.errors import AbsorbedToO, NotStochastic
+
+
+def _log_or_none(v: float):
+    # subnormal values have lost mantissa bits; treat them as underflowed zero
+    return np.log(v) if v > UNDERFLOW_OMEGA else None
 
 
 def reference_verify_omega_bounds(z0, spec, t_max):
@@ -216,3 +222,38 @@ def test_omega_bounds_allocate_little_at_32_32():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("t_max", (-3, -1, 1024))
+def test_omega_bounds_reject_a_step_count_they_cannot_check(t_max):
+    # from t = 1024 on, the exponent 4^floor(t/2) is no longer a finite float
+    spec = random_stochastic(2, 2, 0)
+    with pytest.raises(ValueError, match="t_max"):
+        verify_omega_bounds(Element.from_vector([0.3, 0.2, 0.1, 0.4], 2), spec, t_max)
+
+
+def test_omega_bounds_check_the_last_finite_step():
+    spec = random_stochastic(2, 2, 0)
+    report = verify_omega_bounds(Element.from_vector([0.3, 0.2, 0.1, 0.4], 2), spec, 1023)
+    assert report.all_pass and report.checked_steps == 1023
+
+
+def test_coordinate_bounds_reject_a_negative_step_count():
+    spec = random_stochastic(2, 2, 0)
+    with pytest.raises(ValueError, match="t_max"):
+        verify_coordinate_bounds(Element.from_vector([0.3, 0.2, 0.1, 0.4], 2), spec, -3)
+
+
+def test_overflowing_orbit_does_not_warn():
+    # the orbit overflows to inf at t = 10, which the one-step squeeze reports
+    spec = random_stochastic(2, 2, 0)
+    z0 = Element.from_vector([3, 2, 1, 4], 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_verify_omega_bounds(z0, spec, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify_omega_bounds(z0, spec, 60)
+        verify_coordinate_bounds(z0, spec, 60)
+    assert (got.all_pass, got.first_violation) == (ref.all_pass, ref.first_violation)
+    assert got.first_violation["t"] == 10 and got.first_violation["bound"] == "step_upper"
+    assert got.first_violation["lhs"] == np.inf

@@ -255,6 +255,43 @@ class TestFixedPoints:
         for rec in payload["records"]:
             assert min(np.abs(c - rec["point"]).sum() for c in closed) < 1e-6
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["hemophilia", "--mu", "0.9999999999999", "--eta", "1"],
+            ["recessive_lethal", "--gamma1", "0.9134505113200432", "--gamma2", "0.07425925925687675",
+             "--delta1", "0.4067692544101395", "--delta2", "0.5872865428123342"],
+        ],
+    )
+    def test_closed_form_points_the_numeric_search_misses_pass(self, flags, capsys):
+        # the non-zero closed-form points lie far outside the Newton start box
+        # (a y2 of 2e13 for hemophilia), so the numeric search finds the origin only
+        code, payload = _run(["fixed-points", "--scenario", *flags], capsys)
+        assert code == 0 and payload["cross_check"]["pass"] is True
+        assert len(payload["records"]) == 1 < len(payload["closed_form"])
+        assert payload["cross_check"]["max_mismatch"] == 0.0
+
+    @pytest.mark.parametrize("tamper", ["shifted", "extra", "missing"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["lr_lethal", "--gamma", "0.3"],
+         ["recessive_lethal", "--gamma1", "0.3", "--gamma2", "0.2", "--delta1", "0.25", "--delta2", "0.25"]],
+    )
+    def test_tampered_closed_form_fails(self, tamper, flags, monkeypatch, capsys):
+        entry = SCENARIOS[flags[0]]
+
+        def closed_form(s, spec):
+            points, line = entry.closed_form(s, spec)
+            wrong = [c + 0.01 for c in points[-1]]
+            return {"shifted": points[:-1] + [wrong], "extra": points + [wrong], "missing": points[:-1]}[tamper], line
+
+        monkeypatch.setitem(SCENARIOS, flags[0], entry._replace(closed_form=closed_form))
+        code = main(["fixed-points", "--scenario", *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and json.loads(captured.out)["cross_check"]["pass"] is False
+        reason = "numeric root outside the closed form" if tamper == "missing" else "a closed-form point is not fixed"
+        assert reason in captured.err
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_algebra_built_once(self, name, monkeypatch, capsys):
         # the closed-form records are made on the algebra the command built

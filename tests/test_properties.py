@@ -5,6 +5,7 @@ Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,7 @@ from gonosim import (  # noqa: E402
     swap_map,
     verify_coordinate_bounds,
     verify_conjugacy,
+    verify_omega_bounds,
 )
 from gonosim.algebra import AlgebraSpec  # noqa: E402
 from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL, _records  # noqa: E402
@@ -138,6 +140,15 @@ def test_mass_does_not_increase_from_at_most_four(spec, seed, mass):
     omegas = iterate(_state(spec, seed, mass), spec, "W", IterationOptions(max_steps=40)).omegas
     for before, after in zip(omegas, omegas[1:]):
         assert after <= before * (1.0 + MASS_SLACK)
+
+
+@given(algebras, seeds, st.floats(0.0, 40.0))
+def test_mass_stays_inside_its_envelopes(spec, seed, mass):
+    # above mass 4 the monotone test does not apply; the squeeze, doubling and
+    # M/16 envelopes hold from any non-negative start, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_omega_bounds(_state(spec, seed, mass), spec, 6).all_pass
 
 
 def _dirichlet_state(spec, seed, mass=1.0):
