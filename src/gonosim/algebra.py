@@ -81,7 +81,8 @@ def write_text(path, text: str) -> None:
 
 
 def _readonly(a):
-    a = np.asarray(a, dtype=float)
+    """A read-only float copy of a, at least 1-D; the caller's array stays its own."""
+    a = np.array(a, dtype=float, ndmin=1)
     a.setflags(write=False)
     return a
 
@@ -185,8 +186,8 @@ class Element:
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _readonly(np.atleast_1d(self.x)))
-        object.__setattr__(self, "y", _readonly(np.atleast_1d(self.y)))
+        object.__setattr__(self, "x", _readonly(self.x))
+        object.__setattr__(self, "y", _readonly(self.y))
 
     @classmethod
     def from_vector(cls, v, n: int) -> "Element":

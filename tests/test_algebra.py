@@ -63,6 +63,10 @@ class TestValidate:
         with pytest.raises(ShapeMismatch):
             AlgebraSpec(2, 1, np.zeros((1, 1, 1)), np.zeros((2, 1, 1)))
 
+    def test_empty_type_rejected(self):
+        with pytest.raises(ShapeMismatch, match="n, nu >= 1"):
+            AlgebraSpec(0, 1, np.zeros((0, 1, 0)), np.zeros((0, 1, 1)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_rejected(self, bad):
         spec = AlgebraSpec(2, 1, [[[0.5, 0.2]], [[bad, 0.2]]], [[[0.3]], [[0.3]]])
@@ -115,6 +119,20 @@ class TestMultiply:
         bad = Element(np.zeros(2), np.zeros(1))
         with pytest.raises(ShapeMismatch):
             multiply(bad, bad, spec)
+
+
+class TestElement:
+    def test_parts_are_copied(self):
+        x = np.zeros(2)
+        el = Element(x, np.ones(1))
+        x[0] = 5.0  # the caller's array stays writable
+        assert el.x.tolist() == [0.0, 0.0] and not el.x.flags.writeable
+
+    def test_from_vector_does_not_alias(self):
+        v = np.array([1.0, 2.0, 3.0])
+        el = Element.from_vector(v, 2)
+        v[0] = 99.0
+        assert el.vector.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestOmega:
@@ -179,6 +197,18 @@ class TestChangeBasis:
         bc = BasisChange(np.array([[0.5, 0.5], [0.5, 0.5]]), np.eye(1))
         with pytest.raises(SingularBasisChange):
             change_basis(spec, bc)
+
+    def test_wrong_shapes_rejected(self):
+        spec = random_stochastic(2, 1, 14)
+        for bc in (BasisChange(np.eye(1), np.eye(1)), BasisChange(np.eye(2), np.eye(2))):
+            with pytest.raises(ShapeMismatch):
+                change_basis(spec, bc)
+
+    def test_matrices_are_copied(self):
+        alpha = np.eye(2)
+        bc = BasisChange(alpha, np.eye(1))
+        alpha[0, 1] = 5.0  # the caller's array stays writable
+        assert np.array_equal(bc.alpha, np.eye(2)) and not bc.alpha.flags.writeable
 
 
 class TestOpposite:

@@ -8,7 +8,7 @@ import pytest
 
 from test_acceptance import TYPE21_CASE_INSTANCES
 
-from gonosim import Element, cli, iterate, random_stochastic, swap_map
+from gonosim import Element, cli, closed_form_fixed_points_hemophilia, iterate, random_stochastic, swap_map
 from gonosim.algebra import AlgebraSpec
 from gonosim.cli import main
 from gonosim.scenarios import SCENARIOS, type11_spec, type21_spec
@@ -308,6 +308,19 @@ class TestFixedPoints:
         assert code == 0 and payload["closed_form"]
         assert len(calls) == 1
 
+    def test_malformed_random_source(self, capsys):
+        assert main(["fixed-points", "--random", "2,x"]) == 2
+        assert "bad input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["hemophilia", "--mu", "0.5", "--eta", "0.5"], ["lr_lethal", "--gamma", "0"]]
+    )
+    def test_scenario_without_a_closed_form(self, flags, capsys):
+        # no closed form at these parameters: the numeric records only
+        code, payload = _run(["fixed-points", "--scenario", *flags], capsys)
+        assert code == 0 and payload["records"]
+        assert "closed_form" not in payload and "cross_check" not in payload
+
     def test_algebra_source_numeric_only(self, good_algebra, capsys):
         assert main(["fixed-points", "--algebra", good_algebra]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -396,6 +409,11 @@ class TestIdentities:
 
     def test_missing_file(self, tmp_path):
         assert main(["identities", str(tmp_path / "nope.json")]) == 2
+
+    def test_no_samples(self, good_algebra, capsys):
+        assert main(["identities", good_algebra, "--samples", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "samples" in captured.err
 
     def test_candidates_reported(self, good_algebra, capsys):
         assert main(["identities", good_algebra, "--samples", "2"]) == 0
@@ -615,6 +633,31 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert payload["prediction"]["w_limit"] == "infinity"
         assert payload["agreement"] is False
+
+    def test_hemophilia_start_on_the_fixed_point(self, capsys):
+        # u(1) sits on the threshold 13/6: W stays at the closed-form point,
+        # which the prediction names and the W orbit is checked against
+        point = closed_form_fixed_points_hemophilia(0.4, 1.0)[1].point.vector.tolist()
+        code, payload = _run(self.HEMOPHILIA_ETA1 + ["--init", ",".join(map(repr, point))], capsys)
+        assert code == 0 and payload["agreement"] is True
+        pred = payload["prediction"]
+        assert pred["w_limit"] == "nonzero" and pred["boundary"] is True
+        assert pred["fixed_point"] == point
+        assert payload["verification"]["w_outcome"] == "converged"
+
+    def test_hemophilia_tampered_fixed_point_disagrees(self, monkeypatch, capsys):
+        real = cli.scmod.hemophilia_degenerate_limits
+
+        def tampered(z0, mu, eta):
+            pred = real(z0, mu, eta)
+            pred.fixed_point = tuple(c + 0.01 for c in pred.fixed_point)
+            return pred
+
+        monkeypatch.setattr(cli.scmod, "hemophilia_degenerate_limits", tampered)
+        point = closed_form_fixed_points_hemophilia(0.4, 1.0)[1].point.vector.tolist()
+        code, payload = _run(self.HEMOPHILIA_ETA1 + ["--init", ",".join(map(repr, point))], capsys)
+        assert code == 1 and payload["agreement"] is False
+        assert payload["verification"]["w_outcome"] == "converged"
 
     @pytest.mark.parametrize(
         "flags, init",

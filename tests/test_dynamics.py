@@ -20,7 +20,7 @@ from gonosim import (
     verify_omega_bounds,
 )
 from gonosim.algebra import AlgebraSpec
-from gonosim.errors import AbsorbedToO, NotStochastic, ShapeMismatch
+from gonosim.errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
 from gonosim.scenarios import (
     Scenario,
     build_algebra,
@@ -159,6 +159,16 @@ class TestIterate:
         traj = iterate(Element.from_vector([0.0, 0.6, 0.4], 2), spec, "V")
         assert traj.outcome.kind == "cycle"
         assert traj.outcome.period == 2
+
+    def test_cycle_footer_names_its_period(self, tmp_path):
+        s = Scenario(
+            "recessive_lethal",
+            {"gamma1": 0.0, "gamma2": 0.3, "delta1": 0.4, "delta2": 0.0},
+        )
+        traj = iterate(Element.from_vector([0.0, 0.6, 0.4], 2), build_algebra(s), "V")
+        traj.to_csv(tmp_path / "t.csv")
+        footer = (tmp_path / "t.csv").read_text().splitlines()[-1]
+        assert footer == f"# outcome=cycle,step={traj.outcome.step},period=2"
 
     def test_alternating_convergence_is_not_a_cycle(self):
         # the smaller transfer-matrix eigenvalue is negative: the V orbit
@@ -325,6 +335,16 @@ class TestConjugacy:
     def test_scaling_not_multiplicative(self):
         spec = type11_spec(0.5)
         assert not verify_conjugacy(spec, spec, 2.0 * np.eye(2), samples=5, seed=0)
+
+    def test_map_of_the_wrong_shape_rejected(self):
+        spec = random_stochastic(2, 2, 16)
+        with pytest.raises(ShapeMismatch):
+            verify_conjugacy(spec, spec, np.eye(3))
+
+    def test_singular_map_rejected(self):
+        spec = type11_spec(0.5)
+        with pytest.raises(SingularMap):
+            verify_conjugacy(spec, spec, np.ones((2, 2)))
 
 
 class TestExport:

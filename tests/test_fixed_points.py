@@ -28,6 +28,7 @@ from gonosim.errors import (
     NotIdempotent,
     NotNormalizable,
     NotStochastic,
+    ShapeMismatch,
     UncoveredCase,
 )
 from gonosim.scenarios import (
@@ -80,6 +81,13 @@ class TestJacobians:
         J = jacobian_V(Element.from_vector([0.3, 0.7], 1), spec)
         assert J.shape == (1, 1)
         assert abs(J[0, 0]) < 1e-6
+
+    def test_v_jacobian_where_V_is_undefined(self):
+        with pytest.raises(NotStochastic):
+            jacobian_V(Element.from_vector([1.0, 1.0], 1), AlgebraSpec(1, 1, [[[1.5]]], [[[-0.5]]]))
+        # no male mass: W vanishes, so omega(W) = 0
+        with pytest.raises(AbsorbedToO):
+            jacobian_V(Element.from_vector([1.0, 0.0], 1), type11_spec(0.5))
 
     def test_classify_spectrum(self):
         assert classify_spectrum(np.array([0.5, -0.2])) == "exponentially_stable"
@@ -335,6 +343,11 @@ class TestCorrespondences:
         assert zn.vector == pytest.approx([0.5, 0.5], abs=1e-12)
         assert omega(zn) == pytest.approx(1.0)
 
+    def test_normalize_negative_rejected(self):
+        rec = make_record(Element.from_vector([-1.0, 2.0], 1), type11_spec(0.5))
+        with pytest.raises(NotNormalizable, match="negative"):
+            normalize_fixed_point(rec)
+
     def test_normalize_zero_rejected(self):
         rec = closed_form_fixed_points_type11(0.5)[0]
         with pytest.raises(NotNormalizable):
@@ -391,3 +404,16 @@ class TestStabilityTransfer:
                 v = rec.point.vector
                 if np.abs(v).sum() > 1e-9 and np.all(v >= -1e-12):
                     assert omega(rec.point) >= 4.0 - 1e-9
+
+
+class TestMakeRecordRejects:
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    def test_zero_algebra_has_no_V(self, operator):
+        # every product vanishes: W is 0 at (1, 1) and at its normalization
+        spec = AlgebraSpec(1, 1, [[[0.0]]], [[[0.0]]])
+        with pytest.raises(AbsorbedToO):
+            make_record(Element.from_vector([1.0, 1.0], 1), spec, operator)
+
+    def test_state_of_another_type(self):
+        with pytest.raises(ShapeMismatch):
+            make_record(Element.from_vector([1.0, 1.0, 1.0], 2), type11_spec(0.5))

@@ -265,6 +265,16 @@ class TestAgainstReference:
         for seed, spec in enumerate(specs):
             assert_matches_reference(spec, samples, seed)
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_zero_algebra_holds_everywhere(self, samples):
+        # every product is 0: no identity is violated, so each search runs
+        # through the random triples to the end of its candidates
+        spec = AlgebraSpec(1, 1, [[[0.0]]], [[[0.0]]])
+        assert_matches_reference(spec, samples, 5)
+        report = check_identities(spec, samples=samples, seed=5)
+        assert len(report.results) == 6
+        assert all(r.verdict == "holds_on_samples" and r.defect == 0.0 for r in report.results.values())
+
     def test_candidate_counts(self):
         # (e e) m = 0 while e (e m) != 0: the second basis triple is the witness
         report = check_identities(type11_spec(0.5), samples=2, seed=0)
@@ -288,6 +298,10 @@ class TestLargeAndBadInput:
         assert report["associativity"].verdict == "violated"
         assert report["flexibility"].verdict == "holds_on_samples"
         assert report["flexibility"].candidates == 0
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            check_identities(type11_spec(0.5), samples=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_algebra_rejected(self, bad):
