@@ -122,7 +122,8 @@ class AlgebraSpec:
             raise ShapeMismatch(
                 f"gamma_tilde has shape {gt.shape}, expected {(self.n, self.nu, self.nu)}"
             )
-        buf = _readonly(np.concatenate([g, gt], axis=2))
+        buf = np.concatenate([g, gt], axis=2)  # a new array: freezing it freezes no caller's
+        buf.setflags(write=False)
         object.__setattr__(self, "gamma", buf[:, :, : self.n])
         object.__setattr__(self, "gamma_tilde", buf[:, :, self.n :])
         object.__setattr__(self, "kernel", buf.reshape(self.n * self.nu, self.dim))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, State, multiply, omega
-from .dynamics import apply_V, apply_W
 from .errors import (
     AbsorbedToO,
     NotIdempotent,
@@ -66,48 +65,42 @@ def _times(A: np.ndarray, M: np.ndarray, rowwise: bool) -> np.ndarray:
     return (A[:, None] @ M)[:, 0] if rowwise else A @ M
 
 
-def _W_rows(Z: np.ndarray, spec: AlgebraSpec, rowwise: bool = False) -> np.ndarray:
-    """W at every row of Z, shape (B, dim): one contraction with the kernel."""
-    n = spec.n
-    return _times((Z[:, :n, None] * Z[:, None, n:]).reshape(len(Z), n * spec.nu), spec.kernel, rowwise)
+def _op_rows(
+    Z: np.ndarray, spec: AlgebraSpec, operator: str, M: np.ndarray | None = None, rowwise: bool = False
+):
+    """op at every row of Z, the J_W and J_op stacks if M is given, and the V-undefined mask.
 
-
-def _second_derivative(spec: AlgebraSpec) -> np.ndarray:
-    """The constant second derivative H of W, shape (dim, dim * dim).
-
-    W is quadratic, so its Jacobian is linear in z: J_W(z) = (z @ H)
-    reshaped to (dim, dim), with H[b, a * dim + c] = d^2 W_a / dz_b dz_c,
-    which is the structure constant M[b, c, a] of e_b e_c.
+    The one evaluator of W, V and their ambient Jacobians.  W is one
+    contraction of the mixed products with the kernel.  M is the structure
+    tensor (identities._structure_tensor): W(z) = z^2 / 2 is quadratic, so
+    J_W(z) is the transpose of the left multiplication by z, one product of
+    the stack with M.  V = W / omega(W) and, by the quotient rule,
+    J_V = (I - V 1^T) J_W / omega(W), both with the mass
+    omega(W) = W.sum(axis=1).  For W, J_op is J_W.  The mask marks the rows
+    with omega(W) = 0 (none for W); values on those rows are meaningless.
+    rowwise as in _times.
     """
-    dim = spec.dim
-    return _structure_tensor(spec).transpose(0, 2, 1).reshape(dim, dim * dim)
-
-
-def _jacobian_W_rows(Z: np.ndarray, H: np.ndarray, rowwise: bool = False) -> np.ndarray:
-    """Jacobian of W at every row of Z, shape (B, dim, dim): one product with H.
-
-    H is the constant second derivative of W from _second_derivative;
-    callers build it once and pass it to every call, so J_W costs one
-    matmul for the whole stack.  rowwise as in _times.
-    """
-    dim = Z.shape[1]
-    return _times(Z, H, rowwise).reshape(len(Z), dim, dim)
-
-
-def _jacobian_V_rows(JW: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Ambient Jacobians of V = W / omega(W) from those of W and the W rows.
-
-    By the quotient rule J_V = (I - V 1^T) J_W / omega(W); every omega(W)
-    must be non-zero.
-    """
-    tot = W.sum(axis=1)
-    V = W / tot[:, None]
-    return (JW - V[:, :, None] * JW.sum(axis=1)[:, None, :]) / tot[:, None, None]
+    n, dim = spec.n, spec.dim
+    op = _times((Z[:, :n, None] * Z[:, None, n:]).reshape(len(Z), n * spec.nu), spec.kernel, rowwise)
+    JW = None
+    if M is not None:
+        L = _times(Z, M.reshape(dim, dim * dim), rowwise).reshape(len(Z), dim, dim)
+        # C order: J_V's column sums and the tangent products round differently on other layouts
+        JW = np.ascontiguousarray(L.transpose(0, 2, 1))
+    if operator == "W":
+        return op, JW, JW, np.zeros(len(Z), dtype=bool)
+    tot = op.sum(axis=1)
+    absorbed = tot == 0.0
+    if np.count_nonzero(absorbed):  # on a few rows, a fraction of the call cost of .any()
+        op[absorbed], tot[absorbed] = 1.0, dim  # stand-ins keep the quotients below finite
+    op /= tot[:, None]
+    JV = None if M is None else (JW - op[:, :, None] * JW.sum(axis=1)[:, None, :]) / tot[:, None, None]
+    return op, JW, JV, absorbed
 
 
 def jacobian_W(z: State, spec: AlgebraSpec) -> np.ndarray:
     """Analytic Jacobian of the unnormalized operator at z."""
-    return _jacobian_W_rows(z.vector[None], _second_derivative(spec))[0]
+    return _op_rows(z.vector[None], spec, "W", _structure_tensor(spec))[1][0]
 
 
 @functools.cache
@@ -142,12 +135,10 @@ def jacobian_V(z: State, spec: AlgebraSpec) -> np.ndarray:
     """
     if not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-    Z = z.vector[None]
-    W = _W_rows(Z, spec)
-    if W.sum() == 0.0:
+    _, _, JV, absorbed = _op_rows(z.vector[None], spec, "V", _structure_tensor(spec))
+    if absorbed[0]:
         raise AbsorbedToO()
-    JW = _jacobian_W_rows(Z, _second_derivative(spec))
-    return _tangent_rows(_jacobian_V_rows(JW, W))[0]
+    return _tangent_rows(JV)[0]
 
 
 def _classify_radius(rho: float) -> str:
@@ -224,11 +215,6 @@ class FixedPointRecord:
         }
 
 
-def _residual(z: State, spec: AlgebraSpec, operator: str) -> float:
-    op = apply_W if operator == "W" else apply_V
-    return float(np.abs(op(z, spec).vector - z.vector).sum())
-
-
 def _check_operator(operator: str) -> None:
     if operator not in ("W", "V"):
         raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
@@ -237,15 +223,14 @@ def _check_operator(operator: str) -> None:
 def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPointRecord]:
     """The records of every row of P (B, dim), built in one pass.
 
-    One W contraction gives the residuals, one product with the second
-    derivative H the J_W stack and one stacked eigvals its spectra.  The V
-    spectra come from one projected stack over the eligible rows: for V
-    every row; for W the rows of a stochastic algebra that are
-    non-negative with positive mass and, scaled to unit sum, have female
-    and male mass, taken at that scaled point.  The products are row-wise
-    (_times), so a row's record has the bits make_record gives it alone.
-    Raises NotStochastic (V on a non-stochastic algebra) and AbsorbedToO
-    where V is undefined.
+    One _op_rows call gives the residuals and the J_W stack, one stacked
+    eigvals its spectra.  The V spectra come from one projected stack over
+    the eligible rows: for V every row; for W the rows of a stochastic
+    algebra that are non-negative with positive mass and, scaled to unit
+    sum, have female and male mass, taken at that scaled point (one more
+    _op_rows call).  The products are row-wise (_times), so a row's record
+    has the bits make_record gives it alone.  Raises NotStochastic (V on a
+    non-stochastic algebra) and AbsorbedToO where V is undefined.
     """
     _check_operator(operator)
     n = spec.n
@@ -253,35 +238,29 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
     P.flags.writeable = False  # the record points are views of its rows
     if not len(P):
         return []
-    H = _second_derivative(spec)
-    W = _W_rows(P, spec, rowwise=True)
-    w_eigs = np.linalg.eigvals(_jacobian_W_rows(P, H, rowwise=True))
-    if operator == "W":
-        residual = np.abs(W - P).sum(axis=1)
+    if operator == "V" and not spec.is_stochastic():
+        raise NotStochastic("normalized operator requires a stochastic algebra")
+    M = _structure_tensor(spec)
+    op, JW, JV, absorbed = _op_rows(P, spec, operator, M, rowwise=True)
+    residual = np.abs(op - P).sum(axis=1)
+    w_eigs = np.linalg.eigvals(JW)
+    if operator == "V":
+        eligible = np.ones(len(P), dtype=bool)
+    else:
         eligible = np.zeros(len(P), dtype=bool)
         Zn = P[eligible]
         if spec.is_stochastic():
             mass = P[:, :n].sum(axis=1) + P[:, n:].sum(axis=1)  # as omega() sums
             eligible = (P >= 0).all(axis=1) & (mass > 0)
             Zn = P[eligible] / mass[eligible, None]
-            sexes = (Zn[:, :n] > 0).any(axis=1) & (Zn[:, n:] > 0).any(axis=1)
+            pos = Zn > 0
+            sexes = pos[:, :n].any(axis=1) & pos[:, n:].any(axis=1)
             eligible[eligible] = sexes
             Zn = Zn[sexes]
-        Wn = _W_rows(Zn, spec, rowwise=True)
-    else:
-        if not spec.is_stochastic():
-            raise NotStochastic("normalized operator requires a stochastic algebra")
-        tot = W[:, :n].sum(axis=1) + W[:, n:].sum(axis=1)  # as apply_V sums
-        if (tot == 0.0).any():
-            raise AbsorbedToO()
-        residual = np.abs(W / tot[:, None] - P).sum(axis=1)
-        eligible = np.ones(len(P), dtype=bool)
-        Zn, Wn = P, W
-    if (Wn.sum(axis=1) == 0.0).any():
+        _, _, JV, absorbed = _op_rows(Zn, spec, "V", M, rowwise=True)
+    if np.count_nonzero(absorbed):
         raise AbsorbedToO()
-    v_eigs = np.linalg.eigvals(
-        _tangent_rows(_jacobian_V_rows(_jacobian_W_rows(Zn, H, rowwise=True), Wn))
-    )
+    v_eigs = np.linalg.eigvals(_tangent_rows(JV))
     v_spectra = iter(zip(v_eigs, _classify_rows(v_eigs)))
 
     records = []
@@ -298,7 +277,8 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
 def make_record(z: State, spec: AlgebraSpec, operator: str = "W") -> FixedPointRecord:
     """Populate eigenvalues and stability labels for a fixed point.
 
-    The residual is the L1 size of op(z) - z.  Both records carry the J_W
+    The residual is the L1 size of op(z) - z, where V divides W by
+    W.sum(), the mass J_V divides by.  Both records carry the J_W
     spectrum and its label.  A V record carries the tangent-space V
     spectrum at z; a W record carries it at z scaled to unit sum, if the
     algebra is stochastic, z is non-negative with positive mass and the
@@ -317,27 +297,6 @@ def make_record(z: State, spec: AlgebraSpec, operator: str = "W") -> FixedPointR
 # per-start outcomes of the Newton search; 0 is success
 _FAILURES = ("rejected_residual", "nonfinite", "diverged", "absorbed")
 _REJECTED, _NONFINITE, _DIVERGED, _ABSORBED = range(1, len(_FAILURES) + 1)
-
-
-def _op_rows(Z: np.ndarray, spec: AlgebraSpec, operator: str, H: np.ndarray | None = None):
-    """op at every row of Z, the Jacobians of op - I if H is given, and the V-undefined mask.
-
-    H is the second derivative of W (_second_derivative).  The mask marks
-    the rows with omega(W) = 0 (none for W); values on those rows are
-    meaningless.
-    """
-    W = _W_rows(Z, spec)
-    J = None if H is None else _jacobian_W_rows(Z, H)
-    absorbed = np.zeros(len(Z), dtype=bool)
-    if operator == "V":
-        absorbed = W.sum(axis=1) == 0.0
-        W[absorbed] = 1.0  # stand-in values keep the quotients below finite
-        if J is not None:
-            J = _jacobian_V_rows(J, W)
-        W /= W.sum(axis=1)[:, None]
-    if J is not None:
-        J -= np.eye(Z.shape[1])
-    return W, J, absorbed
 
 
 def _newton_steps(J: np.ndarray, F: np.ndarray):
@@ -367,16 +326,16 @@ def _newton_steps(J: np.ndarray, F: np.ndarray):
 def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     """Newton's method on op(z) - z from every row of ``starts`` at once.
 
-    Each iteration steps all the starts still running, with one W
-    contraction, one product with the second derivative H of W (built once
-    per call) for the batch of Jacobians, and one stacked solve.  A start
-    stops when its L1 step falls below NEWTON_STEP_TOL or after
-    NEWTON_MAX_ITER steps, and fails on a non-finite step or state, a
-    coordinate beyond NEWTON_DIVERGENCE, or (V) a vanishing omega(W).  The
-    V iterate is rescaled to unit sum after each step.  A stopped start is
-    accepted if its residual is below RESIDUAL_TOL; accepted roots have
-    their near-zero coordinates snapped to 0.0, and a V root without
-    female or male mass is rejected as absorbed.
+    Each iteration steps all the starts still running, with one _op_rows
+    call for op and the batch of Jacobians (the structure tensor is built
+    once per call) and one stacked solve.  A start stops when its L1 step
+    falls below NEWTON_STEP_TOL or after NEWTON_MAX_ITER steps, and fails
+    on a non-finite step or state, a coordinate beyond NEWTON_DIVERGENCE,
+    or (V) a vanishing omega(W).  The V iterate is rescaled to unit sum
+    after each step.  A stopped start is accepted if its residual is below
+    RESIDUAL_TOL; accepted roots have their near-zero coordinates snapped
+    to 0.0, and a V root without female or male mass is rejected as
+    absorbed.
 
     Returns the final iterates (B, dim), the per-start outcome codes (0 for
     an accepted root, else 1 + index into _FAILURES) and the mask of
@@ -386,12 +345,14 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     fate = np.zeros(len(X), dtype=int)
     singular = np.zeros(len(X), dtype=bool)
     rows = np.arange(len(X))
-    H = _second_derivative(spec)
+    M = _structure_tensor(spec)
+    eye = np.eye(spec.dim)
     for _ in range(NEWTON_MAX_ITER):
         if not rows.size:
             break
         Z = X[rows]
-        opZ, J, absorbed = _op_rows(Z, spec, operator, H)
+        opZ, _, J, absorbed = _op_rows(Z, spec, operator, M)
+        J -= eye
         s, took_ridge = _newton_steps(J, opZ - Z)
         if took_ridge is not None:
             singular[rows[took_ridge]] = True
@@ -414,7 +375,7 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
 
     done = np.flatnonzero(fate == 0)
     Z = X[done]
-    opZ, _, absorbed = _op_rows(Z, spec, operator)
+    opZ, _, _, absorbed = _op_rows(Z, spec, operator)
     fate[done[absorbed]] = _ABSORBED
     fate[done[~absorbed & ~(np.abs(opZ - Z).sum(axis=1) < RESIDUAL_TOL)]] = _REJECTED
     ok = done[fate[done] == 0]
@@ -433,22 +394,28 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
     A near-zero singular value of J - I gives the candidate direction (for
     V, of the tangent-space Jacobian, since V keeps the unit sum); the line
     counts as a family when the probes at both ends of
-    FamilyDescriptor.parameter_range_tested along it are fixed too.
+    FamilyDescriptor.parameter_range_tested along it are fixed too.  Raises
+    AbsorbedToO where V is undefined at the root or at a probe.
     """
-    z = Element.from_vector(v, spec.n)
+    _, _, J, absorbed = _op_rows(v[None], spec, operator, _structure_tensor(spec))
+    if absorbed[0]:
+        raise AbsorbedToO()
     if operator == "W":
         T = np.eye(spec.dim)
-        J = jacobian_W(z, spec) - T
+        J = J[0] - T
     else:
         T = _simplex_tangent_basis(spec.dim)
-        J = jacobian_V(z, spec) - np.eye(spec.dim - 1)
+        J = _tangent_rows(J)[0] - np.eye(spec.dim - 1)
     _, svals, vt = np.linalg.svd(J)
     if svals[-1] >= FAMILY_SINGULAR_TOL:
         return None
     direction = T @ vt[-1]
-    for off in FamilyDescriptor.parameter_range_tested:
-        cand = Element.from_vector(v + off * direction, spec.n)
-        if _residual(cand, spec, operator) >= RESIDUAL_TOL:
+    probes = v + np.array(FamilyDescriptor.parameter_range_tested)[:, None] * direction
+    op, _, _, absorbed = _op_rows(probes, spec, operator)
+    for gone, res in zip(absorbed.tolist(), np.abs(op - probes).sum(axis=1).tolist()):
+        if gone:
+            raise AbsorbedToO()
+        if res >= RESIDUAL_TOL:
             return None
     return FamilyDescriptor(base_point=v.copy(), direction=direction)
 
@@ -569,7 +536,7 @@ def _deduplicate(accepted: np.ndarray, spec: AlgebraSpec, operator: str):
 def closed_form_records(points: list, line: tuple | None, spec: AlgebraSpec) -> list[FixedPointRecord]:
     """W records of spec at closed-form points in one pass; a line (base,
     direction) of fixed points goes on the last record as its family."""
-    records = _records(np.array(points, dtype=float), spec, "W")
+    records = _records(points, spec, "W")
     if line is not None:
         records[-1].family = FamilyDescriptor(*line)
     return records

@@ -16,7 +16,8 @@ from gonosim import Element, IterationOptions, apply_V, apply_W, iterate, multip
 from gonosim.algebra import AlgebraSpec, random_stochastic
 from gonosim.dynamics import CYCLE_MIN_STEP_FACTOR, UNDERFLOW_OMEGA, Outcome
 from gonosim.errors import AbsorbedToO, NotStochastic, ShapeMismatch
-from gonosim.fixed_points import _jacobian_W_rows, _second_derivative, jacobian_W
+from gonosim.fixed_points import _op_rows, jacobian_W
+from gonosim.identities import _structure_tensor
 from gonosim.scenarios import Scenario, build_algebra
 
 TYPES = ((1, 1), (2, 1), (2, 2), (8, 8), (32, 32))
@@ -154,14 +155,14 @@ class TestKernelMatchesEinsum:
             assert_close(jacobian_W(z, spec), ref_jacobian_W(z, spec))
 
     def test_jacobian_W_rows_from_the_second_derivative(self, n, nu):
-        # J_W(z) = (z @ H).reshape(dim, dim), for a stack and row by row
+        # J_W(z) = (z @ M).reshape(dim, dim).T, for a stack and row by row
         rng = np.random.default_rng(n * 100 + nu + 4)
         spec = random_stochastic(n, nu, 0)
         Z = np.array([random_element(spec, rng).vector for _ in range(3)])
-        H = _second_derivative(spec)
-        assert H.shape == (spec.dim, spec.dim**2)
+        M = _structure_tensor(spec)
+        assert M.shape == (spec.dim, spec.dim, spec.dim)
         for rowwise in (False, True):
-            for z, J in zip(Z, _jacobian_W_rows(Z, H, rowwise)):
+            for z, J in zip(Z, _op_rows(Z, spec, "W", M, rowwise)[1]):
                 assert_close(J, ref_jacobian_W(Element.from_vector(z, n), spec))
 
     def test_non_stochastic_algebra(self, n, nu):

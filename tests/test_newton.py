@@ -24,27 +24,27 @@ from gonosim import (
     random_stochastic,
     solve_fixed_points_numeric,
 )
-from gonosim.algebra import AlgebraSpec
+from gonosim.algebra import AlgebraSpec, State
 from gonosim.errors import AbsorbedToO, GonosimError, NotStochastic
 from gonosim.fixed_points import (
     DEDUP_TOL,
+    FAMILY_SINGULAR_TOL,
     NEWTON_RIDGE,
     RESIDUAL_TOL,
     ROOT_ZERO_TOL,
     _FAILURES,
+    FamilyDescriptor,
     FixedPointRecord,
-    _detect_family,
     _newton,
     _newton_steps,
     _op_rows,
     _records,
-    _residual,
-    _second_derivative,
     _simplex_tangent_basis,
     classify_spectrum,
     jacobian_W,
     make_record,
 )
+from gonosim.identities import _structure_tensor
 from gonosim.scenarios import Scenario, build_algebra, hemophilia_spec, type11_spec, type21_spec
 
 SCENARIOS = [
@@ -59,6 +59,42 @@ SCENARIOS = [
 # g2 = d1 = 0 and g1 = d2: W has a line of fixed points, and so has V
 FAMILY = Scenario("recessive_lethal", {"gamma1": 0.3, "gamma2": 0.0, "delta1": 0.0, "delta2": 0.3})
 RANDOM = [(1, 1, 0), (1, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 4), (2, 2, 5), (3, 3, 6)]
+
+
+# frozen copies of the package's former _residual and _detect_family, so the
+# reference search does not run the evaluator it checks: the residual goes
+# through apply_W and apply_V, the family test through the public Jacobians
+
+
+def _residual(z: State, spec: AlgebraSpec, operator: str) -> float:
+    op = apply_W if operator == "W" else apply_V
+    return float(np.abs(op(z, spec).vector - z.vector).sum())
+
+
+def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDescriptor | None:
+    """The line of fixed points through the root v, if there is one.
+
+    A near-zero singular value of J - I gives the candidate direction (for
+    V, of the tangent-space Jacobian, since V keeps the unit sum); the line
+    counts as a family when the probes at both ends of
+    FamilyDescriptor.parameter_range_tested along it are fixed too.
+    """
+    z = Element.from_vector(v, spec.n)
+    if operator == "W":
+        T = np.eye(spec.dim)
+        J = jacobian_W(z, spec) - T
+    else:
+        T = _simplex_tangent_basis(spec.dim)
+        J = jacobian_V(z, spec) - np.eye(spec.dim - 1)
+    _, svals, vt = np.linalg.svd(J)
+    if svals[-1] >= FAMILY_SINGULAR_TOL:
+        return None
+    direction = T @ vt[-1]
+    for off in FamilyDescriptor.parameter_range_tested:
+        cand = Element.from_vector(v + off * direction, spec.n)
+        if _residual(cand, spec, operator) >= RESIDUAL_TOL:
+            return None
+    return FamilyDescriptor(base_point=v.copy(), direction=direction)
 
 
 def reference_newton(z0v, spec, operator):
@@ -304,7 +340,8 @@ def test_only_the_singular_rows_take_the_ridge_step(spec):
     # the first Newton step from the search's starts: (1, 1) for the first
     # algebra and (0, 2.5, 0) for the second have an exactly singular J - I
     starts = np.vstack([reference_starts(spec, "W"), [[1.0, 1.0, 1.0][: spec.dim]]])
-    opZ, J, _ = _op_rows(starts, spec, "W", _second_derivative(spec))
+    opZ, _, J, _ = _op_rows(starts, spec, "W", _structure_tensor(spec))
+    J = J - np.eye(spec.dim)
     F = opZ - starts
     steps, singular = _newton_steps(J, F)
     raises = []
