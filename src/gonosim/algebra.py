@@ -11,6 +11,7 @@ notation; storage is 0-based.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -134,6 +135,22 @@ class AlgebraSpec:
     @property
     def dim(self) -> int:
         return self.n + self.nu
+
+    @functools.cached_property
+    def _structure_tensor(self) -> np.ndarray:
+        """M[a, b, :] = e_a e_b on the basis, females first, shape (dim, dim, dim).
+
+        Only the mixed-sex blocks are non-zero, and M is symmetric in a, b.
+        Built on first use, not with the spec: a (32,32) M holds 2.1 MB.
+        Read-only.
+        """
+        n, dim = self.n, self.dim
+        K = self.kernel.reshape(n, self.nu, dim)
+        M = np.zeros((dim, dim, dim))
+        M[:n, n:] = K
+        M[n:, :n] = K.transpose(1, 0, 2)
+        M.setflags(write=False)
+        return M
 
     def row_sums(self) -> np.ndarray:
         """Per-(i, p) sum of all structure constants; 1 for a valid algebra."""

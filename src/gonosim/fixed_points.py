@@ -1,8 +1,10 @@
 """Fixed points of the evolution operators and their stability.
 
-Numeric side: multi-start Newton on op(z) - z with the analytic Jacobian,
-run from every start at once, then deduplication and detection of
-one-parameter families through null directions of the linearization.
+Numeric side: for W on an algebra with one female or one male type, the
+exact set from the eigenpairs of the transfer matrix; otherwise multi-start
+Newton on op(z) - z with the analytic Jacobian, run from every start at
+once, then deduplication and detection of one-parameter families through
+null directions of the linearization.
 Closed-form side: records of the scenario fixed points, whose formulas
 live in scenarios.
 Stability is read off Jacobian spectra; for the normalized operator the
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, multiply, omega
+from .algebra import AlgebraSpec, Element, State, multiply, omega, opposite, swap_map
 from .errors import (
     AbsorbedToO,
     NotIdempotent,
@@ -24,8 +26,8 @@ from .errors import (
     NotStochastic,
     ShapeMismatch,
 )
-from .identities import _structure_tensor
 from .scenarios import (
+    PARAM_TOL,
     hemophilia_fixed_points,
     hemophilia_spec,
     type11_fixed_points,
@@ -49,6 +51,10 @@ NEWTON_DIVERGENCE = 1e8  # a start fails once a coordinate exceeds this in size
 NEWTON_RENORM_MIN = 1e-12
 # Tikhonov weight of the least-squares step taken where the Jacobian is singular
 NEWTON_RIDGE = 1e-10
+# transfer-matrix eigenvalues closer than this times max(1, ||A||_1) count as
+# repeated, and the W search of a one-sex algebra falls back to the Newton
+# grid; well above the ~sqrt(eps) ||A|| split of a defective pair
+EIGEN_REPEAT_TOL = 1e-6
 
 STABLE = "exponentially_stable"
 UNSTABLE = "unstable"
@@ -72,7 +78,7 @@ def _op_rows(
 
     The one evaluator of W, V and their ambient Jacobians.  W is one
     contraction of the mixed products with the kernel.  M is the structure
-    tensor (identities._structure_tensor): W(z) = z^2 / 2 is quadratic, so
+    tensor (AlgebraSpec._structure_tensor): W(z) = z^2 / 2 is quadratic, so
     J_W(z) is the transpose of the left multiplication by z, one product of
     the stack with M.  V = W / omega(W) and, by the quotient rule,
     J_V = (I - V 1^T) J_W / omega(W), both with the mass
@@ -100,7 +106,7 @@ def _op_rows(
 
 def jacobian_W(z: State, spec: AlgebraSpec) -> np.ndarray:
     """Analytic Jacobian of the unnormalized operator at z."""
-    return _op_rows(z.vector[None], spec, "W", _structure_tensor(spec))[1][0]
+    return _op_rows(z.vector[None], spec, "W", spec._structure_tensor)[1][0]
 
 
 @functools.cache
@@ -135,7 +141,7 @@ def jacobian_V(z: State, spec: AlgebraSpec) -> np.ndarray:
     """
     if not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-    _, _, JV, absorbed = _op_rows(z.vector[None], spec, "V", _structure_tensor(spec))
+    _, _, JV, absorbed = _op_rows(z.vector[None], spec, "V", spec._structure_tensor)
     if absorbed[0]:
         raise AbsorbedToO()
     return _tangent_rows(JV)[0]
@@ -179,13 +185,17 @@ class FamilyDescriptor:
 class FixedPointRecord:
     """A fixed point with its spectra and stability labels.
 
-    ``diagnostics`` is set on the records of a numeric search and counts
-    its Newton starts: ``attempted``, ``converged`` (accepted roots before
-    deduplication), ``singular`` (took at least one least-squares step),
-    and the failures ``nonfinite``, ``diverged``, ``rejected_residual``
-    and, for V, ``absorbed`` (omega(W) vanished, or the root has no
-    female or no male mass).  Each start ends either converged or in
-    exactly one failure.
+    ``diagnostics`` is set on the records of a numeric search.  ``method``
+    is ``"eigen"`` for the exact W search of a one-sex algebra, whose
+    candidates are its non-zero eigen roots, and ``"newton"`` for the
+    multi-start search, whose candidates are its starts.  The counts:
+    ``attempted`` candidates, ``converged`` (accepted roots before
+    deduplication), ``singular`` (took at least one least-squares Newton
+    step), and the failures ``nonfinite``, ``diverged``,
+    ``rejected_residual`` and, for V, ``absorbed`` (omega(W) vanished, or
+    the root has no female or no male mass).  Each candidate ends either
+    converged or in exactly one failure; an eigen root whose residual is
+    below RESIDUAL_TOL converges without a Newton step.
     """
 
     point: State
@@ -240,7 +250,7 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
         return []
     if operator == "V" and not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-    M = _structure_tensor(spec)
+    M = spec._structure_tensor
     op, JW, JV, absorbed = _op_rows(P, spec, operator, M, rowwise=True)
     residual = np.abs(op - P).sum(axis=1)
     w_eigs = np.linalg.eigvals(JW)
@@ -323,6 +333,12 @@ def _newton_steps(J: np.ndarray, F: np.ndarray):
     return steps, singular
 
 
+def _snap(X: np.ndarray) -> np.ndarray:
+    """X with every coordinate within ROOT_ZERO_TOL * max(1, |row|_inf) of zero set to 0.0."""
+    scale = np.maximum(1.0, np.abs(X).max(axis=1, initial=0.0))
+    return np.where(np.abs(X) <= ROOT_ZERO_TOL * scale[:, None], 0.0, X)
+
+
 def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     """Newton's method on op(z) - z from every row of ``starts`` at once.
 
@@ -345,7 +361,7 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     fate = np.zeros(len(X), dtype=int)
     singular = np.zeros(len(X), dtype=bool)
     rows = np.arange(len(X))
-    M = _structure_tensor(spec)
+    M = spec._structure_tensor
     eye = np.eye(spec.dim)
     for _ in range(NEWTON_MAX_ITER):
         if not rows.size:
@@ -379,8 +395,7 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     fate[done[absorbed]] = _ABSORBED
     fate[done[~absorbed & ~(np.abs(opZ - Z).sum(axis=1) < RESIDUAL_TOL)]] = _REJECTED
     ok = done[fate[done] == 0]
-    scale = np.maximum(1.0, np.abs(X[ok]).max(axis=1, initial=0.0))
-    X[ok] = np.where(np.abs(X[ok]) <= ROOT_ZERO_TOL * scale[:, None], 0.0, X[ok])
+    X[ok] = _snap(X[ok])
     if operator == "V":
         n = spec.n
         female, male = np.abs(X[ok, :n].sum(axis=1)), np.abs(X[ok, n:].sum(axis=1))
@@ -397,7 +412,7 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
     FamilyDescriptor.parameter_range_tested along it are fixed too.  Raises
     AbsorbedToO where V is undefined at the root or at a probe.
     """
-    _, _, J, absorbed = _op_rows(v[None], spec, operator, _structure_tensor(spec))
+    _, _, J, absorbed = _op_rows(v[None], spec, operator, spec._structure_tensor)
     if absorbed[0]:
         raise AbsorbedToO()
     if operator == "W":
@@ -420,6 +435,40 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
     return FamilyDescriptor(base_point=v.copy(), direction=direction)
 
 
+def _eigen_roots(spec: AlgebraSpec) -> np.ndarray | None:
+    """Every W fixed point of a type-(n, 1) or (1, nu) algebra, origin first,
+    from one eigendecomposition; None when two eigenvalues repeat.
+
+    For nu = 1, W(x, y) = (y A x, y q.x) with A[k, i] = gamma[i, 0, k] and
+    q_i = gamma~[i, 0, 0], so the non-zero fixed points are (v / q.v, 1 / lam)
+    for the real eigenpairs (lam, v) of A, here in increasing 1 / lam.  As
+    in scenarios.type21_fixed_points, a pair with |lam| below PARAM_TOL, or
+    |q.v| below PARAM_TOL |v|_1, gives no point.  Distinct eigenvalues give
+    at most n + 1 points with the origin, the 2-homogeneous Bezout number,
+    so the set is complete.  Eigenvalues within EIGEN_REPEAT_TOL may carry a
+    family (A = lam I) or a Jordan block, which the Newton search and
+    _detect_family own.  Type (1, nu) runs on opposite(spec) and maps the
+    roots back by swap_map.  Near-zero coordinates are snapped as Newton's
+    are, so a triangular A keeps its structural zeros.
+    """
+    if spec.nu != 1:
+        roots = _eigen_roots(opposite(spec))
+        return None if roots is None else roots @ swap_map(spec)
+    A = spec.gamma[:, 0, :].T
+    lam, vecs = np.linalg.eig(A)
+    gaps = np.abs(lam[:, None] - lam)
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() < EIGEN_REPEAT_TOL * max(1.0, np.abs(A).sum(axis=0).max()):
+        return None
+    real = lam.imag == 0  # LAPACK returns a real eigenvalue with imaginary part exactly 0
+    lam, vecs = lam.real[real], vecs.real[:, real]
+    qv = spec.gamma_tilde[:, 0, 0] @ vecs
+    ok = (np.abs(lam) >= PARAM_TOL) & (np.abs(qv) >= PARAM_TOL * np.abs(vecs).sum(axis=0))
+    y = 1.0 / lam[ok]
+    roots = np.column_stack([(vecs[:, ok] / qv[ok]).T, y])[np.argsort(y, kind="stable")]
+    return _snap(np.vstack([np.zeros((1, spec.dim)), roots]))
+
+
 def solve_fixed_points_numeric(
     spec: AlgebraSpec,
     operator: str = "W",
@@ -427,41 +476,50 @@ def solve_fixed_points_numeric(
     seed: int = 0,
     random_starts: int = 8,
 ) -> list[FixedPointRecord]:
-    """Multi-start Newton search for fixed points.
+    """Fixed points of op, exact for W on one-sex types, else by multi-start Newton.
 
-    Starts on a grid over [0, 5]^dim (or the simplex for the normalized
-    operator) plus seeded random points.  Roots are deduplicated by L1
-    distance in start order; points lying on a detected one-parameter
-    family collapse into a single family record.  The zero state is always
-    included for the unnormalized operator.  Every record carries the
-    search's diagnostics.  The V search raises NotStochastic on an algebra
-    that is not stochastic; an operator other than "W" or "V" raises
-    ValueError.
+    For W on a finite algebra of type (n, 1) or (1, nu) whose transfer
+    matrix has distinct eigenvalues, the set is _eigen_roots: the origin,
+    then one root per real eigenpair.  A root whose residual is not below
+    RESIDUAL_TOL is polished by Newton from it and kept only if accepted.
+    The start arguments are not used there.
+
+    Otherwise Newton runs from a grid over [0, 5]^dim (or the simplex for
+    the normalized operator) plus seeded random points.  Roots are
+    deduplicated by L1 distance in start order; points lying on a detected
+    one-parameter family collapse into a single family record.  The zero
+    state is always included for the unnormalized operator.
+
+    Every record carries the search's diagnostics.  The V search raises
+    NotStochastic on an algebra that is not stochastic; an operator other
+    than "W" or "V" raises ValueError.
     """
     _check_operator(operator)
     if operator == "V" and not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-    rng = np.random.default_rng(seed)
-    dim = spec.dim
-    if operator == "W":
-        parts = [np.zeros((1, dim))]
-        if grid > 1:
-            axes = np.linspace(0.0, 5.0, grid)
-            mesh = np.meshgrid(*([axes] * dim), indexing="ij")
-            parts.append(np.stack([m.ravel() for m in mesh], axis=1))
-        # half the random starts stay near the unit box, the rest sample a
-        # wide signed range so distant or partly negative roots are reachable
-        near = random_starts - random_starts // 2
-        parts.append(rng.uniform(0.0, 5.0, size=(near, dim)))
-        parts.append(rng.uniform(-10.0, 40.0, size=(random_starts // 2, dim)))
-        starts = np.vstack(parts)
+    roots = None
+    if operator == "W" and 1 in (spec.n, spec.nu) and spec.is_finite():
+        roots = _eigen_roots(spec)
+    families: list[FamilyDescriptor] = []
+    if roots is not None:
+        method = "eigen"
+        op = _op_rows(roots, spec, "W", rowwise=True)[0]
+        fate = np.zeros(len(roots), dtype=int)
+        singular = np.zeros(len(roots), dtype=bool)
+        off = np.flatnonzero(~(np.abs(op - roots).sum(axis=1) < RESIDUAL_TOL))
+        if off.size:
+            roots[off], fate[off], singular[off] = _newton(roots[off], spec, "W")
+        roots = roots[fate == 0]
+        fate, singular = fate[1:], singular[1:]  # the origin is no candidate
     else:
-        # one draw for all: the same gammas in the same order as a draw per start
-        starts = rng.dirichlet(np.ones(dim), size=(grid**2 if grid > 1 else 0) + random_starts)
+        method = "newton"
+        starts = _starts(spec, operator, grid, seed, random_starts)
+        found, fate, singular = _newton(starts, spec, operator)
+        roots, families = _deduplicate(found[fate == 0], spec, operator)
 
-    found, fate, singular = _newton(starts, spec, operator)
     counts = np.bincount(fate, minlength=len(_FAILURES) + 1)
     diagnostics = {
+        "method": method,
         "attempted": len(fate),
         "converged": int(counts[0]),
         "singular": int(singular.sum()),
@@ -470,13 +528,33 @@ def solve_fixed_points_numeric(
     if operator == "W":
         del diagnostics["absorbed"]
 
-    roots, families = _deduplicate(found[fate == 0], spec, operator)
     records = _records(np.vstack([roots, *(f.base_point for f in families)]), spec, operator)
     for rec, fam in zip(records[len(roots):], families):
         rec.family = fam
     for rec in records:
         rec.diagnostics = dict(diagnostics)
     return records
+
+
+def _starts(spec: AlgebraSpec, operator: str, grid: int, seed: int, random_starts: int) -> np.ndarray:
+    """The Newton search's starts: for W the origin, the grid over [0, 5]^dim
+    and seeded random points; for V seeded Dirichlet points on the simplex."""
+    rng = np.random.default_rng(seed)
+    dim = spec.dim
+    if operator == "V":
+        # one draw for all: the same gammas in the same order as a draw per start
+        return rng.dirichlet(np.ones(dim), size=(grid**2 if grid > 1 else 0) + random_starts)
+    parts = [np.zeros((1, dim))]
+    if grid > 1:
+        axes = np.linspace(0.0, 5.0, grid)
+        mesh = np.meshgrid(*([axes] * dim), indexing="ij")
+        parts.append(np.stack([m.ravel() for m in mesh], axis=1))
+    # half the random starts stay near the unit box, the rest sample a
+    # wide signed range so distant or partly negative roots are reachable
+    near = random_starts - random_starts // 2
+    parts.append(rng.uniform(0.0, 5.0, size=(near, dim)))
+    parts.append(rng.uniform(-10.0, 40.0, size=(random_starts // 2, dim)))
+    return np.vstack(parts)
 
 
 def _near(cands: np.ndarray, root: np.ndarray) -> np.ndarray:

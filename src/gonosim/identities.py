@@ -50,19 +50,6 @@ def _l1(V: np.ndarray) -> np.ndarray:
     return np.abs(V).sum(axis=-1)
 
 
-def _structure_tensor(spec: AlgebraSpec) -> np.ndarray:
-    """M[a, b, :] = e_a e_b on the basis, females first, shape (dim, dim, dim).
-
-    Only the mixed-sex blocks are non-zero, and M is symmetric in a, b.
-    """
-    n, dim = spec.n, spec.dim
-    K = spec.kernel.reshape(n, spec.nu, dim)
-    M = np.zeros((dim, dim, dim))
-    M[:n, n:] = K
-    M[n:, :n] = K.transpose(1, 0, 2)
-    return M
-
-
 def _left(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """Left-multiplication matrices of the rows x of X: L[..., k, :] = x e_k.
 
@@ -203,7 +190,7 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
     if not spec.is_finite():
         raise ValueError("algebra has a non-finite structure constant")
     n, nu, dim = spec.n, spec.nu, spec.dim
-    M = _structure_tensor(spec)
+    M = spec._structure_tensor
     # drawing uniform(n) then uniform(nu) per element is one (samples, dim) draw
     rand = np.random.default_rng(seed).uniform(-1, 1, (samples, dim))
     mixed = np.hstack([np.repeat(np.eye(n), nu, axis=0), np.tile(np.eye(nu), (n, 1))])

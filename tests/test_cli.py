@@ -265,11 +265,19 @@ class TestFixedPoints:
     )
     def test_closed_form_points_the_numeric_search_misses_pass(self, flags, capsys):
         # the non-zero closed-form points lie far outside the Newton start box
-        # (a y2 of 2e13 for hemophilia), so the numeric search finds the origin only
+        # (a y2 of 2e13 for hemophilia), so the (2,2) search finds the origin
+        # only; the exact search of type (2,1) finds every closed-form point
         code, payload = _run(["fixed-points", "--scenario", *flags], capsys)
         assert code == 0 and payload["cross_check"]["pass"] is True
-        assert len(payload["records"]) == 1 < len(payload["closed_form"])
-        assert payload["cross_check"]["max_mismatch"] == 0.0
+        records, closed = payload["records"], payload["closed_form"]
+        if flags[0] == "hemophilia":
+            assert len(records) == 1 < len(closed)
+            assert payload["cross_check"]["max_mismatch"] == 0.0
+        else:
+            assert len(records) == len(closed) == 3
+            for rec, cf in zip(records, closed):
+                np.testing.assert_allclose(rec["point"], cf["point"], rtol=1e-12, atol=0.0)
+                assert (rec["stability_w"], rec["stability_v"]) == (cf["stability_w"], cf["stability_v"])
 
     @pytest.mark.parametrize("tamper", ["shifted", "extra", "missing"])
     @pytest.mark.parametrize(

@@ -18,9 +18,11 @@ from gonosim import (
     multiply,
     normalize_fixed_point,
     omega,
+    opposite,
     random_stochastic,
     solve_fixed_points_numeric,
     stability_transfer_check,
+    swap_map,
 )
 from gonosim.errors import (
     AbsorbedToO,
@@ -31,6 +33,7 @@ from gonosim.errors import (
     ShapeMismatch,
     UncoveredCase,
 )
+from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL
 from gonosim.scenarios import (
     hemophilia_degenerate_limits,
     hemophilia_spec,
@@ -160,6 +163,105 @@ class TestNumericSolver:
             d = r.to_dict()
             assert isinstance(d["point"], list)
             assert d["stability_w"] in ("exponentially_stable", "unstable", "marginal")
+
+
+class TestEigenSearch:
+    """The exact W search of algebras with one female or one male type."""
+
+    @pytest.mark.parametrize("n, nu", [(2, 1), (3, 1), (1, 3)])
+    def test_real_root_count_is_exact(self, n, nu):
+        pytest.importorskip("sympy")
+        from exact_roots import exact_real_roots, rational_algebra
+
+        for seed in range(6):
+            spec, rows = rational_algebra(n, nu, seed)
+            exact = exact_real_roots(n, nu, rows)
+            recs = solve_fixed_points_numeric(spec, "W")
+            assert recs[0].diagnostics["method"] == "eigen"
+            assert len(recs) == len(exact)
+            for z in exact:
+                assert np.abs(apply_W(Element.from_vector(z, n), spec).vector - z).sum() < RESIDUAL_TOL
+                assert min(np.abs(r.point.vector - z).sum() for r in recs) < DEDUP_TOL
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_both_orientations_give_the_swapped_set(self, n):
+        spec = random_stochastic(n, 1, n)
+        recs = solve_fixed_points_numeric(spec, "W")
+        swapped = solve_fixed_points_numeric(opposite(spec), "W")
+        phi = swap_map(spec)
+        assert [r.diagnostics["method"] for r in (recs[0], swapped[0])] == ["eigen", "eigen"]
+        assert len(recs) == len(swapped)
+        for r, s in zip(recs, swapped):
+            assert np.abs(phi @ r.point.vector - s.point.vector).sum() < 1e-12
+        ys = [r.point.y[0] for r in recs[1:]]
+        assert ys == sorted(ys) and np.all(recs[0].point.vector == 0.0)
+
+    def test_triangular_transfer_matrix_keeps_its_structural_zeros(self):
+        # A = [[0.3, 0], [0.2, 0.6]]: the eigenvector of 0.6 is (0, 1), exactly
+        recs = solve_fixed_points_numeric(type21_spec(0.3, 0.2, 0.0, 0.6), "W")
+        closed = closed_form_fixed_points_type21(0.3, 0.2, 0.0, 0.6)
+        assert recs[0].diagnostics["method"] == "eigen" and len(recs) == len(closed) == 3
+        for r, c in zip(recs, closed):
+            assert np.array_equal(r.point.vector == 0.0, c.point.vector == 0.0)
+            np.testing.assert_allclose(r.point.vector, c.point.vector, rtol=1e-12, atol=0.0)
+            assert (r.stability_w, r.stability_v) == (c.stability_w, c.stability_v)
+
+    def test_line_of_fixed_points_keeps_the_newton_search(self):
+        # A = 0.3 I: the eigenvalue repeats, the grid search runs and one
+        # family record holds the closed-form line
+        recs = solve_fixed_points_numeric(type21_spec(0.3, 0.0, 0.0, 0.3), "W")
+        assert [r.family is not None for r in recs] == [False, True]
+        assert recs[0].diagnostics["method"] == "newton"
+        assert recs[0].diagnostics["attempted"] == 3**3 + 9
+        base = closed_form_fixed_points_type21(0.3, 0.0, 0.0, 0.3)[-1].point.vector
+        assert recs[1].family.contains(base)
+
+    def test_jordan_block_gives_its_single_root(self):
+        # A = [[0.1, 0.1], [0, 0.1]] is defective: one eigenvector, (1, 0)
+        from test_newton import assert_same_records, reference_search
+
+        spec = type21_spec(0.1, 0.0, 0.1, 0.1)
+        recs = solve_fixed_points_numeric(spec, "W")
+        assert recs[0].diagnostics["method"] == "newton"
+        assert_same_records(recs, reference_search(spec, "W"))
+        assert [r.family for r in recs] == [None, None]
+        np.testing.assert_allclose(recs[1].point.vector, [1.0 / 0.9, 0.0, 10.0], rtol=1e-9, atol=1e-12)
+        assert all(r.residual < RESIDUAL_TOL for r in recs)
+
+    def test_root_with_a_large_residual_is_polished_by_newton(self, monkeypatch):
+        import gonosim.fixed_points as fp
+
+        spec = type21_spec(0.3, 0.2, 0.25, 0.35)
+        want = solve_fixed_points_numeric(spec, "W")
+        eigen_roots = fp._eigen_roots
+
+        def shifted(spec):
+            roots = eigen_roots(spec)
+            roots[1, 0] += 1e-6
+            return roots
+
+        monkeypatch.setattr(fp, "_eigen_roots", shifted)
+        got = solve_fixed_points_numeric(spec, "W")
+        diag = got[0].diagnostics
+        assert (diag["method"], diag["attempted"], diag["converged"]) == ("eigen", 2, 2)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert np.abs(g.point.vector - w.point.vector).sum() < 1e-12
+            assert g.residual < RESIDUAL_TOL
+
+    def test_root_newton_rejects_is_dropped(self, monkeypatch):
+        import gonosim.fixed_points as fp
+
+        spec = type21_spec(0.3, 0.2, 0.25, 0.35)
+        monkeypatch.setattr(fp, "_eigen_roots", lambda spec: np.array([[0.0, 0.0, 0.0], [1e9, 1e9, 1e9]]))
+        recs = solve_fixed_points_numeric(spec, "W")
+        assert len(recs) == 1 and not np.any(recs[0].point.vector)
+        diag = recs[0].diagnostics
+        assert diag["attempted"] == 1 and diag["converged"] == 0
+        assert diag["attempted"] == diag["converged"] + diag["rejected_residual"] + diag["nonfinite"] + diag["diverged"]
+
+    def test_V_search_runs_newton(self):
+        assert solve_fixed_points_numeric(type21_spec(0.3, 0.2, 0.25, 0.35), "V")[0].diagnostics["method"] == "newton"
 
 
 class TestClosedFormType11:

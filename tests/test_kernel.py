@@ -17,7 +17,6 @@ from gonosim.algebra import AlgebraSpec, random_stochastic
 from gonosim.dynamics import CYCLE_MIN_STEP_FACTOR, UNDERFLOW_OMEGA, Outcome
 from gonosim.errors import AbsorbedToO, NotStochastic, ShapeMismatch
 from gonosim.fixed_points import _op_rows, jacobian_W
-from gonosim.identities import _structure_tensor
 from gonosim.scenarios import Scenario, build_algebra
 
 TYPES = ((1, 1), (2, 1), (2, 2), (8, 8), (32, 32))
@@ -159,7 +158,7 @@ class TestKernelMatchesEinsum:
         rng = np.random.default_rng(n * 100 + nu + 4)
         spec = random_stochastic(n, nu, 0)
         Z = np.array([random_element(spec, rng).vector for _ in range(3)])
-        M = _structure_tensor(spec)
+        M = spec._structure_tensor
         assert M.shape == (spec.dim, spec.dim, spec.dim)
         for rowwise in (False, True):
             for z, J in zip(Z, _op_rows(Z, spec, "W", M, rowwise)[1]):
@@ -186,6 +185,19 @@ class TestKernelBuffer:
         assert np.shares_memory(spec.gamma_tilde, spec.kernel)
         assert np.array_equal(spec.kernel.reshape(3, 2, 5)[:, :, :3], spec.gamma)
         assert np.array_equal(spec.kernel.reshape(3, 2, 5)[:, :, 3:], spec.gamma_tilde)
+
+    def test_structure_tensor_is_built_once_on_first_use(self):
+        # not with the spec: a (32,32) tensor holds 2.1 MB
+        spec = random_stochastic(3, 2, 7)
+        assert "_structure_tensor" not in vars(spec)
+        M = spec._structure_tensor
+        assert spec._structure_tensor is M and vars(spec)["_structure_tensor"] is M
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 3, 0] = 1.0
+        K = spec.kernel.reshape(3, 2, 5)
+        assert np.array_equal(M[:3, 3:], K) and np.array_equal(M[3:, :3], K.transpose(1, 0, 2))
+        assert not M[:3, :3].any() and not M[3:, 3:].any()
 
     def test_caller_arrays_are_copied(self):
         g = np.full((1, 1, 1), 0.5)

@@ -1,5 +1,5 @@
-"""Property tests on random stochastic algebras from (1,1) to (4,4), and
-on the type-(2,1) family.
+"""Property tests on random stochastic algebras from (1,1) to (4,4), on
+one-sex algebras up to (5,1) and (1,5), and on the type-(2,1) family.
 
 Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
@@ -16,7 +16,9 @@ from hypothesis import assume, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_newton import (  # noqa: E402
     assert_records_match,
+    reference_newton,
     reference_records,
+    reference_starts,
     sample_points,
     simplex_points,
 )
@@ -72,6 +74,38 @@ def test_half_of_every_W_root_is_idempotent(spec):
     for rec in solve_fixed_points_numeric(spec, "W", grid=2):
         half = idempotent_correspondence(rec, spec)
         assert np.array_equal(half.vector, rec.point.vector / 2.0)
+
+
+def _one_sex_algebra(n: int, seed: int, sparse: bool, swap: bool) -> AlgebraSpec:
+    """A random stochastic type-(n,1) algebra, or its type-(1,n) opposite;
+    sparse zeroes about a third of the constants, which makes some transfer
+    matrices triangular or reducible."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(size=(n, 1, n + 1))
+    if sparse:
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[..., -1] += rows.sum(axis=2) == 0.0  # a product must land somewhere
+    rows /= rows.sum(axis=2, keepdims=True)
+    spec = AlgebraSpec(n, 1, rows[:, :, :n], rows[:, :, n:])
+    return opposite(spec) if swap else spec
+
+
+@given(st.builds(_one_sex_algebra, st.integers(1, 5), seeds, st.booleans(), st.booleans()), seeds)
+def test_one_sex_W_search_holds_every_newton_root(spec, seed):
+    # at most n + 1 records (the 2-homogeneous Bezout number), each a root,
+    # and every root of the reference Newton iteration from random starts
+    # is one of them or lies on a family record
+    recs = solve_fixed_points_numeric(spec, "W")
+    assert len(recs) <= max(spec.n, spec.nu) + 1
+    assert all(rec.residual < RESIDUAL_TOL for rec in recs)
+    for s0 in reference_starts(spec, "W", grid=1, seed=seed, random_starts=8):
+        v = reference_newton(np.asarray(s0, dtype=float), spec, "W")
+        if v is None:
+            continue
+        assert any(
+            rec.family.contains(v) if rec.family is not None else np.abs(rec.point.vector - v).sum() < DEDUP_TOL
+            for rec in recs
+        ), v
 
 
 @given(type21_rows, type21_rows, st.sampled_from((None, 1e-6)))

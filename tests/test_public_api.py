@@ -89,8 +89,11 @@ def test_scenarios_does_not_import_fixed_points():
 
 
 def test_fixed_points_takes_only_builders_and_point_formulas_from_scenarios():
+    # and PARAM_TOL, so the eigen search of a one-sex algebra drops the
+    # degenerate eigenpairs the point formulas drop
     taken = {name for module, names in _imports(fixed_points) if module == "scenarios" for name in names}
     assert taken == {
+        "PARAM_TOL",
         "hemophilia_fixed_points",
         "hemophilia_spec",
         "type11_fixed_points",
