@@ -88,6 +88,21 @@ def _readonly(a):
     return a
 
 
+def _times(A: np.ndarray, M: np.ndarray, rowwise: bool) -> np.ndarray:
+    """A @ M for a stack A (..., k); with rowwise, one stacked call of a product per row.
+
+    A product of the whole stack may round a row differently than the same
+    row alone; the row-wise products give every row the bits of a one-row
+    call, whatever the other rows.
+    """
+    return (A[..., None, :] @ M)[..., 0, :] if rowwise else A @ M
+
+
+def _row_omegas(Z: np.ndarray, n: int) -> np.ndarray:
+    """Coordinate sum of each row of Z (..., dim), summed as omega() sums an Element."""
+    return Z[..., :n].sum(axis=-1) + Z[..., n:].sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Structure constants of an algebra of type (n, nu).
@@ -151,6 +166,27 @@ class AlgebraSpec:
         M[n:, :n] = K.transpose(1, 0, 2)
         M.setflags(write=False)
         return M
+
+    def _w_rows(self, Z: np.ndarray, rowwise: bool = False) -> np.ndarray:
+        """W(z) = z^2 / 2 at every row z of Z (..., dim), real or complex: the
+        mixed products x_i y_p contracted with ``kernel``.  rowwise as in _times."""
+        n = self.n
+        P = Z[..., :n, None] * Z[..., None, n:]
+        return _times(P.reshape(Z.shape[:-1] + (n * self.nu,)), self.kernel, rowwise)
+
+    def _left_rows(self, Z: np.ndarray | None = None, rowwise: bool = False) -> np.ndarray:
+        """Left multiplications L_z of the rows z of Z (..., dim): L[..., k, :] = z e_k.
+
+        The product zw is w @ L_z, and J_W(z) is L_z^T.  One contraction with
+        the structure tensor; real or complex, rowwise as in _times.  Without
+        Z, the basis: L_(e_a) = M[a], the read-only tensor itself (no dim^4
+        contraction with the identity).
+        """
+        M = self._structure_tensor
+        if Z is None:
+            return M
+        dim = len(M)
+        return _times(Z, M.reshape(dim, dim * dim), rowwise).reshape(Z.shape[:-1] + (dim, dim))
 
     def row_sums(self) -> np.ndarray:
         """Per-(i, p) sum of all structure constants; 1 for a valid algebra."""

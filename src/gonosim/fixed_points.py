@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, multiply, omega, opposite, swap_map
+from .algebra import AlgebraSpec, Element, State, _row_omegas, multiply, omega, opposite, swap_map
 from .errors import (
     AbsorbedToO,
     NotIdempotent,
@@ -61,52 +61,36 @@ UNSTABLE = "unstable"
 MARGINAL = "marginal"
 
 
-def _times(A: np.ndarray, M: np.ndarray, rowwise: bool) -> np.ndarray:
-    """A @ M; with rowwise, one stacked call of a product per row of A.
+def _op_rows(Z: np.ndarray, spec: AlgebraSpec, operator: str, jacobians: bool = False, rowwise: bool = False):
+    """op at every row of Z, the J_W and J_op stacks if jacobians, and the V-undefined mask.
 
-    A product of the whole stack may round a row differently than the same
-    row alone; the row-wise products give every row the bits of a one-row
-    call, whatever the other rows.
-    """
-    return (A[:, None] @ M)[:, 0] if rowwise else A @ M
-
-
-def _op_rows(
-    Z: np.ndarray, spec: AlgebraSpec, operator: str, M: np.ndarray | None = None, rowwise: bool = False
-):
-    """op at every row of Z, the J_W and J_op stacks if M is given, and the V-undefined mask.
-
-    The one evaluator of W, V and their ambient Jacobians.  W is one
-    contraction of the mixed products with the kernel.  M is the structure
-    tensor (AlgebraSpec._structure_tensor): W(z) = z^2 / 2 is quadratic, so
-    J_W(z) is the transpose of the left multiplication by z, one product of
-    the stack with M.  V = W / omega(W) and, by the quotient rule,
+    The one evaluator of W, V and their ambient Jacobians, on the spec's row
+    contractions: W is AlgebraSpec._w_rows and J_W(z) = L_z^T, from
+    AlgebraSpec._left_rows.  V = W / omega(W) and, by the quotient rule,
     J_V = (I - V 1^T) J_W / omega(W), both with the mass
     omega(W) = W.sum(axis=1).  For W, J_op is J_W.  The mask marks the rows
     with omega(W) = 0 (none for W); values on those rows are meaningless.
-    rowwise as in _times.
+    rowwise as in algebra._times.
     """
-    n, dim = spec.n, spec.dim
-    op = _times((Z[:, :n, None] * Z[:, None, n:]).reshape(len(Z), n * spec.nu), spec.kernel, rowwise)
-    JW = None
-    if M is not None:
-        L = _times(Z, M.reshape(dim, dim * dim), rowwise).reshape(len(Z), dim, dim)
-        # C order: J_V's column sums and the tangent products round differently on other layouts
-        JW = np.ascontiguousarray(L.transpose(0, 2, 1))
+    op = spec._w_rows(Z, rowwise)
+    # C order: J_V's column sums and the tangent products round differently on other layouts
+    JW = np.ascontiguousarray(spec._left_rows(Z, rowwise).transpose(0, 2, 1)) if jacobians else None
     if operator == "W":
         return op, JW, JW, np.zeros(len(Z), dtype=bool)
     tot = op.sum(axis=1)
     absorbed = tot == 0.0
     if np.count_nonzero(absorbed):  # on a few rows, a fraction of the call cost of .any()
-        op[absorbed], tot[absorbed] = 1.0, dim  # stand-ins keep the quotients below finite
+        op[absorbed], tot[absorbed] = 1.0, spec.dim  # stand-ins keep the quotients below finite
     op /= tot[:, None]
-    JV = None if M is None else (JW - op[:, :, None] * JW.sum(axis=1)[:, None, :]) / tot[:, None, None]
+    JV = None if JW is None else (JW - op[:, :, None] * JW.sum(axis=1)[:, None, :]) / tot[:, None, None]
     return op, JW, JV, absorbed
 
 
 def jacobian_W(z: State, spec: AlgebraSpec) -> np.ndarray:
-    """Analytic Jacobian of the unnormalized operator at z."""
-    return _op_rows(z.vector[None], spec, "W", spec._structure_tensor)[1][0]
+    """Analytic Jacobian of the unnormalized operator at z: the transpose of L_z."""
+    if not z.conforms(spec):
+        raise ShapeMismatch("state does not conform to the algebra type")
+    return spec._left_rows(z.vector[None])[0].T
 
 
 @functools.cache
@@ -136,12 +120,14 @@ def jacobian_V(z: State, spec: AlgebraSpec) -> np.ndarray:
     The ambient Jacobian (I - V(z) 1^T) J_W(z) / omega(W(z)) is projected
     onto an orthonormal zero-sum basis T as T^T J T; the resulting
     (dim-1) x (dim-1) matrix has the spectrum that governs stability
-    within the simplex.  Raises NotStochastic and AbsorbedToO where V is
-    undefined.
+    within the simplex.  Raises ShapeMismatch for a state of the wrong
+    type, NotStochastic and AbsorbedToO where V is undefined.
     """
+    if not z.conforms(spec):
+        raise ShapeMismatch("state does not conform to the algebra type")
     if not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-    _, _, JV, absorbed = _op_rows(z.vector[None], spec, "V", spec._structure_tensor)
+    _, _, JV, absorbed = _op_rows(z.vector[None], spec, "V", jacobians=True)
     if absorbed[0]:
         raise AbsorbedToO()
     return _tangent_rows(JV)[0]
@@ -238,8 +224,8 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
     the eligible rows: for V every row; for W the rows of a stochastic
     algebra that are non-negative with positive mass and, scaled to unit
     sum, have female and male mass, taken at that scaled point (one more
-    _op_rows call).  The products are row-wise (_times), so a row's record
-    has the bits make_record gives it alone.  Raises NotStochastic (V on a
+    _op_rows call).  The products are row-wise, so a row's record has the
+    bits make_record gives it alone.  Raises NotStochastic (V on a
     non-stochastic algebra) and AbsorbedToO where V is undefined.
     """
     _check_operator(operator)
@@ -250,8 +236,7 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
         return []
     if operator == "V" and not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-    M = spec._structure_tensor
-    op, JW, JV, absorbed = _op_rows(P, spec, operator, M, rowwise=True)
+    op, JW, JV, absorbed = _op_rows(P, spec, operator, jacobians=True, rowwise=True)
     residual = np.abs(op - P).sum(axis=1)
     w_eigs = np.linalg.eigvals(JW)
     if operator == "V":
@@ -260,14 +245,14 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
         eligible = np.zeros(len(P), dtype=bool)
         Zn = P[eligible]
         if spec.is_stochastic():
-            mass = P[:, :n].sum(axis=1) + P[:, n:].sum(axis=1)  # as omega() sums
+            mass = _row_omegas(P, n)
             eligible = (P >= 0).all(axis=1) & (mass > 0)
             Zn = P[eligible] / mass[eligible, None]
             pos = Zn > 0
             sexes = pos[:, :n].any(axis=1) & pos[:, n:].any(axis=1)
             eligible[eligible] = sexes
             Zn = Zn[sexes]
-        _, _, JV, absorbed = _op_rows(Zn, spec, "V", M, rowwise=True)
+        _, _, JV, absorbed = _op_rows(Zn, spec, "V", jacobians=True, rowwise=True)
     if np.count_nonzero(absorbed):
         raise AbsorbedToO()
     v_eigs = np.linalg.eigvals(_tangent_rows(JV))
@@ -343,9 +328,9 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     """Newton's method on op(z) - z from every row of ``starts`` at once.
 
     Each iteration steps all the starts still running, with one _op_rows
-    call for op and the batch of Jacobians (the structure tensor is built
-    once per call) and one stacked solve.  A start stops when its L1 step
-    falls below NEWTON_STEP_TOL or after NEWTON_MAX_ITER steps, and fails
+    call for op and the batch of Jacobians and one stacked solve.  A start
+    stops when its L1 step falls below NEWTON_STEP_TOL or after
+    NEWTON_MAX_ITER steps, and fails
     on a non-finite step or state, a coordinate beyond NEWTON_DIVERGENCE,
     or (V) a vanishing omega(W).  The V iterate is rescaled to unit sum
     after each step.  A stopped start is accepted if its residual is below
@@ -361,13 +346,12 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     fate = np.zeros(len(X), dtype=int)
     singular = np.zeros(len(X), dtype=bool)
     rows = np.arange(len(X))
-    M = spec._structure_tensor
     eye = np.eye(spec.dim)
     for _ in range(NEWTON_MAX_ITER):
         if not rows.size:
             break
         Z = X[rows]
-        opZ, _, J, absorbed = _op_rows(Z, spec, operator, M)
+        opZ, _, J, absorbed = _op_rows(Z, spec, operator, jacobians=True)
         J -= eye
         s, took_ridge = _newton_steps(J, opZ - Z)
         if took_ridge is not None:
@@ -412,7 +396,7 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
     FamilyDescriptor.parameter_range_tested along it are fixed too.  Raises
     AbsorbedToO where V is undefined at the root or at a probe.
     """
-    _, _, J, absorbed = _op_rows(v[None], spec, operator, spec._structure_tensor)
+    _, _, J, absorbed = _op_rows(v[None], spec, operator, jacobians=True)
     if absorbed[0]:
         raise AbsorbedToO()
     if operator == "W":

@@ -50,59 +50,52 @@ def _l1(V: np.ndarray) -> np.ndarray:
     return np.abs(V).sum(axis=-1)
 
 
-def _left(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Left-multiplication matrices of the rows x of X: L[..., k, :] = x e_k.
-
-    The product of x with any row vector w is w @ L_x.
-    """
-    dim = len(M)
-    return (X @ M.reshape(dim, dim * dim)).reshape(*X.shape[:-1], dim, dim)
-
-
-def _squares(X: np.ndarray, L: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _squares(X: np.ndarray, L: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     """Left-multiplication matrices of the squares x^2 of the rows of X."""
-    return _left((X[:, None, :] @ L)[:, 0], M)
+    return spec._left_rows((X[:, None, :] @ L)[:, 0])
 
 
 # Defects of one block of pair candidates: first factors X (G, dim), each
 # with its partners Y (G or 1, m, dim); the result has shape (G, m).  Every
-# product with x is one product with L_x, and the product is commutative.
+# product with x is one product with its left multiplication L_x
+# (AlgebraSpec._left_rows), and the product is commutative.
 
 
-def _alternativity(X, Y, M):
+def _alternativity(X, Y, spec):
     # x^2 y - x(xy); y x^2 - (yx)x is the same element
-    L = _left(X, M)
-    return _l1(Y @ _squares(X, L, M) - (Y @ L) @ L)
+    L = spec._left_rows(X)
+    return _l1(Y @ _squares(X, L, spec) - (Y @ L) @ L)
 
 
-def _jordan(X, Y, M):
+def _jordan(X, Y, spec):
     # x^2 (xy) - x (x^2 y)
-    L = _left(X, M)
-    Lsq = _squares(X, L, M)
+    L = spec._left_rows(X)
+    Lsq = _squares(X, L, spec)
     return _l1((Y @ L) @ Lsq - (Y @ Lsq) @ L)
 
 
-def _power_associativity(X, Y, M):
+def _power_associativity(X, Y, spec):
     # x^2 x^2 - x(x(xx)), with Y holding x itself
-    L = _left(X, M)
+    L = spec._left_rows(X)
     sq = Y @ L
-    return _l1(sq @ _squares(X, L, M) - (sq @ L) @ L)
+    return _l1(sq @ _squares(X, L, spec) - (sq @ L) @ L)
 
 
-def _triple_terms(M: np.ndarray, rand: np.ndarray):
+def _triple_terms(spec: AlgebraSpec, E: np.ndarray, rand: np.ndarray):
     """((ab)c, a(bc), (ca)b) for the triple candidates, one block at a time.
 
-    The basis triples come one first index a at a time: with
+    The basis triples come one first index a at a time from the basis
+    products E[a, b] = e_a e_b (the rows of L_(e_a)): with
     P[a, b, c] = (e_a e_b) e_c, commutativity gives a(bc) = P[b, c, a] and
     (ca)b = P[a, c, b].  The random triples (r_i, r_i+1, r_i+2) follow as
     one block.  Extra memory stays O(dim^3).
     """
-    dim = len(M)
+    dim = spec.dim
     for a in range(dim):
-        P = (M[a] @ M.reshape(dim, dim * dim)).reshape(dim, dim, dim)
-        Q = (M.reshape(dim * dim, dim) @ M[a]).reshape(dim, dim, dim)
+        P = spec._left_rows(E[a])
+        Q = (E.reshape(dim * dim, dim) @ E[a]).reshape(dim, dim, dim)
         yield P, Q, P.transpose(1, 0, 2)
-    L = _left(rand, M)
+    L = spec._left_rows(rand)
     a, b, c = (np.roll(rand, -k, axis=0)[:, None] for k in range(3))
     La, Lb, Lc = (np.roll(L, -k, axis=0) for k in range(3))
     yield (b @ La) @ Lc, (c @ Lb) @ La, (a @ Lc) @ Lb
@@ -190,7 +183,6 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
     if not spec.is_finite():
         raise ValueError("algebra has a non-finite structure constant")
     n, nu, dim = spec.n, spec.nu, spec.dim
-    M = spec._structure_tensor
     # drawing uniform(n) then uniform(nu) per element is one (samples, dim) draw
     rand = np.random.default_rng(seed).uniform(-1, 1, (samples, dim))
     mixed = np.hstack([np.repeat(np.eye(n), nu, axis=0), np.tile(np.eye(nu), (n, 1))])
@@ -202,13 +194,13 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
 
     def pair_blocks(defect):
         for s in range(0, r0, per_block):
-            yield defect(pool[s : min(s + per_block, r0)], np.eye(dim), M)
-        yield defect(rand, np.roll(rand, -1, axis=0)[:, None], M)
+            yield defect(pool[s : min(s + per_block, r0)], np.eye(dim), spec)
+        yield defect(rand, np.roll(rand, -1, axis=0)[:, None], spec)
 
     def single_blocks(defect):
         for s in range(0, len(singles), per_block):
             X = pool[singles[s : s + per_block]]
-            yield defect(X, X[:, None], M)
+            yield defect(X, X[:, None], spec)
 
     def random_tuple(i, size):
         return [r0 + (i + k) % samples for k in range(size)]
@@ -229,7 +221,8 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
 
     # an overflowing product shows as a non-finite defect, which _scan rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        triples = _triple_terms(M, rand)
+        E = spec._left_rows()
+        triples = _triple_terms(spec, E, rand)
         record("associativity", _scan((_l1(t1 - t2) for t1, t2, _ in triples)), triple_at)
         report.results["flexibility"] = IdentityResult("holds_on_samples", 0.0)
         record("alternativity", _scan(pair_blocks(_alternativity)), pair_at)
@@ -239,6 +232,6 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
             _scan(single_blocks(_power_associativity)),
             lambda t: [singles[t]],
         )
-        triples = _triple_terms(M, rand)
+        triples = _triple_terms(spec, E, rand)
         record("jacobi", _scan((_l1(t1 + t2 + t3) for t1, t2, t3 in triples)), triple_at)
     return report

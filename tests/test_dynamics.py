@@ -336,6 +336,13 @@ class TestConjugacy:
         spec = type11_spec(0.5)
         assert not verify_conjugacy(spec, spec, 2.0 * np.eye(2), samples=5, seed=0)
 
+    def test_non_finite_gap_fails(self):
+        # a NaN gap compares false with the tolerance, yet it is no agreement
+        spec = random_stochastic(1, 1, 0)
+        assert not verify_conjugacy(AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]), spec, np.eye(2))
+        with np.errstate(invalid="ignore"):  # the singularity test takes the NaN determinant
+            assert not verify_conjugacy(spec, spec, np.array([[1.0, 0.0], [np.nan, 1.0]]))
+
     def test_map_of_the_wrong_shape_rejected(self):
         spec = random_stochastic(2, 2, 16)
         with pytest.raises(ShapeMismatch):

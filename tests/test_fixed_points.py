@@ -92,6 +92,13 @@ class TestJacobians:
         with pytest.raises(AbsorbedToO):
             jacobian_V(Element.from_vector([1.0, 0.0], 1), type11_spec(0.5))
 
+    @pytest.mark.parametrize("jacobian", [jacobian_W, jacobian_V])
+    @pytest.mark.parametrize("x, y", [([0.3], [0.3, 0.4]), ([0.3], [0.7])], ids=["mis_split", "short"])
+    def test_state_of_another_type(self, jacobian, x, y):
+        # a state of the right length split the wrong way, and one too short
+        with pytest.raises(ShapeMismatch):
+            jacobian(Element(x, y), random_stochastic(2, 1, 0))
+
     def test_classify_spectrum(self):
         assert classify_spectrum(np.array([0.5, -0.2])) == "exponentially_stable"
         assert classify_spectrum(np.array([1.5])) == "unstable"

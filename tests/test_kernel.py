@@ -158,10 +158,9 @@ class TestKernelMatchesEinsum:
         rng = np.random.default_rng(n * 100 + nu + 4)
         spec = random_stochastic(n, nu, 0)
         Z = np.array([random_element(spec, rng).vector for _ in range(3)])
-        M = spec._structure_tensor
-        assert M.shape == (spec.dim, spec.dim, spec.dim)
+        assert spec._structure_tensor.shape == (spec.dim, spec.dim, spec.dim)
         for rowwise in (False, True):
-            for z, J in zip(Z, _op_rows(Z, spec, "W", M, rowwise)[1]):
+            for z, J in zip(Z, _op_rows(Z, spec, "W", True, rowwise)[1]):
                 assert_close(J, ref_jacobian_W(Element.from_vector(z, n), spec))
 
     def test_non_stochastic_algebra(self, n, nu):
@@ -171,6 +170,44 @@ class TestKernelMatchesEinsum:
         assert_close(multiply(a, b, spec).vector, ref_multiply(a, b, spec).vector)
         assert_close(apply_W(a, spec).vector, ref_apply_W(a, spec).vector)
         assert_close(jacobian_W(a, spec), ref_jacobian_W(a, spec))
+
+
+@pytest.mark.parametrize("n,nu", TYPES)
+class TestRowContractions:
+    """AlgebraSpec._w_rows and _left_rows on stacks of any leading shape and dtype."""
+
+    def test_stack_gives_the_per_row_results(self, n, nu):
+        rng = np.random.default_rng(n * 100 + nu + 5)
+        spec = random_stochastic(n, nu, 1)
+        S = rng.uniform(-1, 1, (2, 3, spec.dim))
+        for rowwise in (False, True):
+            W, L = spec._w_rows(S, rowwise), spec._left_rows(S, rowwise)
+            assert W.shape == S.shape and L.shape == (2, 3, spec.dim, spec.dim)
+            for b, j in np.ndindex(2, 3):
+                z = Element.from_vector(S[b, j], n)
+                assert_close(W[b, j], ref_apply_W(z, spec).vector)
+                assert_close(L[b, j], ref_jacobian_W(z, spec).T)
+        # without rows: the basis, L_(e_a)[b] = e_a e_b
+        assert np.array_equal(spec._left_rows(), spec._left_rows(np.eye(spec.dim)))
+
+    def test_rowwise_rows_have_the_bits_of_one_row_calls(self, n, nu):
+        rng = np.random.default_rng(n * 100 + nu + 6)
+        spec = random_stochastic(n, nu, 2)
+        S = rng.uniform(-1, 1, (2, 3, spec.dim))
+        for rows in (spec._w_rows, spec._left_rows):
+            R = rows(S, rowwise=True)
+            for b, j in np.ndindex(2, 3):
+                assert np.array_equal(R[b, j], rows(S[b, j, None])[0])
+
+    def test_complex_rows(self, n, nu):
+        # W(a + ib) = W(a) - W(b) + i ab, and L is linear: L_(a+ib) = L_a + i L_b
+        rng = np.random.default_rng(n * 100 + nu + 7)
+        spec = random_stochastic(n, nu, 3)
+        a, b = random_element(spec, rng), random_element(spec, rng)
+        Z = (a.vector + 1j * b.vector)[None]
+        want = apply_W(a, spec).vector - apply_W(b, spec).vector + 1j * multiply(a, b, spec).vector
+        assert_close(spec._w_rows(Z)[0], want)
+        assert_close(spec._left_rows(Z)[0], ref_jacobian_W(a, spec).T + 1j * ref_jacobian_W(b, spec).T)
 
 
 class TestKernelBuffer:

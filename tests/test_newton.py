@@ -361,7 +361,7 @@ def test_only_the_singular_rows_take_the_ridge_step(spec):
     # the first Newton step from the search's starts: (1, 1) for the first
     # algebra and (0, 2.5, 0) for the second have an exactly singular J - I
     starts = np.vstack([reference_starts(spec, "W"), [[1.0, 1.0, 1.0][: spec.dim]]])
-    opZ, _, J, _ = _op_rows(starts, spec, "W", spec._structure_tensor)
+    opZ, _, J, _ = _op_rows(starts, spec, "W", jacobians=True)
     J = J - np.eye(spec.dim)
     F = opZ - starts
     steps, singular = _newton_steps(J, F)
