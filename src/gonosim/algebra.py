@@ -14,13 +14,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import stat
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularBasisChange
+from .errors import NotStochastic, ShapeMismatch, SingularBasisChange
 
 SUM_TOL = 1e-12
 # entries in [-NEG_TOL, 0) count as zero when testing stochasticity
@@ -81,9 +82,8 @@ def write_text(path, text: str) -> None:
         os.close(fd)
 
 
-def _readonly(a):
-    """A read-only float copy of a, at least 1-D; the caller's array stays its own."""
-    a = np.array(a, dtype=float, ndmin=1)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place: for arrays no caller holds."""
     a.setflags(write=False)
     return a
 
@@ -138,8 +138,7 @@ class AlgebraSpec:
             raise ShapeMismatch(
                 f"gamma_tilde has shape {gt.shape}, expected {(self.n, self.nu, self.nu)}"
             )
-        buf = np.concatenate([g, gt], axis=2)  # a new array: freezing it freezes no caller's
-        buf.setflags(write=False)
+        buf = _frozen(np.concatenate([g, gt], axis=2))  # a new array: freezing it freezes no caller's
         object.__setattr__(self, "gamma", buf[:, :, : self.n])
         object.__setattr__(self, "gamma_tilde", buf[:, :, self.n :])
         object.__setattr__(self, "kernel", buf.reshape(self.n * self.nu, self.dim))
@@ -164,8 +163,7 @@ class AlgebraSpec:
         M = np.zeros((dim, dim, dim))
         M[:n, n:] = K
         M[n:, :n] = K.transpose(1, 0, 2)
-        M.setflags(write=False)
-        return M
+        return _frozen(M)
 
     def _w_rows(self, Z: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """W(z) = z^2 / 2 at every row z of Z (..., dim), real or complex: the
@@ -232,28 +230,53 @@ class AlgebraSpec:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
+def _admit(spec: AlgebraSpec, *states: "Element", operator: str = "W", stochastic: bool = False) -> None:
+    """The admission rules of every entry point, checked in this order.
+
+    ValueError for an operator other than "W" or "V", ShapeMismatch for a
+    state that does not conform to the type of spec, and NotStochastic when
+    stochastic is set and spec is not stochastic.
+    """
+    if operator not in ("W", "V"):
+        raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
+    for z in states:
+        if not z.conforms(spec):
+            raise ShapeMismatch(f"a state of type {z._type()} does not conform to type ({spec.n}, {spec.nu})")
+    if stochastic and not spec.is_stochastic():
+        raise NotStochastic("this needs a stochastic algebra: finite, non-negative structure constants")
+
+
 class Element:
-    """Coefficient vector split into female part x and male part y."""
+    """A state z = (x, y): one read-only float vector, females first.
 
-    x: np.ndarray
-    y: np.ndarray
+    x (the first n coordinates) and y (the rest) are read-only views of
+    ``vector``.  Element(x, y) and from_vector copy their input once, so a
+    caller's array is neither frozen nor aliased.  A part with more than
+    one axis, or an n outside 0..len(v), raises ShapeMismatch, as do the
+    sum and difference of elements of two types.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _readonly(self.x))
-        object.__setattr__(self, "y", _readonly(self.y))
+    __slots__ = ("_v", "_n")
+
+    def __init__(self, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim > 1 or y.ndim > 1:
+            raise ShapeMismatch(f"element parts must be vectors, got shapes {x.shape} and {y.shape}")
+        self._v = _frozen(np.concatenate((x, y), axis=None))
+        self._n = x.size
 
     @classmethod
     def from_vector(cls, v, n: int) -> "Element":
-        v = np.asarray(v, dtype=float)
-        return cls(v[:n], v[n:])
+        v, n = np.array(v, dtype=float), operator.index(n)
+        if v.ndim != 1 or not 0 <= n <= len(v):
+            raise ShapeMismatch(f"cannot split a vector of shape {v.shape} after {n} female coordinates")
+        return cls._wrap(_frozen(v), n)
 
     @classmethod
-    def _view(cls, x: np.ndarray, y: np.ndarray) -> "Element":
-        """Wrap read-only 1-D float arrays as they are, skipping __post_init__."""
+    def _wrap(cls, v: np.ndarray, n: int) -> "Element":
+        """The element of a read-only 1-D float vector v, as it is: no copy, no check."""
         el = object.__new__(cls)
-        object.__setattr__(el, "x", x)
-        object.__setattr__(el, "y", y)
+        el._v, el._n = v, n
         return el
 
     @classmethod
@@ -262,33 +285,49 @@ class Element:
 
     @classmethod
     def basis_female(cls, spec: AlgebraSpec, i: int) -> "Element":
-        x = np.zeros(spec.n)
-        x[i] = 1.0
-        return cls(x, np.zeros(spec.nu))
+        return cls(np.eye(spec.n)[i], np.zeros(spec.nu))
 
     @classmethod
     def basis_male(cls, spec: AlgebraSpec, p: int) -> "Element":
-        y = np.zeros(spec.nu)
-        y[p] = 1.0
-        return cls(np.zeros(spec.n), y)
+        return cls(np.zeros(spec.n), np.eye(spec.nu)[p])
 
     @property
     def vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y])
+        return self._v
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._v[: self._n]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._v[self._n :]
+
+    def _type(self) -> tuple[int, int]:
+        return self._n, len(self._v) - self._n
+
+    def _like(self, other: "Element") -> np.ndarray:
+        """The vector of other, an element of this type (else ShapeMismatch)."""
+        if other._type() != self._type():
+            raise ShapeMismatch(f"elements of types {self._type()} and {other._type()} do not combine")
+        return other._v
 
     def __add__(self, other: "Element") -> "Element":
-        return Element(self.x + other.x, self.y + other.y)
+        return Element._wrap(_frozen(self._v + self._like(other)), self._n)
 
     def __sub__(self, other: "Element") -> "Element":
-        return Element(self.x - other.x, self.y - other.y)
+        return Element._wrap(_frozen(self._v - self._like(other)), self._n)
 
     def __mul__(self, scalar: float) -> "Element":
-        return Element(self.x * scalar, self.y * scalar)
+        return Element._wrap(_frozen(self._v * float(scalar)), self._n)
 
     __rmul__ = __mul__
 
+    def __repr__(self) -> str:
+        return f"Element(x={self.x!r}, y={self.y!r})"
+
     def conforms(self, spec: AlgebraSpec) -> bool:
-        return self.x.shape == (spec.n,) and self.y.shape == (spec.nu,)
+        return self._n == spec.n and len(self._v) == spec.dim
 
 
 # Trajectories use the same representation as algebra elements.
@@ -303,8 +342,9 @@ class BasisChange:
     alpha_tilde: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _readonly(self.alpha))
-        object.__setattr__(self, "alpha_tilde", _readonly(self.alpha_tilde))
+        # read-only copies: the caller's arrays stay their own
+        object.__setattr__(self, "alpha", _frozen(np.array(self.alpha, dtype=float, ndmin=1)))
+        object.__setattr__(self, "alpha_tilde", _frozen(np.array(self.alpha_tilde, dtype=float, ndmin=1)))
 
     def column_sums_ok(self, tol: float = SUM_TOL) -> bool:
         return bool(
@@ -362,15 +402,10 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
 
 def multiply(a: Element, b: Element, spec: AlgebraSpec) -> Element:
     """Commutative bilinear product determined by the structure constants."""
-    for el in (a, b):
-        if not el.conforms(spec):
-            raise ShapeMismatch(
-                f"element of shape ({el.x.shape[0]}, {el.y.shape[0]}) does not "
-                f"conform to type ({spec.n}, {spec.nu})"
-            )
+    _admit(spec, a, b)
     # mixed coefficient a_i b_p + a_p b_i for the (female i, male p) pair
     c = np.outer(a.x, b.y) + np.outer(b.x, a.y)
-    return Element.from_vector(c.ravel() @ spec.kernel, spec.n)
+    return Element._wrap(_frozen(c.ravel() @ spec.kernel), spec.n)
 
 
 def omega(a: Element) -> float:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SINGULAR_DET_TOL, AlgebraSpec, Element, State, _row_omegas, json_line, write_text
-from .errors import AbsorbedToO, NotStochastic, ShapeMismatch, SingularMap
+from .algebra import SINGULAR_DET_TOL, AlgebraSpec, Element, State, _admit, _frozen, _row_omegas, json_line, write_text
+from .errors import AbsorbedToO, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
 # relative slack for the rounding of s(t): on the log of each mass envelope and in the monotone test
@@ -93,8 +93,7 @@ class Trajectory:
         Each float has 17 significant digits, so it reads back bit for bit.
         The rows are formatted in one operation over one array of the states.
         """
-        n = self.states[0].x.shape[0]
-        nu = self.states[0].y.shape[0]
+        n, nu = self.states[0]._type()
         header = (
             ["t"]
             + [f"x{i + 1}" for i in range(n)]
@@ -103,8 +102,7 @@ class Trajectory:
         )
         rows = np.empty((len(self.states), n + nu + 2))
         rows[:, 0] = np.arange(len(rows))
-        rows[:, 1 : n + 1] = [s.x for s in self.states]
-        rows[:, n + 1 : -1] = [s.y for s in self.states]
+        rows[:, 1:-1] = [s.vector for s in self.states]
         rows[:, -1] = self.omegas
         line = "%d," + ",".join(["%.17g"] * (n + nu + 1)) + "\n"
         write_text(
@@ -162,8 +160,7 @@ def _orbit(z0: State, spec: AlgebraSpec, steps: int, normalize: bool) -> np.ndar
     With normalize, raises AbsorbedToO at the first W image whose
     coordinate sum is exactly zero, where V is undefined.
     """
-    if not z0.conforms(spec):
-        raise ShapeMismatch("state does not conform to the algebra type")
+    _admit(spec, z0)
     Z = np.empty((steps + 1, spec.dim))
     Z[0] = z0.vector
     if _step_rows(Z, 1, steps + 1, spec, normalize) <= steps:
@@ -173,14 +170,13 @@ def _orbit(z0: State, spec: AlgebraSpec, steps: int, normalize: bool) -> np.ndar
 
 def apply_W(z: State, spec: AlgebraSpec) -> State:
     """One generation of absolute proportions: half the algebra square of z."""
-    return Element.from_vector(_orbit(z, spec, 1, normalize=False)[1], spec.n)
+    return Element._wrap(_frozen(_orbit(z, spec, 1, normalize=False))[1], spec.n)
 
 
 def apply_V(z: State, spec: AlgebraSpec) -> State:
     """Frequency-distribution step: W(z) normalized to unit coordinate sum."""
-    if not spec.is_stochastic():
-        raise NotStochastic("normalized operator requires a stochastic algebra")
-    return Element.from_vector(_orbit(z, spec, 1, normalize=True)[1], spec.n)
+    _admit(spec, stochastic=True)
+    return Element._wrap(_frozen(_orbit(z, spec, 1, normalize=True))[1], spec.n)
 
 
 def support_orbit(spec: AlgebraSpec, z: State) -> tuple[list, int]:
@@ -195,10 +191,7 @@ def support_orbit(spec: AlgebraSpec, z: State) -> tuple[list, int]:
     underflow.  Raises NotStochastic for an algebra that is not stochastic
     and ValueError for a state with a negative or non-finite coordinate.
     """
-    if not z.conforms(spec):
-        raise ShapeMismatch("state does not conform to the algebra type")
-    if not spec.is_stochastic():
-        raise NotStochastic("the support orbit requires a stochastic algebra")
+    _admit(spec, z, stochastic=True)
     v = z.vector.tolist()
     if not all(0.0 <= c < math.inf for c in v):
         raise ValueError("the support orbit requires a finite state without negative coordinates")
@@ -248,8 +241,6 @@ def iterate(
     is computed, so those rows never warn; an overflow in a kept row shows
     in its state.  The states are read-only views of the kept rows.
     """
-    if operator not in ("W", "V"):
-        raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
     opts = opts or IterationOptions()
     if opts.max_steps < 0 or opts.patience < 1 or opts.max_period < 1:
         raise ValueError(
@@ -260,14 +251,13 @@ def iterate(
         value = getattr(opts, name)
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if not z0.conforms(spec):
-        raise ShapeMismatch("state does not conform to the algebra type")
-    if not np.isfinite(z0.x).all() or not np.isfinite(z0.y).all():
+    _admit(spec, z0, operator=operator)
+    if not np.isfinite(z0.vector).all():
         raise ValueError("initial state has a non-finite coordinate")
     if not spec.is_finite():
         raise ValueError("algebra has a non-finite structure constant")
-    if operator == "V" and not spec.is_stochastic():
-        raise NotStochastic("normalized operator requires a stochastic algebra")
+    # after the finiteness tests, so a non-finite algebra raises ValueError
+    _admit(spec, stochastic=operator == "V")
     normalize = operator == "V"
     n = spec.n
 
@@ -334,9 +324,8 @@ def iterate(
                 kind = "absorbed"
                 break
 
-    Z = Z[: last + 1].copy()  # the states keep only the rows the orbit used
-    Z.setflags(write=False)
-    states = [z0] + [Element._view(x, y) for x, y in zip(Z[1:, :n], Z[1:, n:])]
+    Z = _frozen(Z[: last + 1].copy())  # the states keep only the rows the orbit used
+    states = [z0] + [Element._wrap(z, n) for z in Z[1:]]
     outcome = Outcome(
         kind or "max_iterations",
         step=last,
@@ -387,8 +376,7 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     """
     if not 0 <= t_max <= MAX_BOUND_STEPS:
         raise ValueError(f"t_max must be between 0 and {MAX_BOUND_STEPS}, got {t_max}")
-    if not spec.is_stochastic():
-        raise NotStochastic("omega bounds require a stochastic algebra")
+    _admit(spec, stochastic=True)
     g = spec.female_row_sums()
     gt = spec.male_row_sums()
     min_sqrt = float(np.sqrt(g * gt).min())
@@ -441,8 +429,7 @@ def verify_coordinate_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundR
     """
     if t_max < 0:
         raise ValueError(f"t_max must be at least 0, got {t_max}")
-    if not spec.is_stochastic():
-        raise NotStochastic("coordinate bounds require a stochastic algebra")
+    _admit(spec, stochastic=True)
     lo = spec.kernel.min(axis=0) - COORDINATE_TOL
     hi = spec.kernel.max(axis=0) + COORDINATE_TOL
     report = BoundReport(all_pass=True, checked_steps=t_max)
@@ -471,13 +458,17 @@ def verify_conjugacy(
     phi(ab) == phi(a) phi(b) on sampled pairs, within tol (L1); a gap that
     is not finite fails.  Each sample is a triple (z, a, b) with coordinates
     uniform in [-1, 1], all drawn at once; the images come from four row
-    contractions, and the product ab is a @ L_b.  Raises ValueError for
-    samples below 0.
+    contractions, with overflow and invalid-value warnings off as in
+    iterate, and the product ab is a @ L_b.  Raises ValueError for samples
+    below 0, and for a non-finite phi or structure constant before the
+    determinant of phi is taken.
     """
     phi = np.asarray(phi, dtype=float)
     d1 = spec1.dim
     if phi.shape != (spec2.dim, d1):
         raise ShapeMismatch("phi has the wrong shape for these algebras")
+    if not (np.isfinite(phi).all() and spec1.is_finite() and spec2.is_finite()):
+        raise ValueError("phi and the structure constants must be finite")
     if phi.shape[0] == phi.shape[1] and abs(np.linalg.det(phi)) < SINGULAR_DET_TOL:
         raise SingularMap("phi is numerically singular")
 
@@ -486,5 +477,6 @@ def verify_conjugacy(
         return spec._w_rows(U[:, 0]), (U[:, 1, None] @ spec._left_rows(U[:, 2]))[:, 0]
 
     S = np.random.default_rng(seed).uniform(-1, 1, (samples, 3, d1))
-    gaps = [np.abs(u @ phi.T - v).sum(axis=-1) for u, v in zip(images(spec1, S), images(spec2, S @ phi.T))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [np.abs(u @ phi.T - v).sum(axis=-1) for u, v in zip(images(spec1, S), images(spec2, S @ phi.T))]
     return all(bool((gap <= tol).all()) for gap in gaps)

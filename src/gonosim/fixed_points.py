@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, _row_omegas, multiply, omega, opposite, swap_map
-from .errors import (
-    AbsorbedToO,
-    NotIdempotent,
-    NotNormalizable,
-    NotStochastic,
-    ShapeMismatch,
-)
+from .algebra import AlgebraSpec, Element, State, _admit, _frozen, _row_omegas, multiply, omega, opposite, swap_map
+from .errors import AbsorbedToO, NotIdempotent, NotNormalizable
 from .scenarios import (
     PARAM_TOL,
     hemophilia_fixed_points,
@@ -88,8 +82,7 @@ def _op_rows(Z: np.ndarray, spec: AlgebraSpec, operator: str, jacobians: bool = 
 
 def jacobian_W(z: State, spec: AlgebraSpec) -> np.ndarray:
     """Analytic Jacobian of the unnormalized operator at z: the transpose of L_z."""
-    if not z.conforms(spec):
-        raise ShapeMismatch("state does not conform to the algebra type")
+    _admit(spec, z)
     return spec._left_rows(z.vector[None])[0].T
 
 
@@ -103,9 +96,7 @@ def _simplex_tangent_basis(dim: int) -> np.ndarray:
     q, _ = np.linalg.qr(np.eye(dim) - ones @ ones.T)
     # drop the column closest to the normal direction
     keep = [j for j in range(dim) if abs(ones[:, 0] @ q[:, j]) < 0.5]
-    T = q[:, keep[: dim - 1]]
-    T.flags.writeable = False
-    return T
+    return _frozen(q[:, keep[: dim - 1]])
 
 
 def _tangent_rows(JV: np.ndarray) -> np.ndarray:
@@ -123,10 +114,7 @@ def jacobian_V(z: State, spec: AlgebraSpec) -> np.ndarray:
     within the simplex.  Raises ShapeMismatch for a state of the wrong
     type, NotStochastic and AbsorbedToO where V is undefined.
     """
-    if not z.conforms(spec):
-        raise ShapeMismatch("state does not conform to the algebra type")
-    if not spec.is_stochastic():
-        raise NotStochastic("normalized operator requires a stochastic algebra")
+    _admit(spec, z, stochastic=True)
     _, _, JV, absorbed = _op_rows(z.vector[None], spec, "V", jacobians=True)
     if absorbed[0]:
         raise AbsorbedToO()
@@ -211,11 +199,6 @@ class FixedPointRecord:
         }
 
 
-def _check_operator(operator: str) -> None:
-    if operator not in ("W", "V"):
-        raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
-
-
 def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPointRecord]:
     """The records of every row of P (B, dim), built in one pass.
 
@@ -228,14 +211,11 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
     bits make_record gives it alone.  Raises NotStochastic (V on a
     non-stochastic algebra) and AbsorbedToO where V is undefined.
     """
-    _check_operator(operator)
+    _admit(spec, operator=operator, stochastic=operator == "V")
     n = spec.n
-    P = np.array(P, dtype=float).reshape(-1, spec.dim)
-    P.flags.writeable = False  # the record points are views of its rows
+    P = _frozen(np.array(P, dtype=float).reshape(-1, spec.dim))  # the record points wrap its rows
     if not len(P):
         return []
-    if operator == "V" and not spec.is_stochastic():
-        raise NotStochastic("normalized operator requires a stochastic algebra")
     op, JW, JV, absorbed = _op_rows(P, spec, operator, jacobians=True, rowwise=True)
     residual = np.abs(op - P).sum(axis=1)
     w_eigs = np.linalg.eigvals(JW)
@@ -262,7 +242,7 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
     for p, res, we, sw, has_v in zip(
         P, residual.tolist(), w_eigs, _classify_rows(w_eigs), eligible.tolist()
     ):
-        rec = FixedPointRecord(Element._view(p[:n], p[n:]), operator, res, we, stability_w=sw)
+        rec = FixedPointRecord(Element._wrap(p, n), operator, res, we, stability_w=sw)
         if has_v:
             rec.v_eigenvalues, rec.stability_v = next(v_spectra)
         records.append(rec)
@@ -281,9 +261,7 @@ def make_record(z: State, spec: AlgebraSpec, operator: str = "W") -> FixedPointR
     numeric search and the closed forms make over all their points.
     Raises ValueError for an operator other than "W" or "V".
     """
-    _check_operator(operator)
-    if not z.conforms(spec):
-        raise ShapeMismatch("state does not conform to the algebra type")
+    _admit(spec, z, operator=operator)
     rec = _records(z.vector[None], spec, operator)[0]
     rec.point = z
     return rec
@@ -478,9 +456,7 @@ def solve_fixed_points_numeric(
     NotStochastic on an algebra that is not stochastic; an operator other
     than "W" or "V" raises ValueError.
     """
-    _check_operator(operator)
-    if operator == "V" and not spec.is_stochastic():
-        raise NotStochastic("normalized operator requires a stochastic algebra")
+    _admit(spec, operator=operator, stochastic=operator == "V")
     roots = None
     if operator == "W" and 1 in (spec.n, spec.nu) and spec.is_finite():
         roots = _eigen_roots(spec)
@@ -638,25 +614,22 @@ def closed_form_fixed_points_hemophilia(mu: float, eta: float) -> list[FixedPoin
 
 def idempotent_correspondence(fp: FixedPointRecord, spec: AlgebraSpec) -> Element:
     """Half of a fixed point of the unnormalized operator squares to itself."""
-    half = Element(fp.point.x / 2.0, fp.point.y / 2.0)
-    defect = multiply(half, half, spec) - half
+    half = 0.5 * fp.point
+    defect = float(np.abs((multiply(half, half, spec) - half).vector).sum())
     # the half of a root has defect residual / 2, so every accepted root passes
-    if float(np.abs(defect.vector).sum()) > RESIDUAL_TOL:
-        raise NotIdempotent(
-            f"half of the supplied point fails to square to itself (defect {np.abs(defect.vector).sum():.3e})"
-        )
+    if defect > RESIDUAL_TOL:
+        raise NotIdempotent(f"half of the supplied point fails to square to itself (defect {defect:.3e})")
     return half
 
 
 def normalize_fixed_point(fp: FixedPointRecord) -> State:
     """Scale a non-negative fixed point to unit coordinate sum."""
-    v = fp.point.vector
-    if np.any(v < 0):
+    if np.any(fp.point.vector < 0):
         raise NotNormalizable("point has a negative component")
     total = omega(fp.point)
     if total == 0.0:
         raise NotNormalizable("point has zero coordinate sum")
-    return Element(fp.point.x / total, fp.point.y / total)
+    return Element.from_vector(fp.point.vector / total, len(fp.point.x))
 
 
 @dataclass
@@ -683,8 +656,7 @@ def stability_transfer_check(fp: FixedPointRecord, spec: AlgebraSpec) -> Transfe
     normalize_fixed_point(fp)
     if fp.w_eigenvalues is None:
         raise ValueError("the record carries no spectra; build it with make_record")
-    if not spec.is_stochastic():
-        raise NotStochastic("normalized operator requires a stochastic algebra")
+    _admit(spec, stochastic=True)
     if fp.v_eigenvalues is None:
         raise AbsorbedToO()
     w_eigs, v_eigs = fp.w_eigenvalues, fp.v_eigenvalues

@@ -454,19 +454,16 @@ def closed_form_trajectory_type11(z0: State, gamma: float, t: int) -> State:
 
     x(t) = (1/(1-gamma)) [gamma (1-gamma) x0 y0]^(2^(t-1)) and the
     analogous male expression with prefactor 1/gamma.  Overflow saturates
-    to inf.
+    to inf.  Raises DegenerateParameter unless 0 < gamma < 1 (to within
+    PARAM_TOL), as the other type-(1,1) closed forms do.
     """
-    if not 0.0 < gamma < 1.0:
-        raise DegenerateParameter("closed form needs 0 < gamma < 1")
+    _require_open_gamma(gamma)
     if t < 1:
         raise ValueError("closed form applies to t >= 1")
     base = gamma * (1.0 - gamma) * float(z0.x[0]) * float(z0.y[0])
     with np.errstate(over="ignore"):
         powered = np.power(base, 2.0 ** (t - 1))
-    return Element(
-        np.array([powered / (1.0 - gamma)]),
-        np.array([powered / gamma]),
-    )
+    return Element([powered / (1.0 - gamma)], [powered / gamma])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import inspect
 import json
+import operator
 
 import numpy as np
 import pytest
 
+import gonosim
+import gonosim.cli
 from gonosim import (
     AlgebraSpec,
     BasisChange,
@@ -133,6 +137,44 @@ class TestElement:
         el = Element.from_vector(v, 2)
         v[0] = 99.0
         assert el.vector.tolist() == [1.0, 2.0, 3.0]
+
+    def test_parts_are_views_of_one_read_only_vector(self):
+        el = Element([1.0, 2.0], [3.0])
+        assert el.vector is el.vector  # a read allocates nothing
+        assert el.vector.tolist() == [1.0, 2.0, 3.0] and not el.vector.flags.writeable
+        for part in (el.x, el.y):
+            assert np.shares_memory(part, el.vector) and not part.flags.writeable
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_arithmetic_across_types_raises(self, op):
+        # the parts used to broadcast: (1, 1) + (2, 1) gave ([2, 3], [4])
+        with pytest.raises(ShapeMismatch):
+            op(Element([1.0], [1.0]), Element([1.0, 2.0], [3.0]))
+        # one length split two ways is two types
+        with pytest.raises(ShapeMismatch):
+            op(Element([1.0], [2.0, 3.0]), Element([1.0, 2.0], [3.0]))
+
+    @pytest.mark.parametrize("n", [-1, 4])
+    def test_from_vector_rejects_a_split_outside_the_vector(self, n):
+        # n = -1 used to split as n = 2, a state apply_W took on a (2,1) algebra
+        with pytest.raises(ShapeMismatch):
+            Element.from_vector([0.2, 0.3, 0.5], n)
+
+    def test_malformed_part_raises_when_built(self):
+        with pytest.raises(ShapeMismatch):
+            Element(np.zeros((2, 1)), np.zeros(1))
+        with pytest.raises(ShapeMismatch):
+            Element.from_vector(np.zeros((3, 1)), 2)
+
+
+def test_admission_rules_are_raised_in_one_helper():
+    # the operator name, state conformance and stochastic requirement of every
+    # entry point are raised by algebra._admit and nowhere else
+    modules = [m for m in vars(gonosim).values() if inspect.ismodule(m)] + [gonosim.cli]
+    sources = "".join(inspect.getsource(m) for m in modules)
+    helper = inspect.getsource(gonosim.algebra._admit)
+    for text in ("raise NotStochastic", "operator must be", "does not conform to type"):
+        assert sources.count(text) == 1 and text in helper, text
 
 
 class TestOmega:

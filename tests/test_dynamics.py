@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -337,11 +338,19 @@ class TestConjugacy:
         assert not verify_conjugacy(spec, spec, 2.0 * np.eye(2), samples=5, seed=0)
 
     def test_non_finite_gap_fails(self):
-        # a NaN gap compares false with the tolerance, yet it is no agreement
+        # a NaN constant or map entry is rejected before the determinant is taken
         spec = random_stochastic(1, 1, 0)
-        assert not verify_conjugacy(AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]), spec, np.eye(2))
-        with np.errstate(invalid="ignore"):  # the singularity test takes the NaN determinant
-            assert not verify_conjugacy(spec, spec, np.array([[1.0, 0.0], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            verify_conjugacy(AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]), spec, np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            verify_conjugacy(spec, spec, np.array([[1.0, 0.0], [np.nan, 1.0]]))
+        # finite constants whose images overflow (on some of 200 samples) give an
+        # inf or NaN gap, which compares false with the tolerance, yet it is no
+        # agreement; the overflow warns no more than in iterate
+        huge = AlgebraSpec(2, 1, np.full((2, 1, 2), 1e308), np.full((2, 1, 1), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not verify_conjugacy(huge, huge, np.eye(3), samples=200)
 
     def test_map_of_the_wrong_shape_rejected(self):
         spec = random_stochastic(2, 2, 16)

@@ -41,6 +41,7 @@ from gonosim import (  # noqa: E402
     verify_omega_bounds,
 )
 from gonosim.algebra import AlgebraSpec  # noqa: E402
+from gonosim.errors import ShapeMismatch  # noqa: E402
 from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL, _records  # noqa: E402
 from gonosim.scenarios import type21_spec  # noqa: E402
 
@@ -56,6 +57,36 @@ type21_rows = st.one_of(
     st.tuples(st.sampled_from(EDGE), st.sampled_from(EDGE)).filter(lambda r: r[0] + r[1] <= 1.0),
     seeds.map(lambda s: tuple(np.random.default_rng(s).dirichlet(np.ones(3))[:2].tolist())),
 )
+
+
+def _vectors(dim: int, **bounds):
+    return st.lists(st.floats(**bounds), min_size=dim, max_size=dim).map(np.array)
+
+
+def _same_bits(u: np.ndarray, w: np.ndarray) -> bool:
+    return u.shape == w.shape and u.tobytes() == w.tobytes()
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_element_is_one_read_only_vector(n, nu, data):
+    # any float64, NaN, infinities and -0.0 included, reads back bit for bit
+    v = data.draw(_vectors(n + nu))
+    z = Element.from_vector(v, n)
+    for w in (z, Element(z.x, z.y), Element(v[:n], v[n:]), Element.from_vector(z.vector, n)):
+        assert _same_bits(w.vector, v) and _same_bits(w.x, v[:n]) and _same_bits(w.y, v[n:])
+    assert v.flags.writeable and not np.shares_memory(v, z.vector)
+    assert z.vector is z.vector
+    for part in (z.vector, z.x, z.y):
+        assert not part.flags.writeable and np.shares_memory(part, z.vector)
+    # omega and the arithmetic are those of the flat vectors
+    a, b = (data.draw(_vectors(n + nu, min_value=-1e100, max_value=1e100)) for _ in range(2))
+    c = data.draw(st.floats(-4.0, 4.0))
+    za, zb = Element.from_vector(a, n), Element.from_vector(b, n)
+    assert omega(za) == a[:n].sum() + a[n:].sum()
+    for got, want in ((za + zb, a + b), (za - zb, a - b), (c * za, c * a), (za * c, a * c)):
+        assert _same_bits(got.vector, want) and got.x.size == n and not got.vector.flags.writeable
+    with pytest.raises(ShapeMismatch):
+        za + Element.from_vector(b, n - 1)
 
 
 @given(algebras, seeds)

@@ -12,6 +12,7 @@ from gonosim import (
     apply_W,
     build_algebra,
     classify_eset,
+    closed_form_fixed_points_type11,
     closed_form_trajectory_type11,
     hemophilia_degenerate_limits,
     hemophilia_lyapunov,
@@ -405,6 +406,14 @@ class TestType11ClosedForm:
             closed_form_trajectory_type11(z0, 1.0, 3)
         with pytest.raises(ValueError):
             closed_form_trajectory_type11(z0, 0.5, 0)
+
+    @pytest.mark.parametrize("gamma", [1e-13, 1.0 - 1e-13])
+    def test_gamma_within_param_tol_of_an_end_is_degenerate(self, gamma):
+        # the one type-(1,1) rule: 0 < gamma < 1 to within PARAM_TOL
+        with pytest.raises(DegenerateParameter):
+            closed_form_trajectory_type11(Element.from_vector([1.0, 1.0], 1), gamma, 3)
+        with pytest.raises(DegenerateParameter):
+            closed_form_fixed_points_type11(gamma)
 
 
 class TestHemophilia:
