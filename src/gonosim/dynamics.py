@@ -460,9 +460,11 @@ def verify_conjugacy(
     uniform in [-1, 1], all drawn at once; the images come from four row
     contractions, with overflow and invalid-value warnings off as in
     iterate, and the product ab is a @ L_b.  Raises ValueError for samples
-    below 0, and for a non-finite phi or structure constant before the
-    determinant of phi is taken.
+    below 1, as check_identities does, and for a non-finite phi or structure
+    constant before the determinant of phi is taken.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     phi = np.asarray(phi, dtype=float)
     d1 = spec1.dim
     if phi.shape != (spec2.dim, d1):

@@ -1,7 +1,8 @@
 """Fixed points of the evolution operators and their stability.
 
-Numeric side: for W on an algebra with one female or one male type, the
-exact set from the eigenpairs of the transfer matrix; otherwise multi-start
+Numeric side: for W, where the coordinates a fixed point can hold leave
+one female or one male type, the exact set from the eigenpairs of the
+transfer matrix of that restricted algebra; otherwise multi-start
 Newton on op(z) - z with the analytic Jacobian, run from every start at
 once, then deduplication and detection of one-parameter families through
 null directions of the linearization.
@@ -46,8 +47,8 @@ NEWTON_RENORM_MIN = 1e-12
 # Tikhonov weight of the least-squares step taken where the Jacobian is singular
 NEWTON_RIDGE = 1e-10
 # transfer-matrix eigenvalues closer than this times max(1, ||A||_1) count as
-# repeated, and the W search of a one-sex algebra falls back to the Newton
-# grid; well above the ~sqrt(eps) ||A|| split of a defective pair
+# repeated, and the exact W search falls back to the Newton grid; well above
+# the ~sqrt(eps) ||A|| split of a defective pair
 EIGEN_REPEAT_TOL = 1e-6
 
 STABLE = "exponentially_stable"
@@ -160,16 +161,16 @@ class FixedPointRecord:
     """A fixed point with its spectra and stability labels.
 
     ``diagnostics`` is set on the records of a numeric search.  ``method``
-    is ``"eigen"`` for the exact W search of a one-sex algebra, whose
-    candidates are its non-zero eigen roots, and ``"newton"`` for the
-    multi-start search, whose candidates are its starts.  The counts:
-    ``attempted`` candidates, ``converged`` (accepted roots before
-    deduplication), ``singular`` (took at least one least-squares Newton
-    step), and the failures ``nonfinite``, ``diverged``,
-    ``rejected_residual`` and, for V, ``absorbed`` (omega(W) vanished, or
-    the root has no female or no male mass).  Each candidate ends either
-    converged or in exactly one failure; an eigen root whose residual is
-    below RESIDUAL_TOL converges without a Newton step.
+    is ``"eigen"`` for the exact W search (_exact_W), whose candidates are
+    its non-zero eigen roots (none when only the origin is fixed), and
+    ``"newton"`` for the multi-start search, whose candidates are its
+    starts.  The counts: ``attempted`` candidates, ``converged`` (accepted
+    roots before deduplication), ``singular`` (took at least one
+    least-squares Newton step), and the failures ``nonfinite``,
+    ``diverged``, ``rejected_residual`` and, for V, ``absorbed`` (omega(W)
+    vanished, or the root has no female or no male mass).  Each candidate
+    ends either converged or in exactly one failure; an eigen root whose
+    residual is below RESIDUAL_TOL converges without a Newton step.
     """
 
     point: State
@@ -431,6 +432,72 @@ def _eigen_roots(spec: AlgebraSpec) -> np.ndarray | None:
     return _snap(np.vstack([np.zeros((1, spec.dim)), roots]))
 
 
+def _fixed_support(spec: AlgebraSpec) -> np.ndarray:
+    """The fixed support S of spec: the mask of the coordinates a W fixed point can hold.
+
+    S is the largest set of coordinates each of which some product e_i m_p
+    with i and p in S produces (a kernel entry != 0, as in
+    dynamics.support_orbit).  A fixed point z has z_k = W(z)_k != 0 only if
+    some x_i y_p K[i nu + p, k] != 0, so its support is such a set and lies
+    in S.  No pair in S produces a coordinate off S (S would not be the
+    largest), so on the points that vanish off S, W is the W of the algebra
+    restricted to S.  Found by removing the coordinates the pairs left do
+    not produce until none goes.  A non-empty S holds both sexes.
+    """
+    n = spec.n
+    made = spec.kernel != 0.0  # row i nu + p: what e_i m_p produces
+    S = made.any(axis=0)
+    size, last = np.count_nonzero(S), spec.dim
+    while size < last:
+        S &= made[(S[:n, None] & S[None, n:]).ravel()].any(axis=0)
+        size, last = np.count_nonzero(S), size
+    return S
+
+
+def _restrict(spec: AlgebraSpec, S: np.ndarray) -> AlgebraSpec:
+    """The algebra of the products e_i m_p with i and p in S, on the coordinates in S."""
+    n = spec.n
+    K = spec.kernel.reshape(n, spec.nu, spec.dim)[S[:n]][:, S[n:]][:, :, S]
+    m = int(S[:n].sum())
+    return AlgebraSpec(m, int(S[n:].sum()), K[:, :, :m], K[:, :, m:])
+
+
+def _exact_W(spec: AlgebraSpec):
+    """The exact W search of a finite algebra, or None where it does not apply.
+
+    The roots vanish off the fixed support S (_fixed_support) and are the
+    roots of the algebra restricted to S, padded with zeros.  An empty S
+    (no female or no male left) gives the origin alone.  A restriction of
+    type (n, 1) or (1, nu) gives _eigen_roots, each root whose residual is
+    not below RESIDUAL_TOL polished by Newton on the restriction and kept
+    only if accepted.  None when the restriction has n, nu >= 2 or its
+    eigenvalues repeat.  When S is every coordinate, no restriction is built.
+
+    Returns the roots (origin first), and the outcome codes and singular
+    flags of the non-zero eigen roots, the candidates.
+    """
+    S = _fixed_support(spec)
+    if not S.any():
+        return np.zeros((1, spec.dim)), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    sub = spec if S.all() else _restrict(spec, S)
+    if 1 not in (sub.n, sub.nu):
+        return None
+    roots = _eigen_roots(sub)
+    if roots is None:
+        return None
+    op = _op_rows(roots, sub, "W", rowwise=True)[0]
+    fate = np.zeros(len(roots), dtype=int)
+    singular = np.zeros(len(roots), dtype=bool)
+    off = np.flatnonzero(~(np.abs(op - roots).sum(axis=1) < RESIDUAL_TOL))
+    if off.size:
+        roots[off], fate[off], singular[off] = _newton(roots[off], sub, "W")
+    if sub is not spec:
+        padded = np.zeros((len(roots), spec.dim))
+        padded[:, S] = roots
+        roots = padded
+    return roots[fate == 0], fate[1:], singular[1:]  # the origin is no candidate
+
+
 def solve_fixed_points_numeric(
     spec: AlgebraSpec,
     operator: str = "W",
@@ -438,13 +505,15 @@ def solve_fixed_points_numeric(
     seed: int = 0,
     random_starts: int = 8,
 ) -> list[FixedPointRecord]:
-    """Fixed points of op, exact for W on one-sex types, else by multi-start Newton.
+    """Fixed points of op, exact for W where the fixed support leaves one sex
+    with one type, else by multi-start Newton.
 
-    For W on a finite algebra of type (n, 1) or (1, nu) whose transfer
-    matrix has distinct eigenvalues, the set is _eigen_roots: the origin,
-    then one root per real eigenpair.  A root whose residual is not below
-    RESIDUAL_TOL is polished by Newton from it and kept only if accepted.
-    The start arguments are not used there.
+    For W on a finite algebra whose fixed support S is empty, or restricts
+    it to a type (n, 1) or (1, nu) with distinct transfer-matrix
+    eigenvalues, the set is exact (_exact_W): the origin, then one root per
+    real eigenpair of the restriction, padded with zeros off S.  The start
+    arguments are not used there, and the records are those of the full
+    algebra.
 
     Otherwise Newton runs from a grid over [0, 5]^dim (or the simplex for
     the normalized operator) plus seeded random points.  Roots are
@@ -457,20 +526,11 @@ def solve_fixed_points_numeric(
     than "W" or "V" raises ValueError.
     """
     _admit(spec, operator=operator, stochastic=operator == "V")
-    roots = None
-    if operator == "W" and 1 in (spec.n, spec.nu) and spec.is_finite():
-        roots = _eigen_roots(spec)
+    exact = _exact_W(spec) if operator == "W" and spec.is_finite() else None
     families: list[FamilyDescriptor] = []
-    if roots is not None:
+    if exact is not None:
         method = "eigen"
-        op = _op_rows(roots, spec, "W", rowwise=True)[0]
-        fate = np.zeros(len(roots), dtype=int)
-        singular = np.zeros(len(roots), dtype=bool)
-        off = np.flatnonzero(~(np.abs(op - roots).sum(axis=1) < RESIDUAL_TOL))
-        if off.size:
-            roots[off], fate[off], singular[off] = _newton(roots[off], spec, "W")
-        roots = roots[fate == 0]
-        fate, singular = fate[1:], singular[1:]  # the origin is no candidate
+        roots, fate, singular = exact
     else:
         method = "newton"
         starts = _starts(spec, operator, grid, seed, random_starts)

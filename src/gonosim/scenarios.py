@@ -38,6 +38,7 @@ from .errors import (
     DegenerateParameter,
     InvalidParameter,
     MaleExtinction,
+    ShapeMismatch,
     UncoveredCase,
 )
 
@@ -455,9 +456,12 @@ def closed_form_trajectory_type11(z0: State, gamma: float, t: int) -> State:
     x(t) = (1/(1-gamma)) [gamma (1-gamma) x0 y0]^(2^(t-1)) and the
     analogous male expression with prefactor 1/gamma.  Overflow saturates
     to inf.  Raises DegenerateParameter unless 0 < gamma < 1 (to within
-    PARAM_TOL), as the other type-(1,1) closed forms do.
+    PARAM_TOL), as the other type-(1,1) closed forms do, ShapeMismatch for a
+    state that is not of type (1,1), and ValueError for t < 1.
     """
     _require_open_gamma(gamma)
+    if z0._type() != (1, 1):
+        raise ShapeMismatch(f"the type-(1,1) closed form takes a type-(1,1) state, not {z0._type()}")
     if t < 1:
         raise ValueError("closed form applies to t >= 1")
     base = gamma * (1.0 - gamma) * float(z0.x[0]) * float(z0.y[0])
@@ -507,7 +511,9 @@ def hemophilia_fixed_points(mu: float, eta: float) -> tuple:
     return points, None
 
 
-def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> HemophiliaPrediction:
+def hemophilia_degenerate_limits(
+    z0: State, mu: float, eta: float, spec: AlgebraSpec | None = None
+) -> HemophiliaPrediction:
     """Limit behaviour of the W orbit when it dies out exactly or when eta = 1.
 
     Extinction is decided by the support orbit of z0 in the algebra at
@@ -522,11 +528,12 @@ def hemophilia_degenerate_limits(z0: State, mu: float, eta: float) -> Hemophilia
     |u(1)| < 1/k, blows up above that value and stays on the non-zero
     fixed point at equality (w_limit "nonzero"); u(1) comes from one W
     step.  The V orbit is constant from step 2 (from step 1 when x1 = 0).
-    Raises ValueError for a state with a negative coordinate.
+    spec, the algebra at (mu, eta), is built unless given.  Raises
+    ValueError for a state with a negative coordinate.
     """
     mu = _check_unit_interval("mu", mu)
     eta = _check_unit_interval("eta", eta)
-    spec = hemophilia_spec(mu, eta)
+    spec = spec or hemophilia_spec(mu, eta)
     masks, p = support_orbit(spec, z0)
     if not any(masks[p]):
         return HemophiliaPrediction(kind="extinction", extinction_step=p, w_limit="zero")
@@ -663,7 +670,7 @@ SCENARIOS = {
         ("mu", "eta"), "type (2,2): carrier females, affected males with viability mu, fertility eta",
         lambda s: hemophilia_spec(*_unit_params(s)),
         lambda s, spec: hemophilia_fixed_points(s.params["mu"], s.params["eta"]),
-        lambda z0, spec, s: {"prediction": hemophilia_degenerate_limits(z0, **s.params).to_dict()},
+        lambda z0, spec, s: {"prediction": hemophilia_degenerate_limits(z0, **s.params, spec=spec).to_dict()},
     ),
     "x_inactivation": ScenarioEntry(
         _TYPE21, "type (1,2): sexes of recessive_lethal exchanged",

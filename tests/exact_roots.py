@@ -16,11 +16,13 @@ import sympy
 from gonosim.algebra import AlgebraSpec
 
 
-def rational_algebra(n: int, nu: int, seed: int):
+def rational_algebra(n: int, nu: int, seed: int, drop: tuple = ()):
     """A random algebra with integer weights 1-9 per product, each row
     scaled to unit sum: its float AlgebraSpec and its exact rows, a nested
-    (n, nu, n + nu) list of sympy Rationals."""
+    (n, nu, n + nu) list of sympy Rationals.  The weights of the
+    coordinates in drop are 0: no product produces them."""
     weights = np.random.default_rng(seed).integers(1, 10, size=(n, nu, n + nu))
+    weights[:, :, list(drop)] = 0
     rows = [[[sympy.Rational(int(w), int(r.sum())) for w in r] for r in plane] for plane in weights]
     floats = weights / weights.sum(axis=2, keepdims=True)
     return AlgebraSpec(n, nu, floats[:, :, :n], floats[:, :, n:]), rows

@@ -631,8 +631,8 @@ class TestPredict:
     def test_hemophilia_wrong_w_limit_disagrees(self, monkeypatch, capsys):
         real = cli.scmod.hemophilia_degenerate_limits
 
-        def tampered(z0, mu, eta):
-            pred = real(z0, mu, eta)
+        def tampered(z0, mu, eta, spec=None):
+            pred = real(z0, mu, eta, spec=spec)
             pred.w_limit = "infinity" if pred.w_limit == "zero" else "zero"
             return pred
 
@@ -656,8 +656,8 @@ class TestPredict:
     def test_hemophilia_tampered_fixed_point_disagrees(self, monkeypatch, capsys):
         real = cli.scmod.hemophilia_degenerate_limits
 
-        def tampered(z0, mu, eta):
-            pred = real(z0, mu, eta)
+        def tampered(z0, mu, eta, spec=None):
+            pred = real(z0, mu, eta, spec=spec)
             pred.fixed_point = tuple(c + 0.01 for c in pred.fixed_point)
             return pred
 
@@ -710,6 +710,15 @@ class TestPredict:
         monkeypatch.setattr(cli.scmod, "type21_spec", lambda *p: calls.append(p) or real(*p))
         flags, init = SCENARIO_EXAMPLES["recessive_lethal"]
         assert main(["predict", "--scenario", "recessive_lethal", *flags, "--init", init]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mu, eta", [("0.4", "1"), ("1", "0.8")])
+    def test_hemophilia_algebra_built_once(self, mu, eta, monkeypatch, capsys):
+        calls = []
+        real = cli.scmod.hemophilia_spec
+        monkeypatch.setattr(cli.scmod, "hemophilia_spec", lambda *p: calls.append(p) or real(*p))
+        init = "0.25,0.25,0.25,0.25"
+        assert main(["predict", "--scenario", "hemophilia", "--mu", mu, "--eta", eta, "--init", init]) == 0
         assert len(calls) == 1
 
     def test_criterion_4_grid(self, capsys):

@@ -352,6 +352,13 @@ class TestConjugacy:
             warnings.simplefilter("error")
             assert not verify_conjugacy(huge, huge, np.eye(3), samples=200)
 
+    @pytest.mark.parametrize("samples", [0, -1, -5])
+    def test_no_samples_rejected(self, samples):
+        # with no sample nothing is checked, so no verdict is given
+        spec = type11_spec(0.5)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            verify_conjugacy(spec, spec, 2.0 * np.eye(2), samples=samples)
+
     def test_map_of_the_wrong_shape_rejected(self):
         spec = random_stochastic(2, 2, 16)
         with pytest.raises(ShapeMismatch):

@@ -33,9 +33,10 @@ from gonosim.errors import (
     ShapeMismatch,
     UncoveredCase,
 )
-from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL
+from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL, _fixed_support
 from gonosim.scenarios import (
     hemophilia_degenerate_limits,
+    hemophilia_fixed_points,
     hemophilia_spec,
     type11_spec,
     type21_spec,
@@ -269,6 +270,79 @@ class TestEigenSearch:
 
     def test_V_search_runs_newton(self):
         assert solve_fixed_points_numeric(type21_spec(0.3, 0.2, 0.25, 0.35), "V")[0].diagnostics["method"] == "newton"
+
+
+class TestFixedSupport:
+    """The exact W search on the coordinates a fixed point can hold."""
+
+    @pytest.mark.parametrize(
+        "mu, eta, support",
+        [
+            (0.4, 1.0, [False, True, True, True]),  # x1 is never produced
+            (1.0, 0.8, [False] * 4),  # x1 and y1 go, then x2, then y2
+            (1.0, 1.0, [False] * 4),
+            (0.5, 0.5, [True] * 4),
+        ],
+    )
+    def test_hemophilia_support(self, mu, eta, support):
+        assert _fixed_support(hemophilia_spec(mu, eta)).tolist() == support
+
+    GRID = [(k / 10, 1.0) for k in range(11)] + [(1.0, k / 10) for k in range(11)]
+
+    @pytest.mark.parametrize("mu, eta", GRID)
+    def test_hemophilia_grid_is_exact(self, mu, eta):
+        recs = solve_fixed_points_numeric(hemophilia_spec(mu, eta), "W")
+        points, _ = hemophilia_fixed_points(mu, eta)
+        assert recs[0].diagnostics["method"] == "eigen"
+        assert len(recs) == len(points)
+        for r, p in zip(recs, points):
+            assert np.array_equal(r.point.vector == 0.0, np.array(p) == 0.0)
+            np.testing.assert_allclose(r.point.vector, p, rtol=1e-12, atol=0.0)
+            assert r.residual < RESIDUAL_TOL
+        # the records and their spectra are those of the full algebra
+        assert all(len(r.w_eigenvalues) == 4 for r in recs)
+
+    def test_no_female_left_gives_the_origin_alone(self):
+        recs = solve_fixed_points_numeric(hemophilia_spec(1.0, 0.8), "W")
+        assert len(recs) == 1 and not np.any(recs[0].point.vector)
+        diag = recs[0].diagnostics
+        assert (diag["method"], diag["attempted"], diag["converged"]) == ("eigen", 0, 0)
+
+    @pytest.mark.parametrize(
+        "spec", [random_stochastic(2, 1, 0), random_stochastic(1, 3, 1), random_stochastic(2, 2, 2)]
+    )
+    def test_full_support_builds_no_restriction(self, spec, monkeypatch):
+        import gonosim.fixed_points as fp
+
+        assert _fixed_support(spec).all()
+        want = solve_fixed_points_numeric(spec, "W")
+
+        def refuse(*args):
+            raise AssertionError("a restricted algebra was built")
+
+        monkeypatch.setattr(fp, "_restrict", refuse)
+        got = solve_fixed_points_numeric(spec, "W")
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+
+    @pytest.mark.parametrize(
+        "n, nu, drop, restricted",
+        [(2, 2, (0,), (1, 2)), (3, 2, (3,), (3, 1)), (2, 3, (1,), (1, 3))],
+    )
+    def test_real_root_count_of_a_restriction_is_exact(self, n, nu, drop, restricted):
+        pytest.importorskip("sympy")
+        from exact_roots import exact_real_roots, rational_algebra
+
+        for seed in range(3):
+            spec, rows = rational_algebra(n, nu, seed, drop)
+            S = _fixed_support(spec)
+            assert (int(S[:n].sum()), int(S[n:].sum())) == restricted
+            exact = exact_real_roots(n, nu, rows)
+            recs = solve_fixed_points_numeric(spec, "W")
+            assert recs[0].diagnostics["method"] == "eigen"
+            assert len(recs) == len(exact)
+            for z in exact:
+                assert not np.any(z[~S])
+                assert min(np.abs(r.point.vector - z).sum() for r in recs) < DEDUP_TOL
 
 
 class TestClosedFormType11:

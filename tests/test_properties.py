@@ -1,5 +1,6 @@
 """Property tests on random stochastic algebras from (1,1) to (4,4), on
-one-sex algebras up to (5,1) and (1,5), and on the type-(2,1) family.
+one-sex algebras up to (5,1) and (1,5), on algebras from (2,2) to (4,4)
+whose products never produce some coordinates, and on the type-(2,1) family.
 
 Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
@@ -42,7 +43,14 @@ from gonosim import (  # noqa: E402
 )
 from gonosim.algebra import AlgebraSpec  # noqa: E402
 from gonosim.errors import ShapeMismatch  # noqa: E402
-from gonosim.fixed_points import DEDUP_TOL, RESIDUAL_TOL, _records  # noqa: E402
+from gonosim.fixed_points import (  # noqa: E402
+    DEDUP_TOL,
+    RESIDUAL_TOL,
+    _fixed_support,
+    _newton,
+    _records,
+    _starts,
+)
 from gonosim.scenarios import type21_spec  # noqa: E402
 
 algebras = st.builds(
@@ -133,6 +141,42 @@ def test_one_sex_W_search_holds_every_newton_root(spec, seed):
         v = reference_newton(np.asarray(s0, dtype=float), spec, "W")
         if v is None:
             continue
+        assert any(
+            rec.family.contains(v) if rec.family is not None else np.abs(rec.point.vector - v).sum() < DEDUP_TOL
+            for rec in recs
+        ), v
+
+
+def _reducible_algebra(n: int, nu: int, seed: int, drop: list) -> AlgebraSpec:
+    """A random stochastic type-(n,nu) algebra whose products never produce
+    the coordinates k with drop[k]: those kernel columns are zeroed and the
+    rows renormalized (at least one coordinate is kept)."""
+    rows = np.random.default_rng(seed).uniform(size=(n, nu, n + nu))
+    rows[:, :, np.array(drop[: n + nu])] = 0.0
+    rows /= rows.sum(axis=2, keepdims=True)
+    return AlgebraSpec(n, nu, rows[:, :, :n], rows[:, :, n:])
+
+
+@given(
+    st.builds(
+        _reducible_algebra,
+        st.integers(2, 4),
+        st.integers(2, 4),
+        seeds,
+        st.lists(st.booleans(), min_size=8, max_size=8).filter(lambda d: not all(d[:4])),
+    )
+)
+def test_W_roots_live_on_the_fixed_support(spec):
+    # every root vanishes off the fixed support S and is a root, and every
+    # root the Newton grid finds on the full algebra is one of them (or on
+    # a family record)
+    S = _fixed_support(spec)
+    recs = solve_fixed_points_numeric(spec, "W")
+    for rec in recs:
+        assert not np.any(rec.point.vector[~S])
+        assert rec.residual < RESIDUAL_TOL
+    found, fate, _ = _newton(_starts(spec, "W", 3, 0, 8), spec, "W")
+    for v in found[fate == 0]:
         assert any(
             rec.family.contains(v) if rec.family is not None else np.abs(rec.point.vector - v).sum() < DEDUP_TOL
             for rec in recs

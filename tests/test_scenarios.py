@@ -24,6 +24,7 @@ from gonosim.errors import (
     DegenerateParameter,
     InvalidParameter,
     MaleExtinction,
+    ShapeMismatch,
     UncoveredCase,
 )
 from gonosim.scenarios import SCENARIOS, hemophilia_spec, type11_spec, type21_spec, verify_prediction
@@ -406,6 +407,12 @@ class TestType11ClosedForm:
             closed_form_trajectory_type11(z0, 1.0, 3)
         with pytest.raises(ValueError):
             closed_form_trajectory_type11(z0, 0.5, 0)
+
+    @pytest.mark.parametrize("x, y", [([1.0, 2.0], [3.0]), ([1.0], [2.0, 3.0]), ([], [1.0])], ids=["21", "12", "01"])
+    def test_state_of_another_type_is_rejected(self, x, y):
+        # the shape alone decides: no algebra is built
+        with pytest.raises(ShapeMismatch):
+            closed_form_trajectory_type11(Element(x, y), 0.5, 2)
 
     @pytest.mark.parametrize("gamma", [1e-13, 1.0 - 1e-13])
     def test_gamma_within_param_tol_of_an_end_is_degenerate(self, gamma):
