@@ -165,6 +165,15 @@ class AlgebraSpec:
         M[n:, :n] = K.transpose(1, 0, 2)
         return _frozen(M)
 
+    @functools.cached_property
+    def _bound_constants(self) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """The bound verifiers' constants, built on first use: min sqrt(gamma_ip gamma~_ip), max
+        gamma_ip gamma~_pq (rounding is monotone, so one of the four products of the extreme row
+        sums), and the read-only column min and max of ``kernel``."""
+        g, gt, K = self.female_row_sums(), self.male_row_sums(), self.kernel
+        max_cross = max(a * b for a in (g.min(), g.max()) for b in (gt.min(), gt.max()))
+        return float(np.sqrt(g * gt).min()), float(max_cross), _frozen(K.min(axis=0)), _frozen(K.max(axis=0))
+
     def _w_rows(self, Z: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """W(z) = z^2 / 2 at every row z of Z (..., dim), real or complex: the
         mixed products x_i y_p contracted with ``kernel``.  rowwise as in _times."""

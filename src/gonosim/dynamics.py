@@ -213,6 +213,16 @@ def _underflowed(z: np.ndarray, n: int) -> bool:
     return np.abs(z).max() < UNDERFLOW_OMEGA and abs(z[:n].sum() + z[n:].sum()) < UNDERFLOW_OMEGA
 
 
+def _return_gap(Z: np.ndarray, t: int, firsts: list, lo: int, opts: IterationOptions) -> int | None:
+    """The smallest g in 2..min(max_period, t) with Z[t - g] within conv_tol (L1) of Z[t], else
+    None.  firsts[k - lo] is Z[k, 0]: a gap is screened out on it before its L1 distance is taken."""
+    a = firsts[t - lo]
+    for g in range(2, min(opts.max_period, t) + 1):
+        if abs(firsts[t - g - lo] - a) < opts.conv_tol and np.abs(Z[t - g] - Z[t]).sum() < opts.conv_tol:
+            return g
+    return None
+
+
 def iterate(
     z0: State,
     spec: AlgebraSpec,
@@ -233,13 +243,16 @@ def iterate(
 
     The orbit is computed on rows of one preallocated array, _BLOCK steps
     at a time with one kernel contraction per step.  Each block is then
-    classified from a few reductions over its rows (L1 norm, L1 step, L1
-    distance to each of the rows 2..max_period back) and a Python pass
-    that applies the precedence above row by row, so the outcome is the
-    first event in step order.  Rows computed past the terminal step are
-    dropped.  Overflow and invalid-value warnings are off while the orbit
-    is computed, so those rows never warn; an overflow in a kept row shows
-    in its state.  The states are read-only views of the kept rows.
+    classified from a few reductions over its rows (L1 norm, L1 step) and
+    a Python pass that applies the precedence above row by row, so the
+    outcome is the first event in step order.  A cycle test walks the rows
+    2..max_period back and takes the L1 distance only to a row whose first
+    coordinate is within conv_tol: a rounded sum of non-negative terms is
+    at least each term, so no return is missed.  Rows computed past the
+    terminal step are dropped.  Overflow and invalid-value warnings are
+    off while the orbit is computed, so those rows never warn; an overflow
+    in a kept row shows in its state.  The states are read-only views of
+    the kept rows.
     """
     opts = opts or IterationOptions()
     if opts.max_steps < 0 or opts.patience < 1 or opts.max_period < 1:
@@ -261,16 +274,8 @@ def iterate(
     normalize = operator == "V"
     n = spec.n
 
-    # A cycle returns 2..max_period steps back, never before step 0: the
-    # rows in front of Z are inf, at infinite distance from every state.
-    gaps = np.arange(2, min(opts.max_period, opts.max_steps) + 1)
-    pad = len(gaps)
-    Zp = np.empty((pad + opts.max_steps + 1, spec.dim))
-    Zp[:pad] = np.inf
-    Z = Zp[pad:]
+    Z = np.empty((opts.max_steps + 1, spec.dim))
     Z[0] = z0.vector
-    # back[r, j] + t0 indexes in Zp the state gaps[j] steps before row t0 + r
-    back = pad + np.arange(_BLOCK)[:, None] - gaps
     cycle_step = CYCLE_MIN_STEP_FACTOR * opts.conv_tol
     # an underflowed state has an L1 norm below this, so only such rows are tested
     tiny_l1 = 2 * spec.dim * UNDERFLOW_OMEGA
@@ -288,11 +293,8 @@ def iterate(
                 rows = Z[t0:stop]
                 l1 = np.abs(rows).sum(axis=1).tolist()
                 steps = np.abs(rows - Z[t0 - 1 : stop - 1]).sum(axis=1).tolist()
-                if any(step >= cycle_step for step in steps):
-                    hit = np.abs(Zp[back[:m] + t0] - rows[:, None]).sum(axis=2) < opts.conv_tol
-                    returns = hit.any(axis=1).tolist()
-                else:
-                    returns = [False] * m
+                lo = max(t0 - opts.max_period, 0)
+                firsts = Z[lo:stop, 0].tolist()
                 if not normalize:
                     females = rows[:, :n].any(axis=1).tolist()
                     males = rows[:, n:].any(axis=1).tolist()
@@ -308,10 +310,10 @@ def iterate(
                         quiet = quiet + 1 if steps[r] < opts.conv_tol else 0
                         if quiet >= opts.patience:
                             kind = "converged"
-                        elif steps[r] >= cycle_step and returns[r]:
+                        elif steps[r] >= cycle_step and (period := _return_gap(Z, t0 + r, firsts, lo, opts)):
                             # a slowly converging orbit revisits its own
                             # neighborhood, so only a large step counts
-                            kind, period = "cycle", int(gaps[hit[r].argmax()])
+                            kind = "cycle"
                         elif l1[r] > opts.div_threshold:
                             kind = "divergent"
                     if kind:
@@ -350,7 +352,8 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     With m = min over rows of sqrt(gamma_ip gamma~_ip) and M = max over
     row pairs of gamma_ip gamma~_pq (the largest of the four products of
     the extreme female and male row sums, equal to the maximum over all
-    pairs since rounding is monotone), the checks for 0 <= t <= t_max are:
+    pairs since rounding is monotone), both computed once per spec, the
+    checks for 0 <= t <= t_max are:
 
       * s(t) non-increasing when s(0) <= 4;
       * one-step squeeze for t >= 2:
@@ -377,12 +380,7 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     if not 0 <= t_max <= MAX_BOUND_STEPS:
         raise ValueError(f"t_max must be between 0 and {MAX_BOUND_STEPS}, got {t_max}")
     _admit(spec, stochastic=True)
-    g = spec.female_row_sums()
-    gt = spec.male_row_sums()
-    min_sqrt = float(np.sqrt(g * gt).min())
-    # rounding is monotone, so the largest product of a female and a male
-    # row sum is one of the four products of their extremes
-    max_cross = float(max(a * b for a in (g.min(), g.max()) for b in (gt.min(), gt.max())))
+    min_sqrt, max_cross = spec._bound_constants[:2]
     with np.errstate(over="ignore", invalid="ignore"):
         oms = _row_omegas(_orbit(z0, spec, t_max, normalize=False), spec.n).tolist()
     log_m, log_M, log_M16, *logs = (
@@ -425,13 +423,14 @@ def verify_coordinate_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundR
     Each female coordinate of V^t(z0) must lie between the min and max of
     the corresponding gamma[:, :, k] slab, within COORDINATE_TOL, and
     analogously for males: one comparison of the whole orbit with the
-    column extremes of the kernel.  Raises ValueError for t_max below 0.
+    column extremes of the kernel, computed once per spec.  Raises
+    ValueError for t_max below 0.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be at least 0, got {t_max}")
     _admit(spec, stochastic=True)
-    lo = spec.kernel.min(axis=0) - COORDINATE_TOL
-    hi = spec.kernel.max(axis=0) + COORDINATE_TOL
+    col_min, col_max = spec._bound_constants[2:]
+    lo, hi = col_min - COORDINATE_TOL, col_max + COORDINATE_TOL
     report = BoundReport(all_pass=True, checked_steps=t_max)
     # raises AbsorbedToO if the orbit hits the boundary set
     with np.errstate(over="ignore", invalid="ignore"):

@@ -521,11 +521,14 @@ def solve_fixed_points_numeric(
     one-parameter family collapse into a single family record.  The zero
     state is always included for the unnormalized operator.
 
+    The V search returns no record, and runs no start, where S is empty.
     Every record carries the search's diagnostics.  The V search raises
     NotStochastic on an algebra that is not stochastic; an operator other
     than "W" or "V" raises ValueError.
     """
     _admit(spec, operator=operator, stochastic=operator == "V")
+    if operator == "V" and not _fixed_support(spec).any():
+        return []  # V(z) = z makes W(z) a non-zero multiple of z, so z vanishes off S too
     exact = _exact_W(spec) if operator == "W" and spec.is_finite() else None
     families: list[FamilyDescriptor] = []
     if exact is not None:

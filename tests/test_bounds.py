@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gonosim import Element, apply_V, apply_W, omega, random_stochastic
+from gonosim import Element, apply_V, apply_W, iterate, omega, random_stochastic
 from gonosim.algebra import AlgebraSpec
 from gonosim.dynamics import (
     UNDERFLOW_OMEGA,
@@ -20,6 +20,7 @@ from gonosim.dynamics import (
     verify_omega_bounds,
 )
 from gonosim.errors import AbsorbedToO, NotStochastic
+from gonosim.scenarios import Scenario, build_algebra
 
 
 def _log_or_none(v: float):
@@ -257,3 +258,65 @@ def test_overflowing_orbit_does_not_warn():
     assert (got.all_pass, got.first_violation) == (ref.all_pass, ref.first_violation)
     assert got.first_violation["t"] == 10 and got.first_violation["bound"] == "step_upper"
     assert got.first_violation["lhs"] == np.inf
+
+
+def _signed_start(spec):
+    """A state whose female coordinates nearly cancel: with two or more
+    females, V scales them far outside the coordinate envelopes."""
+    v = np.random.default_rng(3).dirichlet(np.ones(spec.dim))
+    v[0] = 0.01 - v[1 : spec.n].sum()
+    return Element.from_vector(v, spec.n)
+
+
+@pytest.mark.parametrize("n, nu", [(2, 1), (2, 2), (8, 8), (32, 32)])
+def test_bound_reports_equal_on_the_first_call_and_later(n, nu):
+    # the first call on a fresh spec builds the constants, the later ones read them
+    z_big = Element.from_vector(np.full(n + nu, 3.0), n)  # overflows: a step_upper violation
+    z_signed = _signed_start(random_stochastic(n, nu, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega_ref = reference_verify_omega_bounds(z_big, random_stochastic(n, nu, 4), 60)
+        coord_ref = reference_verify_coordinate_bounds(z_signed, random_stochastic(n, nu, 4), 6)
+    assert not omega_ref.all_pass and not coord_ref.all_pass
+    for verify, z, t_max, ref in (
+        (verify_omega_bounds, z_big, 60, omega_ref),
+        (verify_coordinate_bounds, z_signed, 6, coord_ref),
+    ):
+        spec = random_stochastic(n, nu, 4)
+        reports = [verify(z, spec, t_max) for _ in range(3)]
+        reports.append(verify(Element.from_vector(np.full(n + nu, 0.5 / (n + nu)), n), spec, t_max))
+        for got in reports[:3]:
+            assert (got.all_pass, got.first_violation, got.checked_steps) == (
+                ref.all_pass,
+                ref.first_violation,
+                ref.checked_steps,
+            )
+        assert reports[3].all_pass
+
+
+def test_bound_constants_are_read_only():
+    spec = random_stochastic(3, 2, 5)
+    verify_coordinate_bounds(Element.from_vector(np.full(5, 0.2), 3), spec, 2)
+    min_sqrt, max_cross, col_min, col_max = spec._bound_constants
+    assert isinstance(min_sqrt, float) and isinstance(max_cross, float)
+    for col in (col_min, col_max):
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = 0.0
+    assert spec._bound_constants[2] is col_min  # built once per spec
+
+
+def test_building_or_saving_a_spec_computes_no_bound_constants(tmp_path):
+    specs = [
+        random_stochastic(2, 2, 0),
+        AlgebraSpec(1, 1, [[[0.5]]], [[[0.5]]]),
+        build_algebra(Scenario("hemophilia", {"mu": 0.4, "eta": 1.0})),
+    ]
+    specs[0].save(tmp_path / "a.json")
+    specs.append(AlgebraSpec.load(tmp_path / "a.json"))
+    for spec in specs:
+        z = Element.from_vector(np.full(spec.dim, 1.0 / spec.dim), spec.n)
+        iterate(z, spec, "V")
+        iterate(z, spec, "W")
+        assert "_bound_constants" not in vars(spec)
+        verify_omega_bounds(z, spec, 3)
+        assert "_bound_constants" in vars(spec)

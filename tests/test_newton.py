@@ -325,6 +325,24 @@ def test_corner_root_of_V_is_rejected():
     assert solve_fixed_points_numeric(spec, "V") == []
 
 
+@pytest.mark.parametrize("mu, eta", [(1.0, 0.8), (1.0, 0.2), (1.0, 1.0)])
+def test_V_search_runs_no_start_on_an_empty_fixed_support(mu, eta, monkeypatch):
+    # a V fixed point z has W(z) = omega(W(z)) z with omega(W(z)) != 0, so it
+    # vanishes off the fixed support, which is empty here
+    import gonosim.fixed_points as fp
+
+    spec = hemophilia_spec(mu, eta)
+    assert not fp._fixed_support(spec).any()
+
+    def no_newton(*args):
+        raise AssertionError("the V search ran a Newton start")
+
+    monkeypatch.setattr(fp, "_newton", no_newton)
+    assert solve_fixed_points_numeric(spec, "V") == []
+    with pytest.raises(AssertionError, match="Newton"):
+        solve_fixed_points_numeric(hemophilia_spec(0.4, 0.8), "V")
+
+
 def test_diagnostics_are_a_serialized_field():
     for operator, failures in (
         ("W", ("rejected_residual", "nonfinite", "diverged")),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_newton import (  # noqa: E402
     assert_records_match,
@@ -27,6 +27,7 @@ from test_newton import (  # noqa: E402
 from gonosim import (  # noqa: E402
     Element,
     IterationOptions,
+    apply_V,
     apply_W,
     closed_form_fixed_points_type21,
     idempotent_correspondence,
@@ -42,7 +43,8 @@ from gonosim import (  # noqa: E402
     verify_omega_bounds,
 )
 from gonosim.algebra import AlgebraSpec  # noqa: E402
-from gonosim.errors import ShapeMismatch  # noqa: E402
+from gonosim.dynamics import CYCLE_MIN_STEP_FACTOR, UNDERFLOW_OMEGA  # noqa: E402
+from gonosim.errors import AbsorbedToO, ShapeMismatch  # noqa: E402
 from gonosim.fixed_points import (  # noqa: E402
     DEDUP_TOL,
     RESIDUAL_TOL,
@@ -51,7 +53,7 @@ from gonosim.fixed_points import (  # noqa: E402
     _records,
     _starts,
 )
-from gonosim.scenarios import type21_spec  # noqa: E402
+from gonosim.scenarios import hemophilia_spec, type21_spec  # noqa: E402
 
 algebras = st.builds(
     random_stochastic, st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)
@@ -284,3 +286,125 @@ def test_W_orbit_of_the_swapped_state_is_the_swapped_orbit(spec, seed, mass):
     b = iterate(Element.from_vector(phi @ z.vector, spec.nu), opposite(spec), "W", IterationOptions(max_steps=60))
     assert (b.outcome.kind, b.outcome.step) == (a.outcome.kind, a.outcome.step)
     np.testing.assert_allclose([v.vector for v in b.states], [phi @ v.vector for v in a.states], rtol=1e-9)
+
+
+def reference_iterate(z0, spec, operator, opts):
+    """iterate as a plain loop: one apply_W or apply_V call a step, then the
+    outcome precedence on that step, with the full L1 distance to each of
+    the states 2..max_period back.  Returns (states, omegas, outcome fields)."""
+    step = apply_V if operator == "V" else apply_W
+    n = spec.n
+    states = [z0]
+    quiet, kind, period, final_l1 = 0, None, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, opts.max_steps + 1):
+            try:
+                z = step(states[-1], spec)
+            except AbsorbedToO:
+                kind = "absorbed"
+                break
+            states.append(z)
+            v = z.vector
+            final_l1 = float(np.abs(v - states[-2].vector).sum())
+            l1 = float(np.abs(v).sum())
+            if l1 == 0.0:
+                kind = "extinct"
+            elif np.abs(v).max() < UNDERFLOW_OMEGA and abs(v[:n].sum() + v[n:].sum()) < UNDERFLOW_OMEGA:
+                kind = "numerically_extinct"
+            elif operator == "W" and not (z.x.any() and z.y.any()):
+                continue
+            else:
+                quiet = quiet + 1 if final_l1 < opts.conv_tol else 0
+                returns = [
+                    g
+                    for g in range(2, opts.max_period + 1)
+                    if g <= t and np.abs(states[t - g].vector - v).sum() < opts.conv_tol
+                ]
+                if quiet >= opts.patience:
+                    kind = "converged"
+                elif final_l1 >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol and returns:
+                    kind, period = "cycle", returns[0]
+                elif l1 > opts.div_threshold:
+                    kind = "divergent"
+            if kind:
+                break
+    fields = (kind or "max_iterations", len(states) - 1, period, final_l1)
+    return states, [omega(z) for z in states], fields
+
+
+def assert_iterate_is_the_reference(z0, spec, operator, opts):
+    got = iterate(z0, spec, operator, opts)
+    states, omegas, (kind, step, period, final_l1) = reference_iterate(z0, spec, operator, opts)
+    out = got.outcome
+    assert (out.kind, out.step, out.period) == (kind, step, period)
+    assert np.array(out.final_step_l1, dtype=float).tobytes() == np.array(final_l1, dtype=float).tobytes()
+    assert _same_bits(np.array([z.vector for z in got.states]), np.array([z.vector for z in states]))
+    assert _same_bits(np.array(got.omegas), np.array(omegas))
+    assert (out.point is None) == (kind != "converged")
+    if out.point is not None:
+        assert out.point is got.states[-1]
+    assert [r.vector.tobytes() for r in out.representatives] == (
+        [z.vector.tobytes() for z in states[-period:]] if period else []
+    )
+    return out
+
+
+def _three_cycle() -> AlgebraSpec:
+    """Type (3,1): e_i m = e_(i+1 mod 3) / 2 + m / 2, so V permutes the females of a state with y = 1/2."""
+    gamma, gamma_tilde = np.zeros((3, 1, 3)), np.full((3, 1, 1), 0.5)
+    for i in range(3):
+        gamma[i, 0, (i + 1) % 3] = 0.5
+    return AlgebraSpec(3, 1, gamma, gamma_tilde)
+
+
+# orbits the classifier must get right besides random ones: period-2
+# recessive_lethal cycles, alternating convergence (the step-size rule that
+# keeps it from being a cycle), a period-3 cycle, exact extinction under W
+# (absorption under V), and a W orbit that overflows
+NAMED_ORBITS = {
+    "period_2": (type21_spec(0.0, 0.3, 0.5, 0.0), [0.5, 0.0, 0.5]),
+    "period_2_other": (type21_spec(0.0, 0.3, 0.4, 0.0), [0.0, 0.6, 0.4]),
+    "alternating": (type21_spec(0.1, 0.5, 0.4, 0.1), [0.2, 0.3, 0.5]),
+    "period_3": (_three_cycle(), [0.3, 0.15, 0.05, 0.5]),
+    "extinct": (hemophilia_spec(1.0, 0.8), [0.25, 0.25, 0.25, 0.25]),
+    "overflow": (random_stochastic(2, 2, 0), [3.0, 2.0, 1.0, 4.0]),
+}
+
+
+@given(
+    st.one_of(algebras, st.sampled_from([spec for spec, _ in NAMED_ORBITS.values()])),
+    seeds,
+    st.floats(0.1, 40.0),
+    st.sampled_from("WV"),
+    st.builds(
+        IterationOptions,
+        conv_tol=st.sampled_from((1e-9, 1e-12, 1e-4)),
+        patience=st.integers(1, 4),
+        div_threshold=st.sampled_from((1e12, 1e300)),
+        max_steps=st.sampled_from((0, 1, 2, 3, 12, 60, 500)),
+        max_period=st.sampled_from((1, 2, 3, 8, 20)),
+    ),
+)
+@settings(max_examples=200)
+def test_iterate_is_the_step_by_step_classifier(spec, seed, mass, operator, opts):
+    # masses on both sides of 4: W decays below it and may overflow above it
+    assert_iterate_is_the_reference(_state(spec, seed, mass), spec, operator, opts)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ORBITS))
+@pytest.mark.parametrize("operator", ("W", "V"))
+@pytest.mark.parametrize("max_steps", (0, 1, 2, 3, 500))
+@pytest.mark.parametrize("max_period", (1, 2, 8))
+def test_iterate_is_the_step_by_step_classifier_on_named_orbits(name, operator, max_steps, max_period):
+    spec, v = NAMED_ORBITS[name]
+    z0 = Element.from_vector(v, spec.n)
+    for div_threshold in (1e12, 1e300):
+        opts = IterationOptions(max_steps=max_steps, max_period=max_period, div_threshold=div_threshold)
+        out = assert_iterate_is_the_reference(z0, spec, operator, opts)
+        if operator == "V" and max_steps == 500 and name.startswith("period_"):
+            # a return at a gap above max_period is no cycle
+            period = int(name[len("period_")])
+            assert (out.kind == "cycle") == (max_period >= period)
+            assert out.period == (period if max_period >= period else None)
+        if name == "alternating" and operator == "V" and max_steps == 500:
+            assert out.kind == "converged"
