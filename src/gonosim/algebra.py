@@ -98,11 +98,6 @@ def _times(A: np.ndarray, M: np.ndarray, rowwise: bool) -> np.ndarray:
     return (A[..., None, :] @ M)[..., 0, :] if rowwise else A @ M
 
 
-def _row_omegas(Z: np.ndarray, n: int) -> np.ndarray:
-    """Coordinate sum of each row of Z (..., dim), summed as omega() sums an Element."""
-    return Z[..., :n].sum(axis=-1) + Z[..., n:].sum(axis=-1)
-
-
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Structure constants of an algebra of type (n, nu).
@@ -418,8 +413,8 @@ def multiply(a: Element, b: Element, spec: AlgebraSpec) -> Element:
 
 
 def omega(a: Element) -> float:
-    """Sum of all coordinates (total population weight)."""
-    return float(a.x.sum() + a.y.sum())
+    """Sum of all coordinates (total population weight), one sum over the state vector."""
+    return float(a.vector.sum())
 
 
 def change_basis(spec: AlgebraSpec, bc: BasisChange) -> AlgebraSpec:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SINGULAR_DET_TOL, AlgebraSpec, Element, State, _admit, _frozen, _row_omegas, json_line, write_text
+from .algebra import SINGULAR_DET_TOL, AlgebraSpec, Element, State, _admit, _frozen, json_line, write_text
 from .errors import AbsorbedToO, ShapeMismatch, SingularMap
 
 UNDERFLOW_OMEGA = 1e-300
@@ -135,9 +135,9 @@ def _step_rows(Z: np.ndarray, start: int, stop: int, spec: AlgebraSpec, normaliz
     """Fill rows start..stop-1 of Z, each with the image of the row before it.
 
     One kernel contraction per row; with normalize the row is then divided
-    by its coordinate sum (the V step).  Returns the first row whose W image
-    sums to exactly zero under normalize, where V is undefined and the row
-    is left unfinished, else stop.
+    by its omega, one sum over the row (the V step).  Returns the first row
+    whose W image sums to exactly zero under normalize, where V is undefined
+    and the row is left unfinished, else stop.
     """
     n, K = spec.n, spec.kernel
     X, Y = Z[:, :n, None], Z[:, n:]
@@ -147,7 +147,7 @@ def _step_rows(Z: np.ndarray, start: int, stop: int, spec: AlgebraSpec, normaliz
         # np.dot: the same BLAS product as matmul, at less call overhead
         np.dot((X[t - 1] * Y[t - 1]).ravel(), K, out=z)
         if normalize:
-            total = add(z[:n]) + add(z[n:])
+            total = add(z)
             if total == 0.0:
                 return t
             z /= total
@@ -208,9 +208,9 @@ def support_orbit(spec: AlgebraSpec, z: State) -> tuple[list, int]:
     return masks, seen[s]
 
 
-def _underflowed(z: np.ndarray, n: int) -> bool:
+def _underflowed(z: np.ndarray) -> bool:
     """Every coordinate and the coordinate sum below UNDERFLOW_OMEGA in size."""
-    return np.abs(z).max() < UNDERFLOW_OMEGA and abs(z[:n].sum() + z[n:].sum()) < UNDERFLOW_OMEGA
+    return np.abs(z).max() < UNDERFLOW_OMEGA and abs(z.sum()) < UNDERFLOW_OMEGA
 
 
 def _return_gap(Z: np.ndarray, t: int, firsts: list, lo: int, opts: IterationOptions) -> int | None:
@@ -236,10 +236,12 @@ def iterate(
     conv_tol for `patience` consecutive steps; a cycle is a return (within
     conv_tol) to a state seen at most max_period steps earlier, made while
     the step size is still at least CYCLE_MIN_STEP_FACTOR * conv_tol, and
-    its period is the smallest such gap.  Raises ValueError for a
-    non-finite z0, a non-finite structure constant, or options out of
-    range: max_steps below 0, patience or max_period below 1, or a
-    conv_tol or div_threshold that is not finite and positive.
+    its period is the smallest such gap; divergence is an L1 norm above
+    div_threshold or not finite (an overflow that turned NaN).  The omegas
+    are omega of each state.  Raises ValueError for a non-finite z0, a
+    non-finite structure constant, or options out of range: max_steps
+    below 0, patience or max_period below 1, or a conv_tol or div_threshold
+    that is not finite and positive.
 
     The orbit is computed on rows of one preallocated array, _BLOCK steps
     at a time with one kernel contraction per step.  Each block is then
@@ -301,7 +303,7 @@ def iterate(
                 for r in range(m):
                     if l1[r] == 0.0:
                         kind = "extinct"
-                    elif l1[r] < tiny_l1 and _underflowed(rows[r], n):
+                    elif l1[r] < tiny_l1 and _underflowed(rows[r]):
                         kind = "numerically_extinct"
                     elif not normalize and not (females[r] and males[r]):
                         # one sex is missing: the next step sends the state to exactly zero
@@ -314,7 +316,7 @@ def iterate(
                             # a slowly converging orbit revisits its own
                             # neighborhood, so only a large step counts
                             kind = "cycle"
-                        elif l1[r] > opts.div_threshold:
+                        elif not l1[r] <= opts.div_threshold:
                             kind = "divergent"
                     if kind:
                         last, final_l1 = t0 + r, steps[r]
@@ -336,7 +338,7 @@ def iterate(
         representatives=tuple(states[-period:]) if kind == "cycle" else (),
         final_step_l1=final_l1,
     )
-    return Trajectory(states, _row_omegas(Z, n).tolist(), outcome, operator)
+    return Trajectory(states, Z.sum(axis=-1).tolist(), outcome, operator)
 
 
 @dataclass
@@ -347,7 +349,7 @@ class BoundReport:
 
 
 def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport:
-    """Check the growth/decay envelopes of the coordinate-sum sequence s(t).
+    """Check the growth/decay envelopes of the masses s(t) = omega(W^t(z0)).
 
     With m = min over rows of sqrt(gamma_ip gamma~_ip) and M = max over
     row pairs of gamma_ip gamma~_pq (the largest of the four products of
@@ -382,7 +384,7 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     _admit(spec, stochastic=True)
     min_sqrt, max_cross = spec._bound_constants[:2]
     with np.errstate(over="ignore", invalid="ignore"):
-        oms = _row_omegas(_orbit(z0, spec, t_max, normalize=False), spec.n).tolist()
+        oms = _orbit(z0, spec, t_max, normalize=False).sum(axis=-1).tolist()
     log_m, log_M, log_M16, *logs = (
         float(np.log(v)) if v > UNDERFLOW_OMEGA else -math.inf
         for v in (min_sqrt, max_cross, max_cross / 16.0, *oms)

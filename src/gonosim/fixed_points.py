@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, _admit, _frozen, _row_omegas, multiply, omega, opposite, swap_map
+from .algebra import AlgebraSpec, Element, State, _admit, _frozen, multiply, omega, opposite, swap_map
 from .errors import AbsorbedToO, NotIdempotent, NotNormalizable
 from .scenarios import (
     PARAM_TOL,
@@ -62,9 +62,10 @@ def _op_rows(Z: np.ndarray, spec: AlgebraSpec, operator: str, jacobians: bool = 
     The one evaluator of W, V and their ambient Jacobians, on the spec's row
     contractions: W is AlgebraSpec._w_rows and J_W(z) = L_z^T, from
     AlgebraSpec._left_rows.  V = W / omega(W) and, by the quotient rule,
-    J_V = (I - V 1^T) J_W / omega(W), both with the mass
-    omega(W) = W.sum(axis=1).  For W, J_op is J_W.  The mask marks the rows
-    with omega(W) = 0 (none for W); values on those rows are meaningless.
+    J_V = (I - V 1^T) J_W / omega(W), both with omega(W) = W.sum(axis=1),
+    one sum over the row as omega and the V stepper take it.  For W, J_op
+    is J_W.  The mask marks the rows with omega(W) = 0 (none for W); values
+    on those rows are meaningless.
     rowwise as in algebra._times.
     """
     op = spec._w_rows(Z, rowwise)
@@ -226,7 +227,7 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
         eligible = np.zeros(len(P), dtype=bool)
         Zn = P[eligible]
         if spec.is_stochastic():
-            mass = _row_omegas(P, n)
+            mass = P.sum(axis=-1)
             eligible = (P >= 0).all(axis=1) & (mass > 0)
             Zn = P[eligible] / mass[eligible, None]
             pos = Zn > 0

@@ -185,6 +185,11 @@ class TestOmega:
         assert omega(Element.zero(spec)) == 0.0
         assert omega(Element(np.array([2.0]), np.array([3.0]))) == 5.0
 
+    def test_one_sum_over_the_vector(self):
+        # 0 + 1 + 2 + (2^53 - 1) is exact left to right; 1 + (2 + 2^53 - 1)
+        # would round the male total to 2^53 and the mass to 2^53
+        assert omega(Element([0.0, 1.0], [2.0, 2.0**53 - 1])) == 2**53 + 2
+
     def test_omega_of_product(self):
         spec = random_stochastic(3, 3, 8)
         rng = np.random.default_rng(9)

@@ -113,7 +113,7 @@ def reference_iterate(z0, spec, operator="W", opts=None, apply_w=ref_apply_W):
                 break
         if cycle_found:
             break
-        if float(np.abs(z.vector).sum()) > opts.div_threshold:
+        if not float(np.abs(z.vector).sum()) <= opts.div_threshold:
             outcome = Outcome("divergent", step=t)
             break
     if outcome is None:

@@ -1,6 +1,7 @@
-"""Property tests on random stochastic algebras from (1,1) to (4,4), on
-one-sex algebras up to (5,1) and (1,5), on algebras from (2,2) to (4,4)
-whose products never produce some coordinates, and on the type-(2,1) family.
+"""Property tests on random stochastic algebras from (1,1) to (4,4) (the
+mass rule up to (8,8) and at (32,32)), on one-sex algebras up to (5,1) and
+(1,5), on algebras from (2,2) to (4,4) whose products never produce some
+coordinates, and on the type-(2,1) family.
 
 Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
@@ -50,6 +51,7 @@ from gonosim.fixed_points import (  # noqa: E402
     RESIDUAL_TOL,
     _fixed_support,
     _newton,
+    _op_rows,
     _records,
     _starts,
 )
@@ -92,7 +94,7 @@ def test_element_is_one_read_only_vector(n, nu, data):
     a, b = (data.draw(_vectors(n + nu, min_value=-1e100, max_value=1e100)) for _ in range(2))
     c = data.draw(st.floats(-4.0, 4.0))
     za, zb = Element.from_vector(a, n), Element.from_vector(b, n)
-    assert omega(za) == a[:n].sum() + a[n:].sum()
+    assert omega(za) == a.sum()
     for got, want in ((za + zb, a + b), (za - zb, a - b), (c * za, c * a), (za * c, a * c)):
         assert _same_bits(got.vector, want) and got.x.size == n and not got.vector.flags.writeable
     with pytest.raises(ShapeMismatch):
@@ -293,7 +295,6 @@ def reference_iterate(z0, spec, operator, opts):
     outcome precedence on that step, with the full L1 distance to each of
     the states 2..max_period back.  Returns (states, omegas, outcome fields)."""
     step = apply_V if operator == "V" else apply_W
-    n = spec.n
     states = [z0]
     quiet, kind, period, final_l1 = 0, None, None, None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -309,7 +310,7 @@ def reference_iterate(z0, spec, operator, opts):
             l1 = float(np.abs(v).sum())
             if l1 == 0.0:
                 kind = "extinct"
-            elif np.abs(v).max() < UNDERFLOW_OMEGA and abs(v[:n].sum() + v[n:].sum()) < UNDERFLOW_OMEGA:
+            elif np.abs(v).max() < UNDERFLOW_OMEGA and abs(v.sum()) < UNDERFLOW_OMEGA:
                 kind = "numerically_extinct"
             elif operator == "W" and not (z.x.any() and z.y.any()):
                 continue
@@ -324,7 +325,7 @@ def reference_iterate(z0, spec, operator, opts):
                     kind = "converged"
                 elif final_l1 >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol and returns:
                     kind, period = "cycle", returns[0]
-                elif l1 > opts.div_threshold:
+                elif not l1 <= opts.div_threshold:
                     kind = "divergent"
             if kind:
                 break
@@ -360,7 +361,8 @@ def _three_cycle() -> AlgebraSpec:
 # orbits the classifier must get right besides random ones: period-2
 # recessive_lethal cycles, alternating convergence (the step-size rule that
 # keeps it from being a cycle), a period-3 cycle, exact extinction under W
-# (absorption under V), and a W orbit that overflows
+# (absorption under V), a W orbit that overflows, and one whose overflow
+# turns into NaN (inf * 0 on a zero kernel entry) at step 10
 NAMED_ORBITS = {
     "period_2": (type21_spec(0.0, 0.3, 0.5, 0.0), [0.5, 0.0, 0.5]),
     "period_2_other": (type21_spec(0.0, 0.3, 0.4, 0.0), [0.0, 0.6, 0.4]),
@@ -368,6 +370,7 @@ NAMED_ORBITS = {
     "period_3": (_three_cycle(), [0.3, 0.15, 0.05, 0.5]),
     "extinct": (hemophilia_spec(1.0, 0.8), [0.25, 0.25, 0.25, 0.25]),
     "overflow": (random_stochastic(2, 2, 0), [3.0, 2.0, 1.0, 4.0]),
+    "overflow_to_nan": (_three_cycle(), [3.0, 1.5, 0.5, 5.0]),
 }
 
 
@@ -408,3 +411,52 @@ def test_iterate_is_the_step_by_step_classifier_on_named_orbits(name, operator, 
             assert out.period == (period if max_period >= period else None)
         if name == "alternating" and operator == "V" and max_steps == 500:
             assert out.kind == "converged"
+        if name == "overflow_to_nan" and operator == "W" and max_steps == 500 and div_threshold == 1e300:
+            # a NaN L1 norm is divergent: the orbit ends at its first NaN state
+            assert (out.kind, out.step) == ("divergent", 10)
+
+
+@pytest.mark.parametrize(
+    "scale,kind,step",
+    (
+        (1e-150, "extinct", 2),
+        (1e-152, "numerically_extinct", 1),
+        (1e-155, "numerically_extinct", 1),
+        (1e-161, "numerically_extinct", 1),
+        (1e-162, "extinct", 1),
+    ),
+)
+@pytest.mark.parametrize("v", ([1.0, 1.0, 1.0, 1.0], [0.5, 1.0, 2.0, 3.0]))
+def test_underflow_verdicts_of_W_orbits_through_tiny_masses(v, scale, kind, step):
+    # as z shrinks, the mass of W(z) is a normal float near 4e-300 (whose W
+    # image is 0.0), then subnormal (4e-304 down to 7e-322), then 0.0
+    z0 = Element.from_vector(np.array(v) * scale, 2)
+    out = assert_iterate_is_the_reference(z0, random_stochastic(2, 2, 0), "W", IterationOptions())
+    assert (out.kind, out.step) == (kind, step)
+
+
+@given(
+    st.one_of(
+        st.builds(random_stochastic, st.integers(1, 8), st.integers(1, 8), seeds),
+        st.builds(random_stochastic, st.just(32), st.just(32), seeds),
+    ),
+    seeds,
+    st.floats(0.0, 40.0),
+)
+@settings(max_examples=100)
+def test_every_mass_is_one_sum_over_the_state_vector(spec, seed, mass):
+    # omega, the omegas of an orbit, the V step of apply_V and iterate, and
+    # the V evaluator of the fixed-point search all take the same float
+    z = _state(spec, seed, mass)
+    assert omega(z) == float(z.vector.sum())
+    for operator in "WV":
+        traj = iterate(z, spec, operator, IterationOptions(max_steps=30))
+        assert traj.omegas == [omega(s) for s in traj.states]
+    op, _, _, absorbed = _op_rows(z.vector[None], spec, "V")
+    if absorbed[0]:
+        with pytest.raises(AbsorbedToO):
+            apply_V(z, spec)
+        return
+    v = apply_V(z, spec).vector
+    assert _same_bits(v, op[0])
+    assert _records(z.vector[None], spec, "V")[0].residual == np.abs(v - z.vector).sum()
