@@ -18,8 +18,8 @@ import numpy as np
 from . import fixed_points as fpmod
 from . import scenarios as scmod
 from .algebra import AlgebraSpec, Element, json_line, random_stochastic, validate, write_text
-from .dynamics import IterationOptions, apply_V, iterate
-from .errors import AbsorbedToO, GonosimError
+from .dynamics import IterationOptions, iterate
+from .errors import GonosimError
 from .identities import check_identities
 
 # every scenario parameter once, in the order the scenario table names them
@@ -105,19 +105,16 @@ def cmd_simulate(args) -> int:
     opts = IterationOptions(
         conv_tol=args.tol, max_steps=args.steps, max_period=args.max_period
     )
-    if args.operator == "V":
-        try:
-            apply_V(z0, spec)
-        except AbsorbedToO:
-            return _fail(
-                1,
-                "initial state lies in the absorbing set (one sex has total weight zero); "
-                "the normalized operator is undefined there",
-            )
     try:
         traj = iterate(z0, spec, operator=args.operator, opts=opts)
     except ValueError as exc:
         return _fail(2, f"bad input: {exc}")
+    if traj.outcome.kind == "absorbed" and traj.outcome.step == 0:
+        return _fail(
+            1,
+            "initial state lies in the absorbing set (one sex has total weight zero); "
+            "the normalized operator is undefined there",
+        )
     out = args.out or f"trajectory.{args.format}"
     _write(traj.to_csv if args.format == "csv" else traj.to_json, out)
     print(f"{traj.outcome.describe()} -> {out}")
@@ -129,7 +126,10 @@ def cmd_fixed_points(args) -> int:
         spec = _resolve_spec(args)
     except (OSError, json.JSONDecodeError, ValueError, GonosimError) as exc:
         return _fail(2, f"bad input: {exc}")
-    numeric = fpmod.solve_fixed_points_numeric(spec, operator=args.operator, seed=args.seed)
+    try:
+        numeric = fpmod.solve_fixed_points_numeric(spec, operator=args.operator, seed=args.seed)
+    except ValueError as exc:
+        return _fail(2, f"bad input: {exc}")
     payload = {"records": [r.to_dict() for r in numeric]}
 
     closed = None

@@ -1,11 +1,11 @@
 """Fixed points of the evolution operators and their stability.
 
-Numeric side: for W, where the coordinates a fixed point can hold leave
+Numeric side: for W, where the coordinates a fixed point can hold keep
 one female or one male type, the exact set from the eigenpairs of the
-transfer matrix of that restricted algebra; otherwise multi-start
-Newton on op(z) - z with the analytic Jacobian, run from every start at
-once, then deduplication and detection of one-parameter families through
-null directions of the linearization.
+transfer matrix read off the kernel at those coordinates; otherwise
+multi-start Newton on op(z) - z with the analytic Jacobian, run from
+every start at once, then deduplication and detection of one-parameter
+families through null directions of the linearization.
 Closed-form side: records of the scenario fixed points, whose formulas
 live in scenarios.
 Stability is read off Jacobian spectra; for the normalized operator the
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, _admit, _frozen, multiply, omega, opposite, swap_map
+from .algebra import AlgebraSpec, Element, State, _admit, _frozen, multiply, omega
 from .errors import AbsorbedToO, NotIdempotent, NotNormalizable
 from .scenarios import (
     PARAM_TOL,
@@ -162,7 +162,7 @@ class FixedPointRecord:
     """A fixed point with its spectra and stability labels.
 
     ``diagnostics`` is set on the records of a numeric search.  ``method``
-    is ``"eigen"`` for the exact W search (_exact_W), whose candidates are
+    is ``"eigen"`` for the exact W search (_eigen_roots), whose candidates are
     its non-zero eigen roots (none when only the origin is fixed), and
     ``"newton"`` for the multi-start search, whose candidates are its
     starts.  The counts: ``attempted`` candidates, ``converged`` (accepted
@@ -210,9 +210,12 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
     algebra that are non-negative with positive mass and, scaled to unit
     sum, have female and male mass, taken at that scaled point (one more
     _op_rows call).  The products are row-wise, so a row's record has the
-    bits make_record gives it alone.  Raises NotStochastic (V on a
-    non-stochastic algebra) and AbsorbedToO where V is undefined.
+    bits make_record gives it alone.  Raises ValueError for an algebra with
+    a non-finite structure constant (before any other check), NotStochastic
+    (V on a non-stochastic algebra) and AbsorbedToO where V is undefined.
     """
+    if not spec.is_finite():
+        raise ValueError("algebra has a non-finite structure constant")
     _admit(spec, operator=operator, stochastic=operator == "V")
     n = spec.n
     P = _frozen(np.array(P, dtype=float).reshape(-1, spec.dim))  # the record points wrap its rows
@@ -261,7 +264,9 @@ def make_record(z: State, spec: AlgebraSpec, operator: str = "W") -> FixedPointR
     algebra is stochastic, z is non-negative with positive mass and the
     scaled point has female and male mass.  A one-row call of the pass the
     numeric search and the closed forms make over all their points.
-    Raises ValueError for an operator other than "W" or "V".
+    Raises ShapeMismatch for a state of the wrong type, ValueError for an
+    operator other than "W" or "V" or an algebra with a non-finite
+    structure constant.
     """
     _admit(spec, z, operator=operator)
     rec = _records(z.vector[None], spec, operator)[0]
@@ -399,40 +404,6 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
     return FamilyDescriptor(base_point=v.copy(), direction=direction)
 
 
-def _eigen_roots(spec: AlgebraSpec) -> np.ndarray | None:
-    """Every W fixed point of a type-(n, 1) or (1, nu) algebra, origin first,
-    from one eigendecomposition; None when two eigenvalues repeat.
-
-    For nu = 1, W(x, y) = (y A x, y q.x) with A[k, i] = gamma[i, 0, k] and
-    q_i = gamma~[i, 0, 0], so the non-zero fixed points are (v / q.v, 1 / lam)
-    for the real eigenpairs (lam, v) of A, here in increasing 1 / lam.  As
-    in scenarios.type21_fixed_points, a pair with |lam| below PARAM_TOL, or
-    |q.v| below PARAM_TOL |v|_1, gives no point.  Distinct eigenvalues give
-    at most n + 1 points with the origin, the 2-homogeneous Bezout number,
-    so the set is complete.  Eigenvalues within EIGEN_REPEAT_TOL may carry a
-    family (A = lam I) or a Jordan block, which the Newton search and
-    _detect_family own.  Type (1, nu) runs on opposite(spec) and maps the
-    roots back by swap_map.  Near-zero coordinates are snapped as Newton's
-    are, so a triangular A keeps its structural zeros.
-    """
-    if spec.nu != 1:
-        roots = _eigen_roots(opposite(spec))
-        return None if roots is None else roots @ swap_map(spec)
-    A = spec.gamma[:, 0, :].T
-    lam, vecs = np.linalg.eig(A)
-    gaps = np.abs(lam[:, None] - lam)
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < EIGEN_REPEAT_TOL * max(1.0, np.abs(A).sum(axis=0).max()):
-        return None
-    real = lam.imag == 0  # LAPACK returns a real eigenvalue with imaginary part exactly 0
-    lam, vecs = lam.real[real], vecs.real[:, real]
-    qv = spec.gamma_tilde[:, 0, 0] @ vecs
-    ok = (np.abs(lam) >= PARAM_TOL) & (np.abs(qv) >= PARAM_TOL * np.abs(vecs).sum(axis=0))
-    y = 1.0 / lam[ok]
-    roots = np.column_stack([(vecs[:, ok] / qv[ok]).T, y])[np.argsort(y, kind="stable")]
-    return _snap(np.vstack([np.zeros((1, spec.dim)), roots]))
-
-
 def _fixed_support(spec: AlgebraSpec) -> np.ndarray:
     """The fixed support S of spec: the mask of the coordinates a W fixed point can hold.
 
@@ -441,9 +412,9 @@ def _fixed_support(spec: AlgebraSpec) -> np.ndarray:
     dynamics.support_orbit).  A fixed point z has z_k = W(z)_k != 0 only if
     some x_i y_p K[i nu + p, k] != 0, so its support is such a set and lies
     in S.  No pair in S produces a coordinate off S (S would not be the
-    largest), so on the points that vanish off S, W is the W of the algebra
-    restricted to S.  Found by removing the coordinates the pairs left do
-    not produce until none goes.  A non-empty S holds both sexes.
+    largest), so at a point that vanishes off S, W vanishes off S too.
+    Found by removing the coordinates the pairs left do not produce until
+    none goes.  A non-empty S holds both sexes.
     """
     n = spec.n
     made = spec.kernel != 0.0  # row i nu + p: what e_i m_p produces
@@ -455,48 +426,51 @@ def _fixed_support(spec: AlgebraSpec) -> np.ndarray:
     return S
 
 
-def _restrict(spec: AlgebraSpec, S: np.ndarray) -> AlgebraSpec:
-    """The algebra of the products e_i m_p with i and p in S, on the coordinates in S."""
-    n = spec.n
-    K = spec.kernel.reshape(n, spec.nu, spec.dim)[S[:n]][:, S[n:]][:, :, S]
-    m = int(S[:n].sum())
-    return AlgebraSpec(m, int(S[n:].sum()), K[:, :, :m], K[:, :, m:])
+def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> np.ndarray | None:
+    """Every W fixed point of spec, origin first, when its fixed support S
+    keeps one type of one sex; None when S keeps two types of each sex or
+    two eigenvalues repeat.
 
-
-def _exact_W(spec: AlgebraSpec):
-    """The exact W search of a finite algebra, or None where it does not apply.
-
-    The roots vanish off the fixed support S (_fixed_support) and are the
-    roots of the algebra restricted to S, padded with zeros.  An empty S
-    (no female or no male left) gives the origin alone.  A restriction of
-    type (n, 1) or (1, nu) gives _eigen_roots, each root whose residual is
-    not below RESIDUAL_TOL polished by Newton on the restriction and kept
-    only if accepted.  None when the restriction has n, nu >= 2 or its
-    eigenvalues repeat.  When S is every coordinate, no restriction is built.
-
-    Returns the roots (origin first), and the outcome codes and singular
-    flags of the non-zero eigen roots, the candidates.
+    Let c be the single coordinate of that sex in S (the male one of a
+    type-(1, 1) S), M the coordinates of the other sex in S, and row j the
+    kernel row of the product of j in M with c.  Every fixed point vanishes
+    off S (_fixed_support), and on S, W(z) = (z_c A z_M, z_c q.z_M) with
+    A[k, j] = row j at k and q_j = row j at c.  So the non-zero fixed
+    points are z_M = v / q.v, z_c = 1 / lam for the real eigenpairs
+    (lam, v) of A, here in increasing 1 / lam.  As in
+    scenarios.type21_fixed_points, a pair with |lam| below PARAM_TOL, or
+    |q.v| below PARAM_TOL |v|_1, gives no point.  Distinct eigenvalues give
+    at most |M| + 1 points with the origin, the 2-homogeneous Bezout number,
+    so the set is complete.  Eigenvalues within EIGEN_REPEAT_TOL may carry a
+    family (A = lam I) or a Jordan block, which the Newton search and
+    _detect_family own.  Near-zero coordinates are snapped as Newton's are,
+    so a triangular A keeps its structural zeros.
     """
-    S = _fixed_support(spec)
-    if not S.any():
-        return np.zeros((1, spec.dim)), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
-    sub = spec if S.all() else _restrict(spec, S)
-    if 1 not in (sub.n, sub.nu):
+    n = spec.n
+    females, males = np.flatnonzero(S[:n]), np.flatnonzero(S[n:])
+    K = spec.kernel.reshape(n, spec.nu, spec.dim)
+    if len(males) == 1:
+        c, M, rows = n + males[0], females, K[females, males[0]]
+    elif len(females) == 1:
+        c, M, rows = females[0], n + males, K[females[0], males]
+    else:
         return None
-    roots = _eigen_roots(sub)
-    if roots is None:
+    A = rows[:, M].T
+    lam, vecs = np.linalg.eig(A)
+    gaps = np.abs(lam[:, None] - lam)
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() < EIGEN_REPEAT_TOL * max(1.0, np.abs(A).sum(axis=0).max()):
         return None
-    op = _op_rows(roots, sub, "W", rowwise=True)[0]
-    fate = np.zeros(len(roots), dtype=int)
-    singular = np.zeros(len(roots), dtype=bool)
-    off = np.flatnonzero(~(np.abs(op - roots).sum(axis=1) < RESIDUAL_TOL))
-    if off.size:
-        roots[off], fate[off], singular[off] = _newton(roots[off], sub, "W")
-    if sub is not spec:
-        padded = np.zeros((len(roots), spec.dim))
-        padded[:, S] = roots
-        roots = padded
-    return roots[fate == 0], fate[1:], singular[1:]  # the origin is no candidate
+    real = lam.imag == 0  # LAPACK returns a real eigenvalue with imaginary part exactly 0
+    lam, vecs = lam.real[real], vecs.real[:, real]
+    qv = rows[:, c] @ vecs
+    ok = (np.abs(lam) >= PARAM_TOL) & (np.abs(qv) >= PARAM_TOL * np.abs(vecs).sum(axis=0))
+    y = 1.0 / lam[ok]
+    order = np.argsort(y, kind="stable")
+    roots = np.zeros((1 + len(y), spec.dim))
+    roots[1:, M] = (vecs[:, ok] / qv[ok]).T[order]
+    roots[1:, c] = y[order]
+    return _snap(roots)
 
 
 def solve_fixed_points_numeric(
@@ -506,15 +480,17 @@ def solve_fixed_points_numeric(
     seed: int = 0,
     random_starts: int = 8,
 ) -> list[FixedPointRecord]:
-    """Fixed points of op, exact for W where the fixed support leaves one sex
+    """Fixed points of op, exact for W where the fixed support keeps one sex
     with one type, else by multi-start Newton.
 
-    For W on a finite algebra whose fixed support S is empty, or restricts
-    it to a type (n, 1) or (1, nu) with distinct transfer-matrix
-    eigenvalues, the set is exact (_exact_W): the origin, then one root per
-    real eigenpair of the restriction, padded with zeros off S.  The start
-    arguments are not used there, and the records are those of the full
-    algebra.
+    The roots of both operators vanish off the fixed support S
+    (_fixed_support).  For W, an empty S gives the origin alone, and an S
+    that keeps one type of one sex with distinct transfer-matrix
+    eigenvalues gives the exact set of _eigen_roots: the origin, then one
+    root per real eigenpair.  An eigen root whose residual is not below
+    RESIDUAL_TOL is polished by Newton on spec and kept only if accepted;
+    J_W - I is block triangular on (S, off S), so at a root that vanishes
+    off S the step does too.  The start arguments are not used there.
 
     Otherwise Newton runs from a grid over [0, 5]^dim (or the simplex for
     the normalized operator) plus seeded random points.  Roots are
@@ -523,18 +499,30 @@ def solve_fixed_points_numeric(
     state is always included for the unnormalized operator.
 
     The V search returns no record, and runs no start, where S is empty.
-    Every record carries the search's diagnostics.  The V search raises
-    NotStochastic on an algebra that is not stochastic; an operator other
-    than "W" or "V" raises ValueError.
+    Every record carries the search's diagnostics.  Raises ValueError for
+    an algebra with a non-finite structure constant (before any other
+    check) or an operator other than "W" or "V", and NotStochastic for the
+    V search on an algebra that is not stochastic.
     """
+    if not spec.is_finite():
+        raise ValueError("algebra has a non-finite structure constant")
     _admit(spec, operator=operator, stochastic=operator == "V")
-    if operator == "V" and not _fixed_support(spec).any():
-        return []  # V(z) = z makes W(z) a non-zero multiple of z, so z vanishes off S too
-    exact = _exact_W(spec) if operator == "W" and spec.is_finite() else None
+    S = _fixed_support(spec)
     families: list[FamilyDescriptor] = []
-    if exact is not None:
+    if not S.any():
+        if operator == "V":
+            return []  # V(z) = z makes W(z) a non-zero multiple of z, so z vanishes off S too
+        method, roots = "eigen", np.zeros((1, spec.dim))
+        fate, singular = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    elif operator == "W" and (roots := _eigen_roots(spec, S)) is not None:
         method = "eigen"
-        roots, fate, singular = exact
+        op = _op_rows(roots, spec, "W", rowwise=True)[0]
+        fate = np.zeros(len(roots), dtype=int)
+        singular = np.zeros(len(roots), dtype=bool)
+        off = np.flatnonzero(~(np.abs(op - roots).sum(axis=1) < RESIDUAL_TOL))
+        if off.size:
+            roots[off], fate[off], singular[off] = _newton(roots[off], spec, "W")
+        roots, fate, singular = roots[fate == 0], fate[1:], singular[1:]  # the origin is no candidate
     else:
         method = "newton"
         starts = _starts(spec, operator, grid, seed, random_starts)

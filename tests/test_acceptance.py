@@ -5,6 +5,8 @@ tolerance and records a single pass/fail line, shown in the terminal
 summary.  The whole module is designed to run in well under a minute.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import ACCEPTANCE_RESULTS
@@ -17,6 +19,7 @@ from gonosim import (
     apply_W,
     check_identities,
     classify_eset,
+    classify_spectrum,
     closed_form_fixed_points_hemophilia,
     closed_form_fixed_points_type11,
     closed_form_fixed_points_type21,
@@ -412,6 +415,27 @@ def test_criterion_9_identity_suite(algebra_pool):
     record(9, "identity suite (1000 algebras)", not failures, str(failures[:3]))
 
 
+def _transfer_mismatch(rec) -> str | None:
+    """Why the spectra of a W record break the transversal identity, or None.
+
+    W is homogeneous of degree 2, so J_W(z*) z* = 2 z* at a non-zero fixed
+    point z*, and the rest of the J_W spectrum is the spectrum of J_V at
+    z*/omega(z*) on the simplex tangent space.  So the W spectrum without
+    its eigenvalue nearest 2 must match the record's V spectrum in sorted
+    modulus, and its spectral radius must carry the record's V label.
+    """
+    w = np.delete(rec.w_eigenvalues, np.argmin(np.abs(rec.w_eigenvalues - 2.0)))
+    v = rec.v_eigenvalues
+    if len(w) != len(v):
+        return f"{len(w)} transversal W eigenvalues against {len(v)} V eigenvalues"
+    gap = float(np.abs(np.sort(np.abs(w)) - np.sort(np.abs(v))).max(initial=0.0))
+    if gap > 1e-6:
+        return f"transversal W and V spectra differ by {gap:.2e}"
+    if classify_spectrum(w) != rec.stability_v:
+        return f"transversal W label {classify_spectrum(w)} against V label {rec.stability_v}"
+    return None
+
+
 def test_criterion_10_stability_transfer():
     failures = []
     candidates = []
@@ -424,10 +448,24 @@ def test_criterion_10_stability_transfer():
             v = rec.point.vector
             if np.abs(v).sum() > 1e-8 and np.all(v >= -1e-12):
                 candidates.append((spec, rec))
+    # every normalizable W record of random algebras: a non-zero, non-negative
+    # root whose scaled point has female and male mass carries a V spectrum
+    for seed in range(8):
+        for n in (1, 2, 3):
+            for nu in (1, 2, 3):
+                spec = random_stochastic(n, nu, seed)
+                candidates += [(spec, r) for r in solve_fixed_points_numeric(spec, "W") if r.v_eigenvalues is not None]
     for spec, rec in candidates:
         rep = stability_transfer_check(rec, spec)
         if not rep.consistent:
             failures.append((rec.point.vector.tolist(), rep.stability_w, rep.stability_v))
+        if (why := _transfer_mismatch(rec)) is not None:
+            failures.append((rec.point.vector.tolist(), why))
+
+    # the identity can fail: a V spectrum scaled by 1.5 breaks it
+    spec, rec = next((s, r) for s, r in candidates if np.abs(r.v_eigenvalues).max() > 1e-3)
+    if _transfer_mismatch(replace(rec, v_eigenvalues=1.5 * rec.v_eigenvalues)) is None:
+        failures.append(("tampered V spectrum passes", rec.point.vector.tolist()))
 
     # converse failure: unstable unnormalized, superstable normalized
     spec = type11_spec(0.5)

@@ -74,6 +74,25 @@ class TestNonFinite:
         assert main(argv) == 2
         assert "non-finite structure constant" in capsys.readouterr().err
 
+    def test_simulate_V_on_a_nan_algebra(self, tmp_path, capsys):
+        # the same rejection as W: bad input, before anything is written
+        path = tmp_path / "nan.json"
+        AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]).save(path)
+        out = tmp_path / "out.csv"
+        argv = ["simulate", "--algebra", str(path), "--init", "1,1", "--operator", "V", "--out", str(out)]
+        assert main(argv) == 2
+        assert "non-finite structure constant" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    def test_fixed_points_nan_algebra(self, operator, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]).save(path)
+        assert main(["fixed-points", "--algebra", str(path), "--operator", operator]) == 2
+        captured = capsys.readouterr()
+        assert "bad input: algebra has a non-finite structure constant" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bad, field", [("NaN", "value"), ("Infinity", "sum")])
     def test_validate_writes_null_for_non_finite(self, bad, field, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -158,6 +177,30 @@ class TestSimulate:
         )
         assert code == 1
         assert "absorbing" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_absorbing_start_with_no_steps_exports_the_start(self, good_algebra, tmp_path):
+        # --steps 0 takes no V step, so the start is never found absorbing
+        out = tmp_path / "t.json"
+        argv = ["simulate", "--algebra", good_algebra, "--operator", "V", "--init", "1,0",
+                "--steps", "0", "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        data = json.loads(out.read_text())
+        assert data["states"] == [[1.0, 0.0]]
+        assert (data["outcome"]["kind"], data["outcome"]["step"]) == ("max_iterations", 0)
+
+    def test_absorption_after_the_start_exports_the_orbit(self, tmp_path, capsys):
+        # every product is female: V sends (0.5, 0.5) to (1, 0), where W vanishes
+        path = tmp_path / "female.json"
+        AlgebraSpec(1, 1, [[[1.0]]], [[[0.0]]]).save(path)
+        out = tmp_path / "t.json"
+        argv = ["simulate", "--algebra", str(path), "--operator", "V", "--init", "0.5,0.5",
+                "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        data = json.loads(out.read_text())
+        assert data["states"] == [[0.5, 0.5], [1.0, 0.0]]
+        assert (data["outcome"]["kind"], data["outcome"]["step"]) == ("absorbed", 1)
+        assert "absorbed" in capsys.readouterr().out
 
     def test_requires_exactly_one_source(self, good_algebra, tmp_path):
         code = main(

@@ -41,6 +41,7 @@ from gonosim.scenarios import (
     type11_spec,
     type21_spec,
 )
+from test_properties import _reducible_algebra
 
 
 def fd_jacobian_W(z, spec, h=1e-7):
@@ -191,9 +192,26 @@ class TestEigenSearch:
                 assert np.abs(apply_W(Element.from_vector(z, n), spec).vector - z).sum() < RESIDUAL_TOL
                 assert min(np.abs(r.point.vector - z).sum() for r in recs) < DEDUP_TOL
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_both_orientations_give_the_swapped_set(self, n):
-        spec = random_stochastic(n, 1, n)
+    @pytest.mark.parametrize(
+        "spec",
+        [random_stochastic(n, 1, n) for n in (1, 2, 5)]
+        + [
+            hemophilia_spec(0.4, 1.0),  # x1 is never produced: one female type with two males
+            _reducible_algebra(3, 2, 4, [False] * 3 + [True, False]),  # no y1: three females, one male
+            _reducible_algebra(2, 3, 5, [True] + [False] * 4),  # no x1: one female, three males
+        ],
+        ids=["1", "2", "5", "hemophilia", "3,2_no_y1", "2,3_no_x1"],
+    )
+    def test_both_orientations_give_the_swapped_set(self, spec):
+        # one orientation keeps one male type on the fixed support, the other
+        # one female type; opposite and swap_map are the reference
+        n, nu, S = spec.n, spec.nu, _fixed_support(spec)
+        swapped_S = _fixed_support(opposite(spec))
+        one_male = S[n:].sum() == 1
+        if one_male:
+            assert swapped_S[:nu].sum() == 1
+        else:
+            assert S[:n].sum() == 1 and swapped_S[nu:].sum() == 1
         recs = solve_fixed_points_numeric(spec, "W")
         swapped = solve_fixed_points_numeric(opposite(spec), "W")
         phi = swap_map(spec)
@@ -201,8 +219,11 @@ class TestEigenSearch:
         assert len(recs) == len(swapped)
         for r, s in zip(recs, swapped):
             assert np.abs(phi @ r.point.vector - s.point.vector).sum() < 1e-12
-        ys = [r.point.y[0] for r in recs[1:]]
-        assert ys == sorted(ys) and np.all(recs[0].point.vector == 0.0)
+            assert not np.any(r.point.vector[~S])
+        # the non-zero roots come in increasing order of the single coordinate
+        c = n + np.flatnonzero(S[n:])[0] if one_male else np.flatnonzero(S[:n])[0]
+        cs = [r.point.vector[c] for r in recs[1:]]
+        assert cs == sorted(cs) and np.all(recs[0].point.vector == 0.0)
 
     def test_triangular_transfer_matrix_keeps_its_structural_zeros(self):
         # A = [[0.3, 0], [0.2, 0.6]]: the eigenvector of 0.6 is (0, 1), exactly
@@ -243,8 +264,8 @@ class TestEigenSearch:
         want = solve_fixed_points_numeric(spec, "W")
         eigen_roots = fp._eigen_roots
 
-        def shifted(spec):
-            roots = eigen_roots(spec)
+        def shifted(spec, S):
+            roots = eigen_roots(spec, S)
             roots[1, 0] += 1e-6
             return roots
 
@@ -261,7 +282,7 @@ class TestEigenSearch:
         import gonosim.fixed_points as fp
 
         spec = type21_spec(0.3, 0.2, 0.25, 0.35)
-        monkeypatch.setattr(fp, "_eigen_roots", lambda spec: np.array([[0.0, 0.0, 0.0], [1e9, 1e9, 1e9]]))
+        monkeypatch.setattr(fp, "_eigen_roots", lambda spec, S: np.array([[0.0, 0.0, 0.0], [1e9, 1e9, 1e9]]))
         recs = solve_fixed_points_numeric(spec, "W")
         assert len(recs) == 1 and not np.any(recs[0].point.vector)
         diag = recs[0].diagnostics
@@ -309,20 +330,26 @@ class TestFixedSupport:
         assert (diag["method"], diag["attempted"], diag["converged"]) == ("eigen", 0, 0)
 
     @pytest.mark.parametrize(
-        "spec", [random_stochastic(2, 1, 0), random_stochastic(1, 3, 1), random_stochastic(2, 2, 2)]
+        "spec",
+        [hemophilia_spec(0.4, 1.0), opposite(type21_spec(0.3, 0.2, 0.25, 0.35)), random_stochastic(1, 3, 1)],
+        ids=["hemophilia", "opposite_type21", "random_1_3"],
     )
-    def test_full_support_builds_no_restriction(self, spec, monkeypatch):
-        import gonosim.fixed_points as fp
+    def test_the_W_search_builds_no_algebra(self, spec, monkeypatch):
+        # the transfer matrix is read off the kernel: no restricted, opposite
+        # or swapped algebra is built on the way
+        built = []
+        post_init = AlgebraSpec.__post_init__
 
-        assert _fixed_support(spec).all()
-        want = solve_fixed_points_numeric(spec, "W")
+        def counted(self):
+            built.append((self.n, self.nu))
+            post_init(self)
 
-        def refuse(*args):
-            raise AssertionError("a restricted algebra was built")
-
-        monkeypatch.setattr(fp, "_restrict", refuse)
-        got = solve_fixed_points_numeric(spec, "W")
-        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        want = [r.to_dict() for r in solve_fixed_points_numeric(spec, "W")]
+        monkeypatch.setattr(AlgebraSpec, "__post_init__", counted)
+        recs = solve_fixed_points_numeric(spec, "W")
+        assert recs[0].diagnostics["method"] == "eigen"
+        assert built == []
+        assert [r.to_dict() for r in recs] == want
 
     @pytest.mark.parametrize(
         "n, nu, drop, restricted",
@@ -600,3 +627,28 @@ class TestMakeRecordRejects:
     def test_state_of_another_type(self):
         with pytest.raises(ShapeMismatch):
             make_record(Element.from_vector([1.0, 1.0, 1.0], 2), type11_spec(0.5))
+
+
+class TestNonFiniteAlgebra:
+    """The searches and the record pass reject a non-finite algebra before any other check."""
+
+    SPECS = [
+        AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]),
+        AlgebraSpec(2, 1, [[[0.2, np.inf]], [[0.1, 0.3]]], [[[0.3]], [[0.4]]]),
+    ]
+
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["nan", "inf"])
+    def test_search(self, spec, operator):
+        with pytest.raises(ValueError, match="algebra has a non-finite structure constant"):
+            solve_fixed_points_numeric(spec, operator)
+
+    @pytest.mark.parametrize("operator", ["W", "V"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["nan", "inf"])
+    def test_record(self, spec, operator):
+        with pytest.raises(ValueError, match="algebra has a non-finite structure constant"):
+            make_record(Element.from_vector(np.ones(spec.dim), spec.n), spec, operator)
+
+    def test_before_the_operator_check(self):
+        with pytest.raises(ValueError, match="non-finite structure constant"):
+            solve_fixed_points_numeric(self.SPECS[0], "X")
