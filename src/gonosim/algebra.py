@@ -237,10 +237,13 @@ class AlgebraSpec:
 def _admit(spec: AlgebraSpec, *states: "Element", operator: str = "W", stochastic: bool = False) -> None:
     """The admission rules of every entry point, checked in this order.
 
-    ValueError for an operator other than "W" or "V", ShapeMismatch for a
-    state that does not conform to the type of spec, and NotStochastic when
-    stochastic is set and spec is not stochastic.
+    ValueError for a non-finite structure constant, then for an operator
+    other than "W" or "V", ShapeMismatch for a state that does not conform
+    to the type of spec, and NotStochastic when stochastic is set and spec
+    is not stochastic.  No state coordinate is checked: W steps inf too.
     """
+    if not spec.is_finite():
+        raise ValueError("algebra has a non-finite structure constant")
     if operator not in ("W", "V"):
         raise ValueError(f"operator must be 'W' or 'V', got {operator!r}")
     for z in states:
@@ -420,11 +423,13 @@ def omega(a: Element) -> float:
 def change_basis(spec: AlgebraSpec, bc: BasisChange) -> AlgebraSpec:
     """Structure constants in the new basis a_i = sum_j alpha[j, i] e_j.
 
-    Both matrices must have unit column sums and be invertible.
+    Both matrices must have unit column sums (ValueError) and be invertible.
     """
     alpha, alpha_t = bc.alpha, bc.alpha_tilde
     if alpha.shape != (spec.n, spec.n) or alpha_t.shape != (spec.nu, spec.nu):
         raise ShapeMismatch("basis-change matrices do not match the algebra type")
+    if not bc.column_sums_ok():
+        raise ValueError("basis-change matrices need unit column sums")
     if abs(np.linalg.det(alpha)) < SINGULAR_DET_TOL or abs(np.linalg.det(alpha_t)) < SINGULAR_DET_TOL:
         raise SingularBasisChange("basis-change matrix is numerically singular")
     alpha_inv = np.linalg.inv(alpha)

@@ -233,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", choices=("W", "V"), default="W")
     p.add_argument("--init", help="comma-separated initial state")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-period", type=int, default=8)
+    p.add_argument("--steps", type=int, default=IterationOptions.max_steps)
+    p.add_argument("--tol", type=float, default=IterationOptions.conv_tol)
+    p.add_argument("--max-period", type=int, default=IterationOptions.max_period)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fixed-points", help="solve for fixed points and stability")

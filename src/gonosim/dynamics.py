@@ -157,10 +157,10 @@ def _step_rows(Z: np.ndarray, start: int, stop: int, spec: AlgebraSpec, normaliz
 def _orbit(z0: State, spec: AlgebraSpec, steps: int, normalize: bool) -> np.ndarray:
     """The (steps + 1, dim) orbit of z0 under W, or under V with normalize.
 
-    With normalize, raises AbsorbedToO at the first W image whose
-    coordinate sum is exactly zero, where V is undefined.
+    With normalize, needs a stochastic spec and raises AbsorbedToO at the
+    first W image whose coordinate sum is exactly zero, where V is undefined.
     """
-    _admit(spec, z0)
+    _admit(spec, z0, stochastic=normalize)
     Z = np.empty((steps + 1, spec.dim))
     Z[0] = z0.vector
     if _step_rows(Z, 1, steps + 1, spec, normalize) <= steps:
@@ -175,7 +175,6 @@ def apply_W(z: State, spec: AlgebraSpec) -> State:
 
 def apply_V(z: State, spec: AlgebraSpec) -> State:
     """Frequency-distribution step: W(z) normalized to unit coordinate sum."""
-    _admit(spec, stochastic=True)
     return Element._wrap(_frozen(_orbit(z, spec, 1, normalize=True))[1], spec.n)
 
 
@@ -188,8 +187,8 @@ def support_orbit(spec: AlgebraSpec, z: State) -> tuple[list, int]:
     non-negative state no sum cancels, so S_{t+1} is exactly the set of k
     with K[i nu + j, k] != 0 for some i in the female and j in the male part
     of S_t: the exact zeros of the orbit, with no step budget and no
-    underflow.  Raises NotStochastic for an algebra that is not stochastic
-    and ValueError for a state with a negative or non-finite coordinate.
+    underflow.  Raises NotStochastic for an algebra that is not stochastic,
+    ValueError for a non-finite one or a negative or non-finite state.
     """
     _admit(spec, z, stochastic=True)
     v = z.vector.tolist()
@@ -206,6 +205,12 @@ def support_orbit(spec: AlgebraSpec, z: State) -> tuple[list, int]:
         rows = [K[i * nu + j] for i in range(n) if s[i] for j in range(nu) if s[n + j]]
         s = tuple(map(any, zip(*rows))) if rows else (False,) * len(v)
     return masks, seen[s]
+
+
+def _finite_start(z0: State) -> None:
+    """ValueError for a start with a non-finite coordinate, raised before any step."""
+    if not np.isfinite(z0.vector).all():
+        raise ValueError("initial state has a non-finite coordinate")
 
 
 def _underflowed(z: np.ndarray) -> bool:
@@ -266,14 +271,9 @@ def iterate(
         value = getattr(opts, name)
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    _admit(spec, z0, operator=operator)
-    if not np.isfinite(z0.vector).all():
-        raise ValueError("initial state has a non-finite coordinate")
-    if not spec.is_finite():
-        raise ValueError("algebra has a non-finite structure constant")
-    # after the finiteness tests, so a non-finite algebra raises ValueError
-    _admit(spec, stochastic=operator == "V")
     normalize = operator == "V"
+    _admit(spec, z0, operator=operator, stochastic=normalize)
+    _finite_start(z0)
     n = spec.n
 
     Z = np.empty((opts.max_steps + 1, spec.dim))
@@ -376,12 +376,15 @@ def verify_omega_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundReport
     zero even when the other factor overflowed.  A zero s(t) fails a lower
     envelope only above ZERO_LOWER_BOUND.  The report holds the first
     violation in (t, bound) order.  The orbit comes from the stepper
-    iterate uses.  Requires a stochastic algebra, a non-negative z0 and
-    0 <= t_max <= MAX_BOUND_STEPS (else ValueError).
+    iterate uses.  Raises ValueError for a non-finite algebra or z0 or a
+    t_max outside 0..MAX_BOUND_STEPS, NotStochastic for an algebra that is
+    not stochastic.  A signed z0 is checked as it is: the envelopes,
+    derived for z0 >= 0, may report it.
     """
     if not 0 <= t_max <= MAX_BOUND_STEPS:
         raise ValueError(f"t_max must be between 0 and {MAX_BOUND_STEPS}, got {t_max}")
-    _admit(spec, stochastic=True)
+    _admit(spec, z0, stochastic=True)
+    _finite_start(z0)
     min_sqrt, max_cross = spec._bound_constants[:2]
     with np.errstate(over="ignore", invalid="ignore"):
         oms = _orbit(z0, spec, t_max, normalize=False).sum(axis=-1).tolist()
@@ -426,11 +429,12 @@ def verify_coordinate_bounds(z0: State, spec: AlgebraSpec, t_max: int) -> BoundR
     the corresponding gamma[:, :, k] slab, within COORDINATE_TOL, and
     analogously for males: one comparison of the whole orbit with the
     column extremes of the kernel, computed once per spec.  Raises
-    ValueError for t_max below 0.
+    ValueError for t_max below 0 and for a z0 with a non-finite coordinate.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be at least 0, got {t_max}")
-    _admit(spec, stochastic=True)
+    _admit(spec, z0, stochastic=True)  # before the constants: sqrt of a negative row sum warns
+    _finite_start(z0)
     col_min, col_max = spec._bound_constants[2:]
     lo, hi = col_min - COORDINATE_TOL, col_max + COORDINATE_TOL
     report = BoundReport(all_pass=True, checked_steps=t_max)
@@ -461,17 +465,18 @@ def verify_conjugacy(
     uniform in [-1, 1], all drawn at once; the images come from four row
     contractions, with overflow and invalid-value warnings off as in
     iterate, and the product ab is a @ L_b.  Raises ValueError for samples
-    below 1, as check_identities does, and for a non-finite phi or structure
-    constant before the determinant of phi is taken.
+    below 1, as check_identities does, then for a non-finite structure
+    constant, and for a non-finite phi before its determinant is taken.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _admit(spec1)
+    _admit(spec2)
     phi = np.asarray(phi, dtype=float)
-    d1 = spec1.dim
-    if phi.shape != (spec2.dim, d1):
+    if phi.shape != (spec2.dim, spec1.dim):
         raise ShapeMismatch("phi has the wrong shape for these algebras")
-    if not (np.isfinite(phi).all() and spec1.is_finite() and spec2.is_finite()):
-        raise ValueError("phi and the structure constants must be finite")
+    if not np.isfinite(phi).all():
+        raise ValueError("phi must be finite")
     if phi.shape[0] == phi.shape[1] and abs(np.linalg.det(phi)) < SINGULAR_DET_TOL:
         raise SingularMap("phi is numerically singular")
 
@@ -479,7 +484,7 @@ def verify_conjugacy(
         """W(z) and ab for the sample rows U[:, k] = (z, a, b) of spec."""
         return spec._w_rows(U[:, 0]), (U[:, 1, None] @ spec._left_rows(U[:, 2]))[:, 0]
 
-    S = np.random.default_rng(seed).uniform(-1, 1, (samples, 3, d1))
+    S = np.random.default_rng(seed).uniform(-1, 1, (samples, 3, spec1.dim))
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = [np.abs(u @ phi.T - v).sum(axis=-1) for u, v in zip(images(spec1, S), images(spec2, S @ phi.T))]
     return all(bool((gap <= tol).all()) for gap in gaps)

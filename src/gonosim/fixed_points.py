@@ -210,12 +210,9 @@ def _records(P: np.ndarray, spec: AlgebraSpec, operator: str) -> list[FixedPoint
     algebra that are non-negative with positive mass and, scaled to unit
     sum, have female and male mass, taken at that scaled point (one more
     _op_rows call).  The products are row-wise, so a row's record has the
-    bits make_record gives it alone.  Raises ValueError for an algebra with
-    a non-finite structure constant (before any other check), NotStochastic
-    (V on a non-stochastic algebra) and AbsorbedToO where V is undefined.
+    bits make_record gives it alone.  Raises the errors of algebra._admit
+    (V needs a stochastic algebra) and AbsorbedToO where V is undefined.
     """
-    if not spec.is_finite():
-        raise ValueError("algebra has a non-finite structure constant")
     _admit(spec, operator=operator, stochastic=operator == "V")
     n = spec.n
     P = _frozen(np.array(P, dtype=float).reshape(-1, spec.dim))  # the record points wrap its rows
@@ -504,8 +501,6 @@ def solve_fixed_points_numeric(
     check) or an operator other than "W" or "V", and NotStochastic for the
     V search on an algebra that is not stochastic.
     """
-    if not spec.is_finite():
-        raise ValueError("algebra has a non-finite structure constant")
     _admit(spec, operator=operator, stochastic=operator == "V")
     S = _fixed_support(spec)
     families: list[FamilyDescriptor] = []
@@ -574,21 +569,17 @@ def _near(cands: np.ndarray, root: np.ndarray) -> np.ndarray:
     return np.abs(cands - root).sum(axis=1) < DEDUP_TOL
 
 
-def _deduplicate(accepted: np.ndarray, spec: AlgebraSpec, operator: str):
+def _deduplicate(cands: np.ndarray, spec: AlgebraSpec, operator: str):
     """The distinct roots and the families among accepted roots, in start order.
 
     A root within DEDUP_TOL (L1) of a kept root, or on a found family, is
     dropped; a root on a new family is replaced by the family, which
-    absorbs the non-zero kept roots on it.  The zero root comes first for
-    W.  Each kept root marks the roots near it in one broadcast, so the
-    numpy work grows with the number of distinct roots, not of starts, and
-    the start-order pass runs in Python over the marks.
+    absorbs the non-zero kept roots on it.  The zero root, the first W
+    start, comes first for W.  Each kept root marks the roots near it in
+    one broadcast, so the numpy work grows with the number of distinct
+    roots, not of starts, and the start-order pass runs over the marks.
     """
-    cands = accepted
     kept: list[int] = []  # rows of cands
-    if operator == "W":
-        cands = np.vstack([np.zeros((1, spec.dim)), accepted])
-        kept.append(0)
 
     def marks(rows: list[int]) -> np.ndarray:
         near = np.zeros(len(cands), dtype=bool)
@@ -596,10 +587,9 @@ def _deduplicate(accepted: np.ndarray, spec: AlgebraSpec, operator: str):
             near |= _near(cands, cands[r])
         return near
 
-    near = marks(kept)
-    free = (~near).tolist()
+    near, free = np.zeros(len(cands), dtype=bool), [True] * len(cands)
     families: list[FamilyDescriptor] = []
-    for j in range(len(kept), len(cands)):
+    for j in range(len(cands)):
         if not free[j]:
             continue
         v = cands[j]

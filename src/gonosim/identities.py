@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, multiply
+from .algebra import AlgebraSpec, Element, _admit, multiply
 
 DEFECT_THRESHOLD = 1e-8
 # A block of first factors holds about this many floats of left-multiplication
@@ -180,8 +180,7 @@ def check_identities(spec: AlgebraSpec, samples: int = 5, seed: int = 0) -> Iden
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not spec.is_finite():
-        raise ValueError("algebra has a non-finite structure constant")
+    _admit(spec)
     n, nu, dim = spec.n, spec.nu, spec.dim
     # drawing uniform(n) then uniform(nu) per element is one (samples, dim) draw
     rand = np.random.default_rng(seed).uniform(-1, 1, (samples, dim))

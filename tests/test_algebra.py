@@ -168,13 +168,67 @@ class TestElement:
 
 
 def test_admission_rules_are_raised_in_one_helper():
-    # the operator name, state conformance and stochastic requirement of every
-    # entry point are raised by algebra._admit and nowhere else
+    # the finite algebra, operator name, state conformance and stochastic
+    # requirement of every entry point are raised by algebra._admit and nowhere else
     modules = [m for m in vars(gonosim).values() if inspect.ismodule(m)] + [gonosim.cli]
     sources = "".join(inspect.getsource(m) for m in modules)
     helper = inspect.getsource(gonosim.algebra._admit)
-    for text in ("raise NotStochastic", "operator must be", "does not conform to type"):
+    for text in (
+        "algebra has a non-finite structure constant",
+        "raise NotStochastic",
+        "operator must be",
+        "does not conform to type",
+    ):
         assert sources.count(text) == 1 and text in helper, text
+
+
+NON_FINITE = [
+    AlgebraSpec(1, 1, [[[np.nan]]], [[[0.5]]]),
+    AlgebraSpec(2, 1, [[[0.2, np.inf]], [[0.1, 0.3]]], [[[0.3]], [[0.4]]]),
+]
+
+
+fp = gonosim.fixed_points
+
+
+def _record(spec, z):
+    """A record at z of a finite algebra of the type of spec."""
+    return fp.make_record(z, random_stochastic(spec.n, spec.nu, 0))
+
+
+# every entry point that admits an algebra, as a call on (spec, state)
+ENTRY_POINTS = {
+    "multiply": lambda spec, z: multiply(z, z, spec),
+    "apply_W": lambda spec, z: gonosim.apply_W(z, spec),
+    "apply_V": lambda spec, z: gonosim.apply_V(z, spec),
+    "jacobian_W": lambda spec, z: fp.jacobian_W(z, spec),
+    "jacobian_V": lambda spec, z: fp.jacobian_V(z, spec),
+    "support_orbit": lambda spec, z: gonosim.support_orbit(spec, z),
+    "verify_omega_bounds": lambda spec, z: gonosim.verify_omega_bounds(z, spec, 3),
+    "verify_coordinate_bounds": lambda spec, z: gonosim.verify_coordinate_bounds(z, spec, 3),
+    "iterate_W": lambda spec, z: gonosim.iterate(z, spec, "W"),
+    "iterate_V": lambda spec, z: gonosim.iterate(z, spec, "V"),
+    "solve_W": lambda spec, z: fp.solve_fixed_points_numeric(spec, "W"),
+    "solve_V": lambda spec, z: fp.solve_fixed_points_numeric(spec, "V"),
+    "make_record_W": lambda spec, z: fp.make_record(z, spec, "W"),
+    "make_record_V": lambda spec, z: fp.make_record(z, spec, "V"),
+    "closed_form_records": lambda spec, z: fp.closed_form_records([z.vector], None, spec),
+    "idempotent_correspondence": lambda spec, z: fp.idempotent_correspondence(_record(spec, z), spec),
+    "stability_transfer_check": lambda spec, z: fp.stability_transfer_check(_record(spec, z), spec),
+    "check_identities": lambda spec, z: gonosim.check_identities(spec),
+    "verify_conjugacy_first": lambda spec, z: verify_conjugacy(spec, type11_spec(0.5), np.eye(2, spec.dim)),
+    "verify_conjugacy_second": lambda spec, z: verify_conjugacy(type11_spec(0.5), spec, np.eye(spec.dim, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+@pytest.mark.parametrize("spec", NON_FINITE, ids=["nan", "inf"])
+def test_every_entry_point_rejects_a_non_finite_algebra(spec, name):
+    # one answer wherever the algebra comes in: multiply, apply_W and
+    # jacobian_W used to return NaN, the V paths to raise NotStochastic
+    z = Element.from_vector(np.full(spec.dim, 0.5), spec.n)
+    with pytest.raises(ValueError, match="non-finite structure constant"):
+        ENTRY_POINTS[name](spec, z)
 
 
 class TestOmega:
@@ -244,6 +298,14 @@ class TestChangeBasis:
         bc = BasisChange(np.array([[0.5, 0.5], [0.5, 0.5]]), np.eye(1))
         with pytest.raises(SingularBasisChange):
             change_basis(spec, bc)
+
+    def test_column_sums_other_than_one_rejected(self):
+        # the new structure constants would not be gonosomal
+        spec = random_stochastic(2, 1, 0)
+        with pytest.raises(ValueError, match="unit column sums"):
+            change_basis(spec, BasisChange(np.diag([2.0, 1.0]), np.eye(1)))
+        with pytest.raises(ValueError, match="unit column sums"):
+            change_basis(spec, BasisChange(np.eye(2), 0.5 * np.eye(1)))
 
     def test_wrong_shapes_rejected(self):
         spec = random_stochastic(2, 1, 14)

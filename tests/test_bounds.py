@@ -211,6 +211,16 @@ def test_coordinate_bounds_need_stochastic():
         verify_coordinate_bounds(Element.from_vector([0.5, 0.5], 1), bad, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("verifier", [verify_omega_bounds, verify_coordinate_bounds])
+def test_non_finite_start_is_rejected_before_any_step(verifier, bad):
+    # a NaN start used to pass the omega bounds (every comparison with NaN is
+    # false) and fail the coordinate bounds at t = 1, as iterate rejects it
+    spec = random_stochastic(1, 1, 0)
+    with pytest.raises(ValueError, match="non-finite"):
+        verifier(Element.from_vector([bad, 0.5], 1), spec, 5)
+
+
 def test_omega_bounds_allocate_little_at_32_32():
     # M comes from the row-sum extremes, not a 1024 x 1024 outer product (8 MB)
     spec = random_stochastic(32, 32, 1)

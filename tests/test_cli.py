@@ -8,7 +8,15 @@ import pytest
 
 from test_acceptance import TYPE21_CASE_INSTANCES
 
-from gonosim import Element, cli, closed_form_fixed_points_hemophilia, iterate, random_stochastic, swap_map
+from gonosim import (
+    Element,
+    IterationOptions,
+    cli,
+    closed_form_fixed_points_hemophilia,
+    iterate,
+    random_stochastic,
+    swap_map,
+)
 from gonosim.algebra import AlgebraSpec
 from gonosim.cli import main
 from gonosim.scenarios import SCENARIOS, type11_spec, type21_spec
@@ -436,6 +444,11 @@ class TestFlags:
         args = cli.build_parser().parse_args([command, *KEPT_FLAGS[command]])
         flags = KEPT_FLAGS[command][::2]
         assert [getattr(args, f[2:].replace("-", "_")) is not None for f in flags] == [True] * len(flags)
+
+    def test_simulate_defaults_are_the_iteration_defaults(self):
+        args = cli.build_parser().parse_args(["simulate"])
+        opts = IterationOptions()
+        assert (args.steps, args.tol, args.max_period) == (opts.max_steps, opts.conv_tol, opts.max_period)
 
     @pytest.mark.parametrize(
         "command, flag, value",

@@ -26,10 +26,12 @@ from test_newton import (  # noqa: E402
 )
 
 from gonosim import (  # noqa: E402
+    BasisChange,
     Element,
     IterationOptions,
     apply_V,
     apply_W,
+    change_basis,
     closed_form_fixed_points_type21,
     idempotent_correspondence,
     iterate,
@@ -277,6 +279,30 @@ def test_V_orbit_stays_inside_the_coordinate_envelopes(spec, seed):
 @given(algebras, seeds)
 def test_swap_map_conjugates_an_algebra_and_its_opposite(spec, seed):
     assert verify_conjugacy(spec, opposite(spec), swap_map(spec), samples=5, seed=seed)
+
+
+def _column_stochastic(k: int, rng) -> np.ndarray:
+    """A positive (k, k) matrix with unit column sums whose diagonal exceeds the
+    rest of its column by at least 0.2, so that |inverse|_1 <= 5."""
+    return 0.6 * np.eye(k) + 0.4 * rng.dirichlet(np.ones(k), size=k).T
+
+
+@given(
+    st.builds(random_stochastic, st.integers(1, 3), st.integers(1, 3), seeds),
+    seeds,
+)
+def test_a_general_basis_change_conjugates_the_algebras(spec, seed):
+    # W(z) = z^2 / 2 does not depend on the basis, so the coordinate map
+    # z -> alpha^-1 z between the bases intertwines the two W operators
+    rng = np.random.default_rng(seed)
+    alpha, alpha_t = _column_stochastic(spec.n, rng), _column_stochastic(spec.nu, rng)
+    new = change_basis(spec, BasisChange(alpha, alpha_t))
+    phi = np.zeros((spec.dim, spec.dim))
+    phi[: spec.n, : spec.n], phi[spec.n :, spec.n :] = np.linalg.inv(alpha), np.linalg.inv(alpha_t)
+    assert verify_conjugacy(spec, new, phi, samples=5, seed=seed)
+    bad = phi.copy()
+    bad[tuple(rng.integers(spec.dim, size=2))] += 1e-3
+    assert not verify_conjugacy(spec, new, bad, samples=5, seed=seed)
 
 
 @given(algebras, seeds, st.floats(0.5, 8.0))
