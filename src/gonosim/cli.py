@@ -17,8 +17,8 @@ import numpy as np
 
 from . import fixed_points as fpmod
 from . import scenarios as scmod
-from .algebra import AlgebraSpec, Element, json_line, random_stochastic, validate, write_text
-from .dynamics import IterationOptions, iterate
+from .algebra import AlgebraSpec, Element, _admit, json_line, random_stochastic, validate, write_text
+from .dynamics import IterationOptions, _finite_start, iterate
 from .errors import GonosimError
 from .identities import check_identities
 
@@ -61,14 +61,10 @@ def _resolve_spec(args) -> AlgebraSpec:
 
 def _initial_state(args, spec: AlgebraSpec) -> Element:
     if args.init is not None:
-        vals = np.array([float(v) for v in args.init.split(",")])
-        if vals.shape != (spec.dim,):
-            raise ValueError(
-                f"initial state has {vals.shape[0]} components, algebra needs {spec.dim}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"initial state {args.init!r} has a non-finite component")
-        return Element.from_vector(vals, spec.n)
+        z0 = Element.from_vector([float(v) for v in args.init.split(",")], spec.n)
+        _admit(spec, z0)
+        _finite_start(z0)
+        return z0
     rng = np.random.default_rng(args.seed)
     return Element.from_vector(rng.dirichlet(np.ones(spec.dim)), spec.n)
 

@@ -194,16 +194,23 @@ def support_orbit(spec: AlgebraSpec, z: State) -> tuple[list, int]:
     v = z.vector.tolist()
     if not all(0.0 <= c < math.inf for c in v):
         raise ValueError("the support orbit requires a finite state without negative coordinates")
+    return _supports(spec, tuple(c > 0.0 for c in v))
+
+
+def _supports(spec: AlgebraSpec, s: tuple) -> tuple[list, int]:
+    """The orbit of the mask s under S -> the coordinates the pairs of S
+    produce (a kernel entry != 0), up to its first repeat, as support_orbit
+    returns it.  No admission: on a signed kernel a sum may cancel, so the
+    masks bound the supports of the W orbit rather than equal them."""
     n, nu = spec.n, spec.nu
     # a rounding residue below zero, which a stochastic kernel may hold, is not zero in W either
     K = (spec.kernel != 0.0).tolist()
-    s = tuple(c > 0.0 for c in v)
     masks, seen = [], {}
     while s not in seen:
         seen[s] = len(masks)
         masks.append(s)
         rows = [K[i * nu + j] for i in range(n) if s[i] for j in range(nu) if s[n + j]]
-        s = tuple(map(any, zip(*rows))) if rows else (False,) * len(v)
+        s = tuple(map(any, zip(*rows))) if rows else (False,) * spec.dim
     return masks, seen[s]
 
 

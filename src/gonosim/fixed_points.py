@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, State, _admit, _frozen, multiply, omega
+from .dynamics import _supports
 from .errors import AbsorbedToO, NotIdempotent, NotNormalizable
 from .scenarios import (
     PARAM_TOL,
@@ -404,29 +405,21 @@ def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDes
 def _fixed_support(spec: AlgebraSpec) -> np.ndarray:
     """The fixed support S of spec: the mask of the coordinates a W fixed point can hold.
 
-    S is the largest set of coordinates each of which some product e_i m_p
-    with i and p in S produces (a kernel entry != 0, as in
-    dynamics.support_orbit).  A fixed point z has z_k = W(z)_k != 0 only if
-    some x_i y_p K[i nu + p, k] != 0, so its support is such a set and lies
-    in S.  No pair in S produces a coordinate off S (S would not be the
-    largest), so at a point that vanishes off S, W vanishes off S too.
-    Found by removing the coordinates the pairs left do not produce until
-    none goes.  A non-empty S holds both sexes.
+    S is where the support orbit of the all-positive state settles
+    (dynamics._supports): the largest set of coordinates each of which
+    some product e_i m_p with i and p in S produces.  A fixed point z has
+    z_k = W(z)_k != 0 only if some x_i y_p K[i nu + p, k] != 0, so its
+    support is such a set and lies in S, on a signed algebra too.  No pair
+    in S produces a coordinate off S, so at a point that vanishes off S, W
+    vanishes off S too.  A non-empty S holds both sexes.
     """
-    n = spec.n
-    made = spec.kernel != 0.0  # row i nu + p: what e_i m_p produces
-    S = made.any(axis=0)
-    size, last = np.count_nonzero(S), spec.dim
-    while size < last:
-        S &= made[(S[:n, None] & S[None, n:]).ravel()].any(axis=0)
-        size, last = np.count_nonzero(S), size
-    return S
+    return np.array(_supports(spec, (True,) * spec.dim)[0][-1])
 
 
 def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> np.ndarray | None:
     """Every W fixed point of spec, origin first, when its fixed support S
-    keeps one type of one sex; None when S keeps two types of each sex or
-    two eigenvalues repeat.
+    is empty (the origin alone) or keeps one type of one sex; None when S
+    keeps two types of each sex or two eigenvalues repeat.
 
     Let c be the single coordinate of that sex in S (the male one of a
     type-(1, 1) S), M the coordinates of the other sex in S, and row j the
@@ -444,6 +437,8 @@ def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> np.ndarray | None:
     so a triangular A keeps its structural zeros.
     """
     n = spec.n
+    if not S.any():
+        return np.zeros((1, spec.dim))
     females, males = np.flatnonzero(S[:n]), np.flatnonzero(S[n:])
     K = spec.kernel.reshape(n, spec.nu, spec.dim)
     if len(males) == 1:
@@ -481,13 +476,13 @@ def solve_fixed_points_numeric(
     with one type, else by multi-start Newton.
 
     The roots of both operators vanish off the fixed support S
-    (_fixed_support).  For W, an empty S gives the origin alone, and an S
-    that keeps one type of one sex with distinct transfer-matrix
-    eigenvalues gives the exact set of _eigen_roots: the origin, then one
-    root per real eigenpair.  An eigen root whose residual is not below
-    RESIDUAL_TOL is polished by Newton on spec and kept only if accepted;
-    J_W - I is block triangular on (S, off S), so at a root that vanishes
-    off S the step does too.  The start arguments are not used there.
+    (_fixed_support).  For W, an empty S, or one that keeps one type of
+    one sex with distinct transfer-matrix eigenvalues, gives the exact set
+    of _eigen_roots: the origin, then one root per real eigenpair.  An
+    eigen root whose residual is not below RESIDUAL_TOL is polished by
+    Newton on spec and kept only if accepted; J_W - I is block triangular
+    on (S, off S), so at a root that vanishes off S the step does too.
+    The start arguments are not used there.
 
     Otherwise Newton runs from a grid over [0, 5]^dim (or the simplex for
     the normalized operator) plus seeded random points.  Roots are
@@ -503,13 +498,10 @@ def solve_fixed_points_numeric(
     """
     _admit(spec, operator=operator, stochastic=operator == "V")
     S = _fixed_support(spec)
+    if operator == "V" and not S.any():
+        return []  # V(z) = z makes W(z) a non-zero multiple of z, so z vanishes off S too
     families: list[FamilyDescriptor] = []
-    if not S.any():
-        if operator == "V":
-            return []  # V(z) = z makes W(z) a non-zero multiple of z, so z vanishes off S too
-        method, roots = "eigen", np.zeros((1, spec.dim))
-        fate, singular = np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
-    elif operator == "W" and (roots := _eigen_roots(spec, S)) is not None:
+    if operator == "W" and (roots := _eigen_roots(spec, S)) is not None:
         method = "eigen"
         op = _op_rows(roots, spec, "W", rowwise=True)[0]
         fate = np.zeros(len(roots), dtype=int)
@@ -575,9 +567,10 @@ def _deduplicate(cands: np.ndarray, spec: AlgebraSpec, operator: str):
     A root within DEDUP_TOL (L1) of a kept root, or on a found family, is
     dropped; a root on a new family is replaced by the family, which
     absorbs the non-zero kept roots on it.  The zero root, the first W
-    start, comes first for W.  Each kept root marks the roots near it in
-    one broadcast, so the numpy work grows with the number of distinct
-    roots, not of starts, and the start-order pass runs over the marks.
+    start, comes first for W and takes no family test (J_W(0) - I = -I).
+    Each kept root marks the roots near it in one broadcast, so the numpy
+    work grows with the number of distinct roots, not of starts, and the
+    start-order pass runs over the marks.
     """
     kept: list[int] = []  # rows of cands
 
@@ -595,7 +588,7 @@ def _deduplicate(cands: np.ndarray, spec: AlgebraSpec, operator: str):
         v = cands[j]
         if any(f.contains(v) for f in families):
             continue
-        fam = _detect_family(v, spec, operator)
+        fam = _detect_family(v, spec, operator) if v.any() else None
         if fam is not None:
             # absorb previously found isolated points that lie on the family
             kept = [r for r in kept if not (fam.contains(cands[r]) and np.abs(cands[r]).sum() > DEDUP_TOL)]

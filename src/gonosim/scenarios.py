@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, State, omega, opposite, swap_map
-from .dynamics import _orbit, apply_W, iterate, support_orbit
+from .algebra import AlgebraSpec, Element, State, _admit, omega, opposite, swap_map
+from .dynamics import _finite_start, _orbit, apply_W, iterate, support_orbit
 from .errors import (
     DegenerateDenominator,
     DegenerateParameter,
@@ -576,6 +576,8 @@ def _fixed_points_x_inactivation(s: Scenario, spec: AlgebraSpec) -> tuple:
 
 
 def _predict_type11(z0: State, spec: AlgebraSpec, s: Scenario) -> dict:
+    _admit(spec, z0)
+    _finite_start(z0)
     return {"prediction": _type11_trichotomy(float(spec.gamma[0, 0, 0]), float(z0.x[0]), float(z0.y[0]))}
 
 
@@ -586,6 +588,7 @@ def _type21_fields(pred: ClosedFormLimit) -> dict:
 def _predict_x_inactivation(z0: State, spec: AlgebraSpec, s: Scenario) -> dict:
     """The recessive_lethal prediction from phi^T z0, its limit states mapped by
     phi; the E-set and the product refer to the male coordinates of spec."""
+    _admit(spec, z0)
     z_rl = Element.from_vector(z0.vector[np.argsort(_PHI)], 2)
     out = _type21_fields(predict_limit_type21(z_rl, Scenario("recessive_lethal", s.params)))
     pred = out["prediction"]

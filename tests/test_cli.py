@@ -128,6 +128,15 @@ class TestNonFinite:
         assert main(argv) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "predict"])
+    def test_initial_state_of_another_type(self, command, tmp_path, capsys):
+        # the start is admitted against the algebra by the library's own rule
+        argv = [command, "--scenario", "lr_lethal", "--gamma", "0.5", "--init", "1,2,3",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "does not conform to type (1, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSimulate:
     def test_csv_output(self, good_algebra, tmp_path, capsys):

@@ -1,10 +1,12 @@
 """The precomputed contraction kernel against the per-tensor einsum formulas.
 
 The einsum references below are the formulas the package used before the
-kernel existed; ``reference_iterate`` is the original Element-by-Element
-iteration loop built on them, with the cycle rule of CYCLE_MIN_STEP_FACTOR.
-Given the package's apply_W as its step, the loop does the arithmetic
-iterate does, so the block-edge tests at the end require equal states.
+kernel existed.  ``reference_iterate`` is the one step-by-step classifier
+of the tests: a plain Element-by-Element loop over a W step it is given,
+with the outcome precedence of iterate.  On the einsum oracle it checks the
+kernel's orbits; given the package's apply_W (its default) the loop does
+the arithmetic iterate does, so the block-edge tests at the end and the
+property tests require equal bits.
 """
 
 import warnings
@@ -59,65 +61,63 @@ def ref_jacobian_W(z, spec):
     return J
 
 
-def reference_iterate(z0, spec, operator="W", opts=None, apply_w=ref_apply_W):
-    """The per-Element iteration loop, one apply call and list append per step.
+def reference_iterate(z0, spec, operator="W", opts=None, apply_w=apply_W):
+    """iterate as a plain loop: one apply_w call a step (V divides its image
+    by the image's coordinate sum), then the outcome precedence on that
+    step, with the full L1 distance to each of the states 2..max_period
+    back.  Returns the states and the Outcome, final_step_l1 included.
 
-    apply_w is the W step; V divides its image by the image's coordinate
-    sum.  With the package's apply_W the arithmetic is the one iterate does,
-    so the states must agree bit for bit.
+    With the package's apply_W the arithmetic is the one iterate does, so
+    the states must agree bit for bit; with ref_apply_W the einsum oracle
+    drives the orbit.
     """
     opts = opts or IterationOptions()
     if operator == "V" and not spec.is_stochastic():
         raise NotStochastic("normalized operator requires a stochastic algebra")
-
-    def step(z, spec):
-        w = apply_w(z, spec)
-        if operator == "W":
-            return w
-        total = omega(w)
-        if total == 0.0:
-            raise AbsorbedToO()
-        return Element(w.x / total, w.y / total)
-
     states = [z0]
-    outcome = None
-    quiet = 0
-    for t in range(1, opts.max_steps + 1):
-        try:
-            z = step(states[-1], spec)
-        except AbsorbedToO:
-            outcome = Outcome("absorbed", step=t - 1)
-            break
-        states.append(z)
-        om = omega(z)
-        if np.all(z.vector == 0.0):
-            outcome = Outcome("extinct", step=t)
-            break
-        if abs(om) < UNDERFLOW_OMEGA and np.all(np.abs(z.vector) < UNDERFLOW_OMEGA):
-            outcome = Outcome("numerically_extinct", step=t)
-            break
-        if operator == "W" and (np.all(z.x == 0.0) or np.all(z.y == 0.0)):
-            continue
-        diff = float(np.abs(z.vector - states[-2].vector).sum())
-        quiet = quiet + 1 if diff < opts.conv_tol else 0
-        if quiet >= opts.patience:
-            outcome = Outcome("converged", step=t, point=z)
-            break
-        cycle_found = False
-        moving = diff >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol
-        for gap in range(2, min(opts.max_period, t) + 1) if moving else ():
-            ref = states[-1 - gap]
-            if float(np.abs(z.vector - ref.vector).sum()) < opts.conv_tol:
-                outcome = Outcome("cycle", step=t, period=gap, representatives=tuple(states[-gap:]))
-                cycle_found = True
+    quiet, kind, period, final_l1 = 0, None, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, opts.max_steps + 1):
+            z = apply_w(states[-1], spec)
+            if operator == "V":
+                total = omega(z)
+                if total == 0.0:
+                    kind = "absorbed"
+                    break
+                z = Element.from_vector(z.vector / total, spec.n)
+            states.append(z)
+            v = z.vector
+            final_l1 = float(np.abs(v - states[-2].vector).sum())
+            l1 = float(np.abs(v).sum())
+            if l1 == 0.0:
+                kind = "extinct"
+            elif np.abs(v).max() < UNDERFLOW_OMEGA and abs(v.sum()) < UNDERFLOW_OMEGA:
+                kind = "numerically_extinct"
+            elif operator == "W" and not (z.x.any() and z.y.any()):
+                continue
+            else:
+                quiet = quiet + 1 if final_l1 < opts.conv_tol else 0
+                returns = [
+                    g
+                    for g in range(2, opts.max_period + 1)
+                    if g <= t and np.abs(states[t - g].vector - v).sum() < opts.conv_tol
+                ]
+                if quiet >= opts.patience:
+                    kind = "converged"
+                elif final_l1 >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol and returns:
+                    kind, period = "cycle", returns[0]
+                elif not l1 <= opts.div_threshold:
+                    kind = "divergent"
+            if kind:
                 break
-        if cycle_found:
-            break
-        if not float(np.abs(z.vector).sum()) <= opts.div_threshold:
-            outcome = Outcome("divergent", step=t)
-            break
-    if outcome is None:
-        outcome = Outcome("max_iterations", step=len(states) - 1)
+    outcome = Outcome(
+        kind or "max_iterations",
+        step=len(states) - 1,
+        point=states[-1] if kind == "converged" else None,
+        period=period,
+        representatives=tuple(states[-period:]) if period else (),
+        final_step_l1=final_l1,
+    )
     return states, outcome
 
 
@@ -307,7 +307,7 @@ def test_iterate_matches_reference_loop(case):
     spec, v0, op, opts = ORBIT_CASES[case]
     z0 = Element.from_vector(v0, spec.n)
     traj = iterate(z0, spec, op, opts)
-    ref_states, ref = reference_iterate(z0, spec, op, opts)
+    ref_states, ref = reference_iterate(z0, spec, op, opts, apply_w=ref_apply_W)
     out = traj.outcome
     assert (out.kind, out.step, out.period) == (ref.kind, ref.step, ref.period)
     assert len(traj.states) == len(ref_states)
@@ -353,18 +353,14 @@ EDGES = (7, 8, 9, 16, 17)
 def assert_matches_reference(z0, spec, operator, opts=None):
     """Compare iterate with the per-step loop; returns the reference outcome."""
     traj = iterate(z0, spec, operator, opts)
-    ref_states, ref = reference_iterate(z0, spec, operator, opts, apply_w=apply_W)
+    ref_states, ref = reference_iterate(z0, spec, operator, opts)
     out = traj.outcome
     assert (out.kind, out.step, out.period) == (ref.kind, ref.step, ref.period)
     assert len(traj.states) == len(ref_states)
     for s, r in zip(traj.states, ref_states):
         assert np.array_equal(s.vector, r.vector)
     assert traj.omegas == [omega(r) for r in ref_states]
-    if len(ref_states) > 1:
-        final = float(np.abs(ref_states[-1].vector - ref_states[-2].vector).sum())
-    else:
-        final = None
-    assert out.final_step_l1 == final
+    assert out.final_step_l1 == ref.final_step_l1
     if out.kind == "converged":
         assert np.array_equal(out.point.vector, ref.point.vector)
     if out.kind == "cycle":
@@ -489,7 +485,7 @@ def test_max_steps_around_blocks(max_steps):
 def test_patience_run_straddles_a_block_boundary():
     spec = random_stochastic(2, 2, 21)
     z0 = Element.from_vector([0.1, 0.6, 0.2, 0.1], 2)
-    states, _ = reference_iterate(z0, spec, "V", IterationOptions(max_steps=9), apply_w=apply_W)
+    states, _ = reference_iterate(z0, spec, "V", IterationOptions(max_steps=9))
     d = [float(np.abs(b.vector - a.vector).sum()) for a, b in zip(states, states[1:])]
     assert d[5] > d[6] > d[7] > d[8]  # the steps into states 6..9 shrink
     # the first small step is the one into state 7: the run 7, 8, 9 crosses

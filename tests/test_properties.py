@@ -1,7 +1,8 @@
 """Property tests on random stochastic algebras from (1,1) to (4,4) (the
 mass rule up to (8,8) and at (32,32)), on one-sex algebras up to (5,1) and
 (1,5), on algebras from (2,2) to (4,4) whose products never produce some
-coordinates, and on the type-(2,1) family.
+coordinates, on sparse stochastic and signed algebras up to (5,5), and on
+the type-(2,1) family.
 
 Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
@@ -16,6 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_kernel import reference_iterate  # noqa: E402
 from test_newton import (  # noqa: E402
     assert_records_match,
     reference_newton,
@@ -46,7 +48,7 @@ from gonosim import (  # noqa: E402
     verify_omega_bounds,
 )
 from gonosim.algebra import AlgebraSpec  # noqa: E402
-from gonosim.dynamics import CYCLE_MIN_STEP_FACTOR, UNDERFLOW_OMEGA  # noqa: E402
+from gonosim.dynamics import _supports  # noqa: E402
 from gonosim.errors import AbsorbedToO, ShapeMismatch  # noqa: E402
 from gonosim.fixed_points import (  # noqa: E402
     DEDUP_TOL,
@@ -189,6 +191,70 @@ def test_W_roots_live_on_the_fixed_support(spec):
         ), v
 
 
+def reference_fixed_support(spec: AlgebraSpec) -> np.ndarray:
+    """The fixed support as the largest S with S inside produced(S), the
+    coordinates some pair of S produces: start from what any pair
+    produces and drop what the pairs left do not produce until none goes."""
+    n = spec.n
+    made = spec.kernel != 0.0  # row i nu + p: what e_i m_p produces
+    S = made.any(axis=0)
+    size, last = np.count_nonzero(S), spec.dim
+    while size < last:
+        S &= made[(S[:n, None] & S[None, n:]).ravel()].any(axis=0)
+        size, last = np.count_nonzero(S), size
+    return S
+
+
+def _sparse_algebra(n: int, nu: int, seed: int, zeros: float, signed: bool) -> AlgebraSpec:
+    """A random type-(n,nu) algebra with about a fraction `zeros` of its
+    constants exactly 0: rows scaled to unit sum (a row may be all zero),
+    or with signed uniform constants."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0 if signed else 0.0, 1.0, size=(n, nu, n + nu))
+    rows[rng.random(rows.shape) < zeros] = 0.0
+    if not signed:
+        rows /= np.maximum(rows.sum(axis=2, keepdims=True), 1e-300)
+    return AlgebraSpec(n, nu, rows[:, :, :n], rows[:, :, n:])
+
+
+@given(
+    st.builds(
+        _sparse_algebra,
+        st.integers(1, 5),
+        st.integers(1, 5),
+        seeds,
+        st.sampled_from((0.3, 0.6, 0.8, 0.9)),
+        st.booleans(),
+    )
+)
+@settings(max_examples=200)
+def test_fixed_support_is_where_the_support_orbit_of_the_full_state_settles(spec):
+    # S -> produced(S) is monotone, so from the full mask its orbit only
+    # shrinks and settles on the largest S inside produced(S) (Knaster-Tarski),
+    # on a signed algebra and on the opposite one too
+    for alg in (spec, opposite(spec)):
+        masks, p = _supports(alg, (True,) * alg.dim)
+        assert p == len(masks) - 1  # a fixed mask: period 1
+        for before, after in zip(masks, masks[1:]):
+            assert not any(b and not a for a, b in zip(before, after))
+        assert _fixed_support(alg).tolist() == list(masks[-1]) == reference_fixed_support(alg).tolist()
+        if alg.is_stochastic():
+            assert support_orbit(alg, Element.from_vector(np.ones(alg.dim), alg.n)) == (masks, p)
+    phi = swap_map(spec).astype(bool)
+    assert _fixed_support(opposite(spec)).tolist() == (phi @ _fixed_support(spec)).tolist()
+
+
+@given(
+    st.builds(_sparse_algebra, st.integers(1, 3), st.integers(1, 3), seeds, st.sampled_from((0.2, 0.4)), st.just(True))
+)
+def test_W_roots_of_a_signed_algebra_live_on_the_fixed_support(spec):
+    # a fixed point's support lies inside what its pairs produce, so inside
+    # S, whatever the signs: a sum may cancel, never create
+    S = _fixed_support(spec)
+    for rec in solve_fixed_points_numeric(spec, "W"):
+        assert not np.any(rec.point.vector[~S])
+
+
 @given(type21_rows, type21_rows, st.sampled_from((None, 1e-6)))
 def test_type21_closed_form_is_the_whole_fixed_point_set(row_g, row_d, gap):
     # every closed-form point is fixed, and every root of the default numeric
@@ -316,63 +382,19 @@ def test_W_orbit_of_the_swapped_state_is_the_swapped_orbit(spec, seed, mass):
     np.testing.assert_allclose([v.vector for v in b.states], [phi @ v.vector for v in a.states], rtol=1e-9)
 
 
-def reference_iterate(z0, spec, operator, opts):
-    """iterate as a plain loop: one apply_W or apply_V call a step, then the
-    outcome precedence on that step, with the full L1 distance to each of
-    the states 2..max_period back.  Returns (states, omegas, outcome fields)."""
-    step = apply_V if operator == "V" else apply_W
-    states = [z0]
-    quiet, kind, period, final_l1 = 0, None, None, None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, opts.max_steps + 1):
-            try:
-                z = step(states[-1], spec)
-            except AbsorbedToO:
-                kind = "absorbed"
-                break
-            states.append(z)
-            v = z.vector
-            final_l1 = float(np.abs(v - states[-2].vector).sum())
-            l1 = float(np.abs(v).sum())
-            if l1 == 0.0:
-                kind = "extinct"
-            elif np.abs(v).max() < UNDERFLOW_OMEGA and abs(v.sum()) < UNDERFLOW_OMEGA:
-                kind = "numerically_extinct"
-            elif operator == "W" and not (z.x.any() and z.y.any()):
-                continue
-            else:
-                quiet = quiet + 1 if final_l1 < opts.conv_tol else 0
-                returns = [
-                    g
-                    for g in range(2, opts.max_period + 1)
-                    if g <= t and np.abs(states[t - g].vector - v).sum() < opts.conv_tol
-                ]
-                if quiet >= opts.patience:
-                    kind = "converged"
-                elif final_l1 >= CYCLE_MIN_STEP_FACTOR * opts.conv_tol and returns:
-                    kind, period = "cycle", returns[0]
-                elif not l1 <= opts.div_threshold:
-                    kind = "divergent"
-            if kind:
-                break
-    fields = (kind or "max_iterations", len(states) - 1, period, final_l1)
-    return states, [omega(z) for z in states], fields
-
-
 def assert_iterate_is_the_reference(z0, spec, operator, opts):
     got = iterate(z0, spec, operator, opts)
-    states, omegas, (kind, step, period, final_l1) = reference_iterate(z0, spec, operator, opts)
+    states, ref = reference_iterate(z0, spec, operator, opts)
     out = got.outcome
-    assert (out.kind, out.step, out.period) == (kind, step, period)
-    assert np.array(out.final_step_l1, dtype=float).tobytes() == np.array(final_l1, dtype=float).tobytes()
+    assert (out.kind, out.step, out.period) == (ref.kind, ref.step, ref.period)
+    final_l1 = np.array([out.final_step_l1, ref.final_step_l1], dtype=float)
+    assert final_l1[0].tobytes() == final_l1[1].tobytes()
     assert _same_bits(np.array([z.vector for z in got.states]), np.array([z.vector for z in states]))
-    assert _same_bits(np.array(got.omegas), np.array(omegas))
-    assert (out.point is None) == (kind != "converged")
+    assert _same_bits(np.array(got.omegas), np.array([omega(z) for z in states]))
+    assert (out.point is None) == (ref.point is None)
     if out.point is not None:
         assert out.point is got.states[-1]
-    assert [r.vector.tobytes() for r in out.representatives] == (
-        [z.vector.tobytes() for z in states[-period:]] if period else []
-    )
+    assert [r.vector.tobytes() for r in out.representatives] == [r.vector.tobytes() for r in ref.representatives]
     return out
 
 

@@ -577,3 +577,49 @@ class TestHemophilia:
             hemophilia_degenerate_limits(
                 Element.from_vector([0.25, 0.25, 0.25, 0.25], 2), 0.5, 0.5
             )
+
+
+class TestPredictAdmitsTheStart:
+    """Every scenario predictor admits z0 against the scenario's algebra first."""
+
+    PARAMS = {
+        "lr_lethal": {"gamma": 0.5},
+        "lr_mutation": {"mu": 0.3, "eta": 0.2},
+        "recessive_lethal": {"gamma1": 0.3, "gamma2": 0.2, "delta1": 0.25, "delta2": 0.35},
+        "hemophilia": {"mu": 0.4, "eta": 1.0},
+        "x_inactivation": {"gamma1": 0.3, "gamma2": 0.2, "delta1": 0.25, "delta2": 0.35},
+    }
+
+    @staticmethod
+    def predict(name, v, n):
+        s = Scenario(name, TestPredictAdmitsTheStart.PARAMS[name])
+        return SCENARIOS[name].predict(Element.from_vector(v, n), build_algebra(s), s)
+
+    def test_every_scenario_is_covered(self):
+        assert sorted(self.PARAMS) == sorted(SCENARIOS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_non_finite_start_is_rejected(self, name, bad):
+        spec = build_algebra(Scenario(name, self.PARAMS[name]))
+        v = np.full(spec.dim, 0.5)
+        v[-1] = bad
+        # the type-(2,1) and (2,2) predictors read the support orbit, which rejects it too
+        with pytest.raises(ValueError, match="non-finite" if spec.dim == 2 else "finite state"):
+            self.predict(name, v, spec.n)
+
+    @pytest.mark.parametrize("n, nu", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_start_of_another_type_is_rejected(self, name, n, nu):
+        spec = build_algebra(Scenario(name, self.PARAMS[name]))
+        if (n, nu) == (spec.n, spec.nu):
+            assert self.predict(name, np.full(n + nu, 0.5), n)["prediction"]
+        else:
+            with pytest.raises(ShapeMismatch):
+                self.predict(name, np.full(n + nu, 0.5), n)
+
+    @pytest.mark.parametrize("name", ["lr_lethal", "lr_mutation"])
+    def test_signed_type11_start_is_still_predicted(self, name):
+        # the type-(1,1) trichotomy reads |x y|
+        pred = self.predict(name, [-1.0, 2.0], 1)["prediction"]
+        assert pred["product"] == 2.0
