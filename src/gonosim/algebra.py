@@ -169,6 +169,12 @@ class AlgebraSpec:
         max_cross = max(a * b for a in (g.min(), g.max()) for b in (gt.min(), gt.max()))
         return float(np.sqrt(g * gt).min()), float(max_cross), _frozen(K.min(axis=0)), _frozen(K.max(axis=0))
 
+    @functools.cached_property
+    def _pattern(self) -> tuple:
+        """The rows of ``kernel != 0`` as tuples of bools, built on first use; a rounding residue
+        below zero, which a stochastic kernel may hold, is not zero in W either."""
+        return tuple(map(tuple, (self.kernel != 0.0).tolist()))
+
     def _w_rows(self, Z: np.ndarray, rowwise: bool = False) -> np.ndarray:
         """W(z) = z^2 / 2 at every row z of Z (..., dim), real or complex: the
         mixed products x_i y_p contracted with ``kernel``.  rowwise as in _times."""

@@ -202,9 +202,7 @@ def _supports(spec: AlgebraSpec, s: tuple) -> tuple[list, int]:
     produce (a kernel entry != 0), up to its first repeat, as support_orbit
     returns it.  No admission: on a signed kernel a sum may cancel, so the
     masks bound the supports of the W orbit rather than equal them."""
-    n, nu = spec.n, spec.nu
-    # a rounding residue below zero, which a stochastic kernel may hold, is not zero in W either
-    K = (spec.kernel != 0.0).tolist()
+    n, nu, K = spec.n, spec.nu, spec._pattern
     masks, seen = [], {}
     while s not in seen:
         seen[s] = len(masks)

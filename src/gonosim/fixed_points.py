@@ -478,8 +478,8 @@ def solve_fixed_points_numeric(
     The roots of both operators vanish off the fixed support S
     (_fixed_support).  For W, an empty S, or one that keeps one type of
     one sex with distinct transfer-matrix eigenvalues, gives the exact set
-    of _eigen_roots: the origin, then one root per real eigenpair.  An
-    eigen root whose residual is not below RESIDUAL_TOL is polished by
+    of _eigen_roots: the origin, then one root per real eigenpair.  A
+    non-origin root whose residual is not below RESIDUAL_TOL is polished by
     Newton on spec and kept only if accepted; J_W - I is block triangular
     on (S, off S), so at a root that vanishes off S the step does too.
     The start arguments are not used there.
@@ -503,12 +503,12 @@ def solve_fixed_points_numeric(
     families: list[FamilyDescriptor] = []
     if operator == "W" and (roots := _eigen_roots(spec, S)) is not None:
         method = "eigen"
-        op = _op_rows(roots, spec, "W", rowwise=True)[0]
-        fate = np.zeros(len(roots), dtype=int)
-        singular = np.zeros(len(roots), dtype=bool)
-        off = np.flatnonzero(~(np.abs(op - roots).sum(axis=1) < RESIDUAL_TOL))
-        if off.size:
-            roots[off], fate[off], singular[off] = _newton(roots[off], spec, "W")
+        fate, singular = np.zeros(len(roots), dtype=int), np.zeros(len(roots), dtype=bool)
+        if len(roots) > 1:  # W(0) = 0: the origin, first, needs no residual check
+            op = _op_rows(roots[1:], spec, "W", rowwise=True)[0]
+            off = 1 + np.flatnonzero(~(np.abs(op - roots[1:]).sum(axis=1) < RESIDUAL_TOL))
+            if off.size:
+                roots[off], fate[off], singular[off] = _newton(roots[off], spec, "W")
         roots, fate, singular = roots[fate == 0], fate[1:], singular[1:]  # the origin is no candidate
     else:
         method = "newton"

@@ -334,11 +334,11 @@ def _type11_trichotomy(gamma: float, x: float, y: float) -> dict:
 
 def _unit_w(e1: float, e2: float, spec: AlgebraSpec) -> tuple:
     """W of the type-(2,1) state (e1, e2, 1) scaled to unit coordinate sum, and that sum."""
-    w = [g * e1 + d * e2 for g, d in zip(*spec.kernel.tolist())]
-    total = sum(w)
+    w = spec._w_rows(np.array([e1, e2, 1.0]))
+    total = float(w.sum())
     if total == 0.0:
         raise DegenerateDenominator("the limit direction has zero coordinate sum")
-    return tuple(c / total for c in w), total
+    return tuple((w / total).tolist()), total
 
 
 def predict_limit_type21(
@@ -361,7 +361,6 @@ def predict_limit_type21(
     normalized (kind opposite_eigenvalues).
     """
     g1, g2, d1, d2 = _type21_params(s)
-    g, d = _male_shares(g1, g2, d1, d2)
     spec = spec or type21_spec(g1, g2, d1, d2)
     actual = classify_eset(z0, s, spec)
     if cls is not None and cls.kind != actual.kind:
@@ -372,11 +371,12 @@ def predict_limit_type21(
     x1, x2, y = z0.vector.tolist()
 
     if cls.kind == INFINITE_ALL_POSITIVE:
-        # x2 is identically zero from step 1; the surviving pair follows the
-        # one-female-type recursion with coefficient g1
+        # x2 is identically zero from step 1; the surviving pair x1(1), y(1)
+        # follows the one-female-type recursion with coefficient g1
+        x1_next, _, y_next = spec._w_rows(z0.vector).tolist()
         return ClosedFormLimit(
             kind="single_type_tail",
-            **_type11_trichotomy(g1, (g1 * x1 + d1 * x2) * y, (g * x1 + d * x2) * y),
+            **_type11_trichotomy(g1, x1_next, y_next),
             v_limit=(g1, 0.0, 1.0 - g1),
             eset=cls,
         )
@@ -408,15 +408,13 @@ def predict_limit_type21(
     t0 = cls.t0
     x1, x2 = _orbit(z0, spec, t0, normalize=True)[t0, :2].tolist()
     pairs = _type21_eigenpairs(g1, g2, d1, d2)
-    (lam1, _), (lam2, (c1, c2)) = pairs[0], pairs[-1]
-    distinct = (g1 - d2) ** 2 + 4.0 * g2 * d1 >= PARAM_TOL  # else repeated, lambda1 = lambda2
-    if not distinct:
-        lam1 = lam2
-    elif abs(abs(lam1) - abs(lam2)) < PARAM_TOL:
-        # up to scale, W(x(t0), 1) is the state at step t0 + 1 and W(A x(t0), 1)
-        # the one at t0 + 2, as A x(t0) is the female part at t0 + 1
-        ax1, ax2 = g1 * x1 + d1 * x2, g2 * x1 + d2 * x2
-        pair = (_unit_w(x1, x2, spec)[0], _unit_w(ax1, ax2, spec)[0])
+    (lam1, _), (lam2, (c1, c2)) = pairs[0], pairs[-1]  # one pair: repeated, lambda1 = lambda2
+    distinct = len(pairs) == 2
+    if distinct and abs(abs(lam1) - abs(lam2)) < PARAM_TOL:
+        # up to scale, W(x(t0), 1) is the state at step t0 + 1, whose female part
+        # is A x(t0), and W(A x(t0), 1) the one at t0 + 2
+        first = _unit_w(x1, x2, spec)[0]
+        pair = (first, _unit_w(*first[:2], spec)[0])
         return ClosedFormLimit(
             kind="opposite_eigenvalues",
             w_limit=w_limit,

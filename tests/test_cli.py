@@ -679,6 +679,30 @@ class TestPredict:
         captured = capsys.readouterr()
         assert captured.out == "" and "bad input" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, params, extra, code, message",
+        [
+            ("fixed-points", (-0.1, 0, 0.3, 0.3), [], 2, "bad input: gamma1 = -0.1 is negative"),
+            ("predict", (0, 1e-13, 0.5, 0), ["--init", "1,0,1"], 1, "prediction failed: period-2 thresholds need"),
+        ],
+    )
+    def test_type21_parameter_errors(self, command, params, extra, code, message, capsys):
+        assert main([command, "--scenario", "recessive_lethal", *_type21_flags(params), *extra]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_near_repeated_eigenvalues_are_distinct(self, tmp_path, capsys):
+        # sqrt(disc) = 1e-7: the eigenvalues are split as the fixed-point table splits
+        # them; lambda1 / lambda2 = 1 - 3.3e-7, so 500 V steps are far from the limit
+        out = tmp_path / "near.json"
+        argv = ["predict", "--scenario", "recessive_lethal", *_type21_flags((0.3, 0, 0.3, 0.3000001)),
+                "--init", "0.3,0.3,0.4", "--out", str(out)]
+        assert main(argv) == 1
+        payload = json.loads(out.read_text())
+        assert payload["prediction"]["kind"] == "distinct_eigenvalues"
+        assert payload["prediction"]["lambda1"] == pytest.approx(0.3, abs=1e-12)
+        assert payload["verification"]["v_outcome"] == "max_iterations" and payload["agreement"] is False
+
     HEMOPHILIA_ETA1 = ["predict", "--scenario", "hemophilia", "--mu", "0.4", "--eta", "1"]
 
     @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gonosim import Element, IterationOptions, apply_V, apply_W, iterate, multiply, omega
+from gonosim import Element, IterationOptions, apply_V, apply_W, iterate, multiply, omega, support_orbit
 from gonosim.algebra import AlgebraSpec, random_stochastic
 from gonosim.dynamics import CYCLE_MIN_STEP_FACTOR, UNDERFLOW_OMEGA, Outcome
 from gonosim.errors import AbsorbedToO, NotStochastic, ShapeMismatch
@@ -235,6 +235,17 @@ class TestKernelBuffer:
         K = spec.kernel.reshape(3, 2, 5)
         assert np.array_equal(M[:3, 3:], K) and np.array_equal(M[3:, :3], K.transpose(1, 0, 2))
         assert not M[:3, :3].any() and not M[3:, 3:].any()
+
+    def test_zero_pattern_is_built_once_on_first_use(self):
+        # a support orbit walks the pattern; building the spec does not make it
+        g = np.array([[[0.5, 0.0]], [[0.0, 0.0]]])
+        spec = AlgebraSpec(2, 1, g, [[[0.5]], [[-1e-17]]])
+        assert "_pattern" not in vars(spec)
+        assert support_orbit(spec, Element.from_vector([1.0, 1.0, 1.0], 2)) == (
+            [(True, True, True), (True, False, True)], 1)
+        P = vars(spec)["_pattern"]
+        assert P == ((True, False, True), (False, False, True)) and spec._pattern is P
+        assert isinstance(P, tuple) and all(isinstance(row, tuple) for row in P)
 
     def test_caller_arrays_are_copied(self):
         g = np.full((1, 1, 1), 0.5)

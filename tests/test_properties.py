@@ -34,6 +34,7 @@ from gonosim import (  # noqa: E402
     apply_V,
     apply_W,
     change_basis,
+    check_identities,
     closed_form_fixed_points_type21,
     idempotent_correspondence,
     iterate,
@@ -49,7 +50,7 @@ from gonosim import (  # noqa: E402
 )
 from gonosim.algebra import AlgebraSpec  # noqa: E402
 from gonosim.dynamics import _supports  # noqa: E402
-from gonosim.errors import AbsorbedToO, ShapeMismatch  # noqa: E402
+from gonosim.errors import AbsorbedToO, MaleExtinction, ShapeMismatch  # noqa: E402
 from gonosim.fixed_points import (  # noqa: E402
     DEDUP_TOL,
     RESIDUAL_TOL,
@@ -59,7 +60,16 @@ from gonosim.fixed_points import (  # noqa: E402
     _records,
     _starts,
 )
-from gonosim.scenarios import hemophilia_spec, type21_spec  # noqa: E402
+from gonosim.identities import IDENTITY_NAMES  # noqa: E402
+from gonosim.scenarios import (  # noqa: E402
+    Scenario,
+    _type21_eigenpairs,
+    hemophilia_spec,
+    predict_limit_type21,
+    type11_spec,
+    type21_fixed_points,
+    type21_spec,
+)
 
 algebras = st.builds(
     random_stochastic, st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)
@@ -273,6 +283,101 @@ def test_type21_closed_form_is_the_whole_fixed_point_set(row_g, row_d, gap):
         v = rec.point.vector
         near = min(np.abs(v - p).sum() for p in points) < DEDUP_TOL * max(1.0, np.abs(v).sum())
         assert near or any(f.contains(v) for f in families), (params, v)
+
+
+@st.composite
+def type21_points(draw):
+    """(g1, g2, d1, d2): two rows of type21_rows, an A with opposite eigenvalues
+    (g1 = d2 = 0), a triangular A (one of g2, d1 zero), or a near-repeated A whose
+    sqrt(disc) is log-uniform in [1e-13, 1e-3], as a gap g1 - d2 with a zero off
+    the diagonal or as g2 d1 with d2 = g1."""
+    mode = draw(st.sampled_from(("rows", "opposite", "triangular", "near")))
+    (g1, g2), (d1, d2) = draw(type21_rows), draw(type21_rows)
+    if mode == "rows":
+        return g1, g2, d1, d2
+    if mode == "opposite":
+        return 0.0, g2, d1, 0.0
+    if mode == "triangular":
+        return (g1, 0.0, d1, d2) if draw(st.booleans()) else (g1, g2, 0.0, d2)
+    root, g1, share = 10.0 ** draw(st.floats(-13.0, -3.0)), draw(st.floats(0.05, 0.9)), draw(st.floats(0.05, 0.9))
+    kind = draw(st.sampled_from(("g2 = 0", "d1 = 0", "d2 = g1")))
+    if kind == "d2 = g1":
+        g2 = share * (1.0 - g1)
+        return g1, g2, root**2 / (4.0 * g2), g1
+    d2 = g1 + draw(st.sampled_from((-root, root)))
+    return (g1, 0.0, share * (1.0 - d2), d2) if kind == "g2 = 0" else (g1, share * (1.0 - g1), 0.0, d2)
+
+
+@given(type21_points(), st.tuples(*[st.floats(0.05, 2.0)] * 3))
+@settings(max_examples=300)
+def test_type21_prediction_reads_the_spectrum_of_the_fixed_point_table(params, start):
+    # the predictor and the fixed-point table share one eigen-decomposition:
+    # one pair is a repeated eigenvalue, two are distinct, both are A's
+    # eigenvalues, and the limit of the dominant one is its table point normalized
+    s = Scenario("recessive_lethal", dict(zip(("gamma1", "gamma2", "delta1", "delta2"), params)))
+    try:
+        pred = predict_limit_type21(Element.from_vector(start, 2), s)
+    except MaleExtinction:
+        return
+    if pred.eset.kind != "finite":
+        return  # the tails read no spectrum
+    pairs = _type21_eigenpairs(*params)
+    assert (pred.kind == "repeated_eigenvalue") == (len(pairs) == 1)
+    g1, g2, d1, d2 = params
+    eigenvalues = np.sort(np.linalg.eigvals([[g1, d1], [g2, d2]]).real)
+    # one pair stands for two roots less than 1e-12 apart, up to rounding
+    assert np.abs([pred.lambda1, pred.lambda2] - eigenvalues).max() <= 1e-12 + 1e-15
+    if pred.kind == "distinct_eigenvalues":
+        for p in type21_fixed_points(*params)[0][1:]:
+            if p[2] == 1.0 / pred.lambda2:
+                assert np.abs(np.array(pred.v_limit) - np.array(p) / sum(p)).max() <= 1e-12
+
+
+def _sparse_stochastic(n: int, nu: int, seed: int, density: float) -> AlgebraSpec:
+    """A random stochastic type-(n,nu) algebra with about a fraction `density`
+    of its constants non-zero, and at least one in every product's row."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.0, 1.0, (n, nu, n + nu)) * (rng.random((n, nu, n + nu)) < density)
+    np.put_along_axis(rows, rng.integers(n + nu, size=(n, nu, 1)), rng.uniform(0.1, 1.0, (n, nu, 1)), axis=2)
+    rows /= rows.sum(axis=2, keepdims=True)
+    return AlgebraSpec(n, nu, rows[:, :, :n], rows[:, :, n:])
+
+
+def assert_disjoint(spec: AlgebraSpec, seed: int) -> None:
+    # flexibility holds by commutativity; every other identity has a witness
+    report = check_identities(spec, samples=2, seed=seed)
+    for name in IDENTITY_NAMES:
+        assert report[name].verdict == ("holds_on_samples" if name == "flexibility" else "violated"), name
+    assert report["flexibility"].defect == 0.0
+
+
+@given(
+    st.one_of(
+        st.builds(random_stochastic, st.integers(1, 3), st.integers(1, 3), seeds),
+        st.builds(_sparse_stochastic, st.integers(1, 3), st.integers(1, 3), seeds, st.floats(0.15, 0.7)),
+    ),
+    seeds,
+)
+@settings(max_examples=300)
+def test_no_stochastic_algebra_is_associative_alternative_jordan_power_associative_or_lie(spec, seed):
+    # the paper's disjointness theorem, on dense and sparse stochastic algebras
+    assert_disjoint(spec, seed)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        type11_spec(0.0),
+        type11_spec(1.0),
+        type21_spec(0.0, 0.0, 0.0, 0.0),
+        type21_spec(1.0, 0.0, 0.0, 1.0),
+        type21_spec(0.0, 1.0, 1.0, 0.0),
+        hemophilia_spec(1.0, 1.0),
+    ],
+    ids=["lr_gamma0", "lr_gamma1", "rl_0000", "rl_1001", "rl_0110", "hemophilia_1_1"],
+)
+def test_disjointness_at_the_scenario_edges(spec):
+    assert_disjoint(spec, 0)
 
 
 @given(st.builds(random_stochastic, st.integers(1, 3), st.integers(1, 3), seeds), seeds)

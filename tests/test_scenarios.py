@@ -12,6 +12,7 @@ from gonosim import (
     apply_W,
     build_algebra,
     classify_eset,
+    closed_form_fixed_points_hemophilia,
     closed_form_fixed_points_type11,
     closed_form_trajectory_type11,
     hemophilia_degenerate_limits,
@@ -27,7 +28,15 @@ from gonosim.errors import (
     ShapeMismatch,
     UncoveredCase,
 )
-from gonosim.scenarios import SCENARIOS, hemophilia_spec, type11_spec, type21_spec, verify_prediction
+from gonosim.scenarios import (
+    SCENARIOS,
+    hemophilia_fixed_points,
+    hemophilia_spec,
+    type11_spec,
+    type21_fixed_points,
+    type21_spec,
+    verify_prediction,
+)
 from test_cli import _criterion_4_grid
 
 
@@ -85,6 +94,10 @@ class TestBuildAlgebra:
             build_algebra(Scenario("lr_lethal", {"gamma": 1.5}))
         with pytest.raises(InvalidParameter):
             build_algebra(rl(0.8, 0.5, 0.1, 0.1))
+
+    def test_negative_type21_parameter(self):
+        with pytest.raises(InvalidParameter, match="gamma1 = -0.1 is negative"):
+            build_algebra(rl(-0.1, 0.0, 0.3, 0.3))
 
 
 class TestClassifyEset:
@@ -262,6 +275,26 @@ class TestPredictLimit:
             states.append(z.vector)
         assert states[41] == pytest.approx(odd, abs=1e-9)
         assert states[40] == pytest.approx(even, abs=1e-9)
+
+    def test_alternating_tail_without_thresholds_is_degenerate(self):
+        # g2 d1 (1 - g2)(1 - d1) = 2.5e-14 is below PARAM_TOL: the period-2 thresholds are not derived
+        s = rl(0.0, 1e-13, 0.5, 0.0)
+        z0 = Element.from_vector([1.0, 0.0, 1.0], 2)
+        assert classify_eset(z0, s).kind == "infinite_even"
+        with pytest.raises(DegenerateParameter, match="period-2 thresholds"):
+            predict_limit_type21(z0, s)
+
+    def test_near_repeated_eigenvalues_split_as_the_fixed_point_table_splits_them(self):
+        # sqrt(disc) = 1e-7: the table holds a root for each of lambda = 0.3 and
+        # 0.3000001, and the prediction reads the same two eigenvalues
+        params = (0.3, 0.0, 0.3, 0.3000001)
+        points, _ = type21_fixed_points(*params)
+        assert [1.0 / p[2] for p in points[1:]] == pytest.approx([0.3000001, 0.3], abs=1e-15)
+        pred = predict_limit_type21(Element.from_vector([0.3, 0.3, 0.4], 2), rl(*params))
+        assert pred.kind == "distinct_eigenvalues" and pred.selected_index == 1
+        assert pred.lambda1 == pytest.approx(0.3, abs=1e-12) and pred.lambda2 == 0.3000001
+        dominant = np.array(points[1])
+        assert pred.v_limit == pytest.approx(dominant / dominant.sum(), abs=1e-12)
 
     def test_repeated_eigenvalue_branch(self):
         s = rl(0.3, 0.2, 0.0, 0.3)
@@ -571,6 +604,12 @@ class TestHemophilia:
         spec = hemophilia_spec(0.5, 1.0)
         fp = Element.from_vector(np.array(pred.fixed_point), 2)
         assert apply_W(fp, spec).vector == pytest.approx(fp.vector, abs=1e-12)
+
+    def test_fixed_points_outside_the_unit_square(self):
+        with pytest.raises(DegenerateParameter, match="must lie in"):
+            hemophilia_fixed_points(1.5, 1.0)
+        with pytest.raises(DegenerateParameter, match="must lie in"):
+            closed_form_fixed_points_hemophilia(1.5, 1.0)
 
     def test_uncovered_case(self):
         with pytest.raises(UncoveredCase):
