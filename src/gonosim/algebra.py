@@ -402,10 +402,15 @@ def validate(spec: AlgebraSpec) -> ValidationReport:
         violations.append(
             {"kind": "row_sum", "i": int(i) + 1, "p": int(p) + 1, "sum": float(sums[i, p])}
         )
+    # the flags cached at construction prove a scan empty: a finite algebra has
+    # no non-finite entry, a stochastic one no entry below -NEG_TOL
     tensors = (("gamma", spec.gamma), ("gamma_tilde", spec.gamma_tilde))
-    violations += _entry_violations("nonfinite_entry", tensors, lambda t: ~np.isfinite(t))
+    if not spec.is_finite():
+        violations += _entry_violations("nonfinite_entry", tensors, lambda t: ~np.isfinite(t))
     is_gonosomal = len(violations) == 0
-    neg_violations = _entry_violations("negative_entry", tensors, lambda t: t < -NEG_TOL)
+    neg_violations = []
+    if not spec.is_stochastic():
+        neg_violations = _entry_violations("negative_entry", tensors, lambda t: t < -NEG_TOL)
     return ValidationReport(
         is_gonosomal=is_gonosomal,
         is_stochastic=is_gonosomal and not neg_violations,

@@ -264,8 +264,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of argv (sys.argv[1:] if None), parsed once.
+
+    A known command word goes straight to its own parser, which is the
+    parser the top-level pass would hand the rest of argv to; leftover
+    strings are reported by the top-level parser, as its pass reports them.
+    The top-level parser answers only an argv without a known command word:
+    none, -h/--help, or an unknown word.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except GonosimError as exc:

@@ -51,6 +51,10 @@ NEWTON_RIDGE = 1e-10
 # repeated, and the exact W search falls back to the Newton grid; well above
 # the ~sqrt(eps) ||A|| split of a defective pair
 EIGEN_REPEAT_TOL = 1e-6
+# the Newton search refuses a start set whose Jacobian stack, starts x dim^2,
+# would exceed this many floats (128 MiB): the default W grid holds 5.9M at
+# type (5,5) and 76.5M at (6,6)
+NEWTON_MAX_FLOATS = 2**24
 
 STABLE = "exponentially_stable"
 UNSTABLE = "unstable"
@@ -493,8 +497,9 @@ def solve_fixed_points_numeric(
     The V search returns no record, and runs no start, where S is empty.
     Every record carries the search's diagnostics.  Raises ValueError for
     an algebra with a non-finite structure constant (before any other
-    check) or an operator other than "W" or "V", and NotStochastic for the
-    V search on an algebra that is not stochastic.
+    check), an operator other than "W" or "V", or a Newton search whose
+    starts x dim^2 exceed NEWTON_MAX_FLOATS (before any start is made), and
+    NotStochastic for the V search on an algebra that is not stochastic.
     """
     _admit(spec, operator=operator, stochastic=operator == "V")
     S = _fixed_support(spec)
@@ -512,6 +517,12 @@ def solve_fixed_points_numeric(
         roots, fate, singular = roots[fate == 0], fate[1:], singular[1:]  # the origin is no candidate
     else:
         method = "newton"
+        count = _start_count(spec.dim, operator, grid, random_starts)
+        if count * spec.dim**2 > NEWTON_MAX_FLOATS:
+            raise ValueError(
+                f"the Newton search needs {count} starts of dimension {spec.dim}, "
+                f"{count * spec.dim**2} Jacobian entries, above NEWTON_MAX_FLOATS = {NEWTON_MAX_FLOATS}"
+            )
         starts = _starts(spec, operator, grid, seed, random_starts)
         found, fate, singular = _newton(starts, spec, operator)
         roots, families = _deduplicate(found[fate == 0], spec, operator)
@@ -535,6 +546,13 @@ def solve_fixed_points_numeric(
     return records
 
 
+def _start_count(dim: int, operator: str, grid: int, random_starts: int) -> int:
+    """The number of rows _starts returns, counted without making them."""
+    if operator == "V":
+        return (grid**2 if grid > 1 else 0) + random_starts
+    return 1 + (grid**dim if grid > 1 else 0) + random_starts
+
+
 def _starts(spec: AlgebraSpec, operator: str, grid: int, seed: int, random_starts: int) -> np.ndarray:
     """The Newton search's starts: for W the origin, the grid over [0, 5]^dim
     and seeded random points; for V seeded Dirichlet points on the simplex."""
@@ -542,7 +560,7 @@ def _starts(spec: AlgebraSpec, operator: str, grid: int, seed: int, random_start
     dim = spec.dim
     if operator == "V":
         # one draw for all: the same gammas in the same order as a draw per start
-        return rng.dirichlet(np.ones(dim), size=(grid**2 if grid > 1 else 0) + random_starts)
+        return rng.dirichlet(np.ones(dim), size=_start_count(dim, operator, grid, random_starts))
     parts = [np.zeros((1, dim))]
     if grid > 1:
         axes = np.linspace(0.0, 5.0, grid)

@@ -20,6 +20,7 @@ from gonosim import (
     validate,
     verify_conjugacy,
 )
+from gonosim.algebra import NEG_TOL, SUM_TOL, ValidationReport
 from gonosim.errors import ShapeMismatch, SingularBasisChange
 from gonosim.scenarios import Scenario, build_algebra, type11_spec
 
@@ -62,6 +63,28 @@ class TestValidate:
         assert report.is_gonosomal and not report.is_stochastic
         kinds = {v["kind"] for v in report.violations}
         assert kinds == {"negative_entry"}
+
+    @pytest.mark.parametrize(
+        "gamma, gamma_tilde",
+        [([[[0.5]]], [[[0.5]]]), ([[[np.nan]]], [[[0.5]]]), ([[[1.5]]], [[[-0.5]]]),
+         ([[[0.5]]], [[[0.4]]]), ([[[-np.inf]]], [[[-0.5]]])],
+        ids=["good", "nan", "negative_entry", "row_sum", "neg_inf_and_negative"],
+    )
+    def test_report_equals_the_full_scan(self, gamma, gamma_tilde):
+        # validate skips the entry scans its cached flags prove empty
+        spec = AlgebraSpec(1, 1, gamma, gamma_tilde)
+        tensors = {"gamma": spec.gamma, "gamma_tilde": spec.gamma_tilde}
+        sums = spec.row_sums()
+        violations = [{"kind": "row_sum", "i": int(i) + 1, "p": int(p) + 1, "sum": float(sums[i, p])}
+                      for i, p in np.argwhere(np.abs(sums - 1.0) > SUM_TOL)]
+        for kind, bad in (("nonfinite_entry", lambda t: ~np.isfinite(t)), ("negative_entry", lambda t: t < -NEG_TOL)):
+            violations += [{"kind": kind, "tensor": name, "index": tuple(int(v) + 1 for v in idx),
+                            "value": float(t[tuple(idx)])}
+                           for name, t in tensors.items() for idx in np.argwhere(bad(t))]
+        gonosomal = not any(v["kind"] != "negative_entry" for v in violations)
+        stochastic = gonosomal and not any(v["kind"] == "negative_entry" for v in violations)
+        # repr, as a NaN value equals no value
+        assert repr(validate(spec)) == repr(ValidationReport(gonosomal, stochastic, violations))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

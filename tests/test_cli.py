@@ -380,6 +380,17 @@ class TestFixedPoints:
         assert main(["fixed-points", "--random", "2,x"]) == 2
         assert "bad input" in capsys.readouterr().err
 
+    def test_oversized_newton_grid_exits_2(self, monkeypatch, capsys):
+        # the default W grid at (6,6) is 3^12 starts; the bound refuses it before any is made
+        import gonosim.fixed_points as fp
+
+        def made(*args):
+            raise AssertionError("the start set was made")
+
+        monkeypatch.setattr(fp, "_starts", made)
+        assert main(["fixed-points", "--random", "6,6"]) == 2
+        assert "bad input: the Newton search needs 531450 starts" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags", [["hemophilia", "--mu", "0.5", "--eta", "0.5"], ["lr_lethal", "--gamma", "0"]]
     )
@@ -416,14 +427,33 @@ class TestFixedPoints:
         assert any(np.allclose(p, [0.3, 0.7], atol=1e-6) for p in pts)
 
 
+def _reuse_argvs(good_algebra, tmp_path):
+    short = ["simulate", "--scenario", "lr_lethal", "--gamma", "0.5", "--init", "1,1",
+             "--steps", "3", "--format", "json", "--out", str(tmp_path / "a.json")]
+    v_points = ["fixed-points", "--algebra", good_algebra, "--operator", "V",
+                "--out", str(tmp_path / "b.json")]
+    default = ["simulate", "--algebra", good_algebra, "--init", "2,2",
+               "--out", str(tmp_path / "c.csv")]
+    return short, v_points, default
+
+
+# argvs the top-level parser answers, and argvs of a known command it would reject
+FALLBACK_ARGVS = [
+    [], ["--help"], ["bogus"], ["simulate", "--bogus", "1"], ["simulate", "--operator"],
+    ["predict", "--scenario", "lr_lethal", "--gamma", "0.5", "--steps", "5"],
+]
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestParserReuse:
     def test_calls_share_one_parser_and_no_state(self, good_algebra, tmp_path):
-        short = ["simulate", "--scenario", "lr_lethal", "--gamma", "0.5", "--init", "1,1",
-                 "--steps", "3", "--format", "json", "--out", str(tmp_path / "a.json")]
-        v_points = ["fixed-points", "--algebra", good_algebra, "--operator", "V",
-                    "--out", str(tmp_path / "b.json")]
-        default = ["simulate", "--algebra", good_algebra, "--init", "2,2",
-                   "--out", str(tmp_path / "c.csv")]
+        short, v_points, default = _reuse_argvs(good_algebra, tmp_path)
         assert main(short) == 0 and main(v_points) == 0 and main(default) == 0
         assert cli._parser() is cli._parser()
         for argv in (short, v_points, default):
@@ -432,6 +462,26 @@ class TestParserReuse:
         assert json.loads(open(tmp_path / "b.json").read())["records"][0]["operator"] == "V"
         # no --steps, --scenario or --operator left over from the calls before
         assert open(tmp_path / "c.csv").read().splitlines()[-1].startswith("# outcome=converged")
+
+    def test_one_parse_per_command(self, good_algebra, tmp_path, monkeypatch):
+        argvs = [*_reuse_argvs(good_algebra, tmp_path), *([c, *flags] for c, flags in KEPT_FLAGS.items())]
+        for argv in argvs:
+            assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+        def top_level_pass(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a known command")
+
+        # a known command word goes to its own parser; only leftovers reach the top-level error()
+        monkeypatch.setattr(cli._parser(), "parse_known_args", top_level_pass)
+        for argv in _reuse_argvs(good_algebra, tmp_path):
+            assert main(argv) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--bogus", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", FALLBACK_ARGVS)
+    def test_exits_match_the_full_parse(self, argv, capsys):
+        assert _exit(main, argv, capsys) == _exit(cli.build_parser().parse_args, argv, capsys)
 
 
 # every flag each command reads, with a value that parses

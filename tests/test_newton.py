@@ -312,7 +312,31 @@ def test_search_runs_the_reference_starts(operator, grid, random_starts, monkeyp
     spec = random_stochastic(2, 2, 4)
     solve_fixed_points_numeric(spec, operator, grid=grid, seed=7, random_starts=random_starts)
     want = reference_starts(spec, operator, grid=grid, seed=7, random_starts=random_starts)
+    assert len(want) == fp._start_count(spec.dim, operator, grid, random_starts)
     assert np.array_equal(seen[0], np.reshape(want, (-1, spec.dim)))
+
+
+class _StartsMade(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, operator, admitted", [(5, "W", True), (6, "V", True), (6, "W", False)])
+def test_newton_search_size_is_bounded_before_any_start_is_made(n, operator, admitted, monkeypatch):
+    # the default W grid is 3^dim starts with a dim x dim Jacobian each: 5.9M
+    # floats at (5,5), 76.5M at (6,6); the V search makes 17 starts at any type
+    import gonosim.fixed_points as fp
+
+    def made(*args):
+        raise _StartsMade
+
+    monkeypatch.setattr(fp, "_starts", made)
+    spec = random_stochastic(n, n, 0)
+    if admitted:
+        with pytest.raises(_StartsMade):
+            solve_fixed_points_numeric(spec, operator)
+    else:
+        with pytest.raises(ValueError, match="needs 531450 starts of dimension 12"):
+            solve_fixed_points_numeric(spec, operator)
 
 
 def test_corner_root_of_V_is_rejected():
