@@ -47,10 +47,6 @@ NEWTON_DIVERGENCE = 1e8  # a start fails once a coordinate exceeds this in size
 NEWTON_RENORM_MIN = 1e-12
 # Tikhonov weight of the least-squares step taken where the Jacobian is singular
 NEWTON_RIDGE = 1e-10
-# transfer-matrix eigenvalues closer than this times max(1, ||A||_1) count as
-# repeated, and the exact W search falls back to the Newton grid; well above
-# the ~sqrt(eps) ||A|| split of a defective pair
-EIGEN_REPEAT_TOL = 1e-6
 # the Newton search refuses a start set whose Jacobian stack, starts x dim^2,
 # would exceed this many floats (128 MiB): the default W grid holds 5.9M at
 # type (5,5) and 76.5M at (6,6)
@@ -167,16 +163,16 @@ class FixedPointRecord:
     """A fixed point with its spectra and stability labels.
 
     ``diagnostics`` is set on the records of a numeric search.  ``method``
-    is ``"eigen"`` for the exact W search (_eigen_roots), whose candidates are
-    its non-zero eigen roots (none when only the origin is fixed), and
-    ``"newton"`` for the multi-start search, whose candidates are its
-    starts.  The counts: ``attempted`` candidates, ``converged`` (accepted
-    roots before deduplication), ``singular`` (took at least one
-    least-squares Newton step), and the failures ``nonfinite``,
-    ``diverged``, ``rejected_residual`` and, for V, ``absorbed`` (omega(W)
-    vanished, or the root has no female or no male mass).  Each candidate
-    ends either converged or in exactly one failure; an eigen root whose
-    residual is below RESIDUAL_TOL converges without a Newton step.
+    follows the fixed support alone: ``"eigen"`` for the W search of an
+    empty or one-sex support (_eigen_roots), whose candidates are its
+    non-zero eigen roots, one per cluster of eigenvalues, else ``"newton"``,
+    whose candidates are its starts.  The counts: ``attempted`` candidates,
+    ``converged`` (accepted roots before deduplication), ``singular`` (took
+    at least one least-squares Newton step), and the failures
+    ``nonfinite``, ``diverged``, ``rejected_residual`` and, for V,
+    ``absorbed`` (omega(W) vanished, or the root has no female or no male
+    mass).  Each candidate ends either converged or in exactly one failure;
+    an eigen root with residual below RESIDUAL_TOL converges without Newton.
     """
 
     point: State
@@ -420,10 +416,10 @@ def _fixed_support(spec: AlgebraSpec) -> np.ndarray:
     return np.array(_supports(spec, (True,) * spec.dim)[0][-1])
 
 
-def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> np.ndarray | None:
-    """Every W fixed point of spec, origin first, when its fixed support S
-    is empty (the origin alone) or keeps one type of one sex; None when S
-    keeps two types of each sex or two eigenvalues repeat.
+def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Every W fixed point of spec, origin first, and the mask of the roots
+    of repeated eigenvalues, when its fixed support S is empty (the origin
+    alone) or keeps one type of one sex; None when S keeps two of each sex.
 
     Let c be the single coordinate of that sex in S (the male one of a
     type-(1, 1) S), M the coordinates of the other sex in S, and row j the
@@ -433,16 +429,18 @@ def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> np.ndarray | None:
     points are z_M = v / q.v, z_c = 1 / lam for the real eigenpairs
     (lam, v) of A, here in increasing 1 / lam.  As in
     scenarios.type21_fixed_points, a pair with |lam| below PARAM_TOL, or
-    |q.v| below PARAM_TOL |v|_1, gives no point.  Distinct eigenvalues give
-    at most |M| + 1 points with the origin, the 2-homogeneous Bezout number,
-    so the set is complete.  Eigenvalues within EIGEN_REPEAT_TOL may carry a
-    family (A = lam I) or a Jordan block, which the Newton search and
-    _detect_family own.  Near-zero coordinates are snapped as Newton's are,
-    so a triangular A keeps its structural zeros.
+    |q.v| below PARAM_TOL |v|_1, gives no point, and eigenvalues within
+    PARAM_TOL max(1, ||A||_1) of their neighbour in that order form one
+    cluster, whose first eigenpair gives its one root.  Simple eigenvalues
+    give at most |M| + 1 points with the origin, the 2-homogeneous Bezout
+    number, so the set is complete; a repeated one gives the one point of a
+    Jordan block, or a root on a family (A = lam I on its eigenspace) that
+    _detect_family finds.  Near-zero coordinates are snapped as Newton's
+    are, so a triangular A keeps its structural zeros.
     """
     n = spec.n
     if not S.any():
-        return np.zeros((1, spec.dim))
+        return np.zeros((1, spec.dim)), np.zeros(1, dtype=bool)
     females, males = np.flatnonzero(S[:n]), np.flatnonzero(S[n:])
     K = spec.kernel.reshape(n, spec.nu, spec.dim)
     if len(males) == 1:
@@ -453,20 +451,17 @@ def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> np.ndarray | None:
         return None
     A = rows[:, M].T
     lam, vecs = np.linalg.eig(A)
-    gaps = np.abs(lam[:, None] - lam)
-    np.fill_diagonal(gaps, np.inf)
-    if gaps.min() < EIGEN_REPEAT_TOL * max(1.0, np.abs(A).sum(axis=0).max()):
-        return None
     real = lam.imag == 0  # LAPACK returns a real eigenvalue with imaginary part exactly 0
     lam, vecs = lam.real[real], vecs.real[:, real]
     qv = rows[:, c] @ vecs
     ok = (np.abs(lam) >= PARAM_TOL) & (np.abs(qv) >= PARAM_TOL * np.abs(vecs).sum(axis=0))
-    y = 1.0 / lam[ok]
-    order = np.argsort(y, kind="stable")
-    roots = np.zeros((1 + len(y), spec.dim))
-    roots[1:, M] = (vecs[:, ok] / qv[ok]).T[order]
-    roots[1:, c] = y[order]
-    return _snap(roots)
+    order = np.argsort(1.0 / lam[ok], kind="stable")
+    lam = lam[ok][order]
+    roots, repeated = np.zeros((1 + len(lam), spec.dim)), np.zeros(1 + len(lam), dtype=bool)
+    roots[1:, M], roots[1:, c] = (vecs[:, ok] / qv[ok]).T[order], 1.0 / lam
+    repeated[1:-1] = np.abs(lam[1:] - lam[:-1]) < PARAM_TOL * max(1.0, np.abs(A).sum(axis=0).max())
+    first = ~np.concatenate(([False], repeated[:-1]))  # the origin and each cluster's first root
+    return _snap(roots[first]), repeated[first]
 
 
 def solve_fixed_points_numeric(
@@ -480,13 +475,13 @@ def solve_fixed_points_numeric(
     with one type, else by multi-start Newton.
 
     The roots of both operators vanish off the fixed support S
-    (_fixed_support).  For W, an empty S, or one that keeps one type of
-    one sex with distinct transfer-matrix eigenvalues, gives the exact set
-    of _eigen_roots: the origin, then one root per real eigenpair.  A
-    non-origin root whose residual is not below RESIDUAL_TOL is polished by
-    Newton on spec and kept only if accepted; J_W - I is block triangular
-    on (S, off S), so at a root that vanishes off S the step does too.
-    The start arguments are not used there.
+    (_fixed_support).  For W, an empty S or one that keeps one type of one
+    sex gives the exact set of _eigen_roots, and the start arguments are
+    unused.  A non-origin root whose residual is not below RESIDUAL_TOL is
+    polished by Newton on spec and kept only if accepted; J_W - I is block
+    triangular on (S, off S), so at a root that vanishes off S the step
+    does too.  A line of fixed points that _detect_family finds through the
+    root of a repeated eigenvalue replaces that root as a family record.
 
     Otherwise Newton runs from a grid over [0, 5]^dim (or the simplex for
     the normalized operator) plus seeded random points.  Roots are
@@ -506,15 +501,19 @@ def solve_fixed_points_numeric(
     if operator == "V" and not S.any():
         return []  # V(z) = z makes W(z) a non-zero multiple of z, so z vanishes off S too
     families: list[FamilyDescriptor] = []
-    if operator == "W" and (roots := _eigen_roots(spec, S)) is not None:
-        method = "eigen"
+    if operator == "W" and (exact := _eigen_roots(spec, S)) is not None:
+        (roots, repeated), method = exact, "eigen"
         fate, singular = np.zeros(len(roots), dtype=int), np.zeros(len(roots), dtype=bool)
         if len(roots) > 1:  # W(0) = 0: the origin, first, needs no residual check
             op = _op_rows(roots[1:], spec, "W", rowwise=True)[0]
             off = 1 + np.flatnonzero(~(np.abs(op - roots[1:]).sum(axis=1) < RESIDUAL_TOL))
             if off.size:
                 roots[off], fate[off], singular[off] = _newton(roots[off], spec, "W")
-        roots, fate, singular = roots[fate == 0], fate[1:], singular[1:]  # the origin is no candidate
+        for j in np.flatnonzero(repeated & (kept := fate == 0)):
+            if (fam := _detect_family(roots[j], spec, "W")) is not None:
+                families.append(fam)  # the line replaces its root
+                kept[j] = False
+        roots, fate, singular = roots[kept], fate[1:], singular[1:]  # the origin is no candidate
     else:
         method = "newton"
         count = _start_count(spec.dim, operator, grid, random_starts)

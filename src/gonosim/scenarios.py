@@ -351,14 +351,15 @@ def predict_limit_type21(
     algebra of s, is built unless given.  For a finite E-set the W limit is
     "zero" when omega(z0) < 4 - BOUNDARY_TOL, as omega(W(z)) = omega(x)
     omega(y) <= omega(z)^2 / 4 sends such a mass to zero, and None (not
-    derived) otherwise; the V orbit goes to W(e, 1) normalized, where e = (A - lambda1 I) x(t0) is the part of the female
-    state at t0 = max(E) + 1 along the dominant eigenvector of the female
-    transfer matrix A = [[g1, d1], [g2, d2]] (_type21_eigenpairs).  If that
-    part vanishes, x(t0) is an eigenvector itself (A = lambda I included)
-    and e = x(t0).  Distinct eigenvalues of equal modulus, lambda1 =
-    -lambda2, need g1 = d2 = 0; then A^2 = g2 d1 I, so from t0 on the V
-    orbit is the period-2 cycle of W(x(t0), 1) and W(A x(t0), 1),
-    normalized (kind opposite_eigenvalues).
+    derived) otherwise; the V orbit goes to W(e, 1) normalized, where e =
+    (A - lambda1 I) x(t0) is the part of the female state at t0 = max(E) + 1
+    along the dominant eigenvector of the female transfer matrix
+    A = [[g1, d1], [g2, d2]] (_type21_eigenpairs); e = x(t0), an eigenvector,
+    when A - lambda1 I has no entry of PARAM_TOL (A = lambda I, as in
+    type21_fixed_points) or |e|_1 <= PARAM_TOL |x(t0)|_1 max|A - lambda1 I|.
+    Distinct eigenvalues of equal modulus, lambda1 = -lambda2, need g1 =
+    d2 = 0; then A^2 = g2 d1 I, so from t0 on the V orbit is the period-2
+    cycle of W(x(t0), 1) and W(A x(t0), 1), normalized (opposite_eigenvalues).
     """
     g1, g2, d1, d2 = _type21_params(s)
     spec = spec or type21_spec(g1, g2, d1, d2)
@@ -424,9 +425,9 @@ def predict_limit_type21(
             t0=t0,
             eset=cls,
         )
-    e1, e2 = c1[0] * x1 + c2[0] * x2, c1[1] * x1 + c2[1] * x2
-    if abs(e1) + abs(e2) <= PARAM_TOL * (abs(x1) + abs(x2)):
-        e1, e2 = x1, x2  # x(t0) is an eigenvector already (A = lam I included)
+    e1, e2, size = c1[0] * x1 + c2[0] * x2, c1[1] * x1 + c2[1] * x2, max(map(abs, c1 + c2))
+    if size < PARAM_TOL or abs(e1) + abs(e2) <= PARAM_TOL * size * (abs(x1) + abs(x2)):
+        e1, e2 = x1, x2  # x(t0) is an eigenvector already (A = lam I, the table's line, included)
     v_limit, total = _unit_w(e1, e2, spec)
     return ClosedFormLimit(
         kind="distinct_eigenvalues" if distinct else "repeated_eigenvalue",

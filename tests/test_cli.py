@@ -303,6 +303,14 @@ class TestFixedPoints:
         assert payload["cross_check"]["max_mismatch"] <= 1e-6
         assert len(payload["closed_form"]) == 2
 
+    def test_near_repeated_point_lists_every_closed_form_point(self, capsys):
+        # |g1 - d2| = 1.6e-10: the exact search keeps both roots 1e-7 apart
+        params = (0.40033, 0, 0.00496, 0.40032999984)
+        code, payload = _run(["fixed-points", "--scenario", "recessive_lethal", *_type21_flags(params)], capsys)
+        assert code == 0 and payload["cross_check"]["pass"] is True
+        assert len(payload["records"]) == len(payload["closed_form"]) == 3
+        assert {r["diagnostics"]["method"] for r in payload["records"]} == {"eigen"}
+
     @pytest.mark.parametrize(
         "params, point",
         [((0.0, 0.0, 0.1, 0.1), [5 / 9, 5 / 9, 10.0]), ((0.3, 0.2, 0.25, 0.25), [10 / 9, 8 / 9, 2.0])],

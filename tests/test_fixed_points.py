@@ -235,15 +235,47 @@ class TestEigenSearch:
             np.testing.assert_allclose(r.point.vector, c.point.vector, rtol=1e-12, atol=0.0)
             assert (r.stability_w, r.stability_v) == (c.stability_w, c.stability_v)
 
-    def test_line_of_fixed_points_keeps_the_newton_search(self):
-        # A = 0.3 I: the eigenvalue repeats, the grid search runs and one
-        # family record holds the closed-form line
+    def test_line_of_fixed_points_is_one_family_record(self):
+        # A = 0.3 I: the eigenvalue repeats, its one root lies on a line of
+        # fixed points, and one family record holds the closed-form line
         recs = solve_fixed_points_numeric(type21_spec(0.3, 0.0, 0.0, 0.3), "W")
         assert [r.family is not None for r in recs] == [False, True]
-        assert recs[0].diagnostics["method"] == "newton"
-        assert recs[0].diagnostics["attempted"] == 3**3 + 9
+        assert recs[0].diagnostics["method"] == "eigen"
+        assert recs[0].diagnostics["attempted"] == 1
         base = closed_form_fixed_points_type21(0.3, 0.0, 0.0, 0.3)[-1].point.vector
         assert recs[1].family.contains(base)
+
+    def test_plane_of_fixed_points_reports_the_line_found_through_its_root(self):
+        # A = 0.3 I at type (3,1): the fixed points x1 + x2 + x3 = 1 / 0.7,
+        # y = 1 / 0.3 form a plane.  The repeated eigenvalue gives one root,
+        # and its family record is the one line _detect_family finds through
+        # it, inside the plane; no plane descriptor is built
+        gamma = np.zeros((3, 1, 3))
+        gamma[range(3), 0, range(3)] = 0.3
+        spec = AlgebraSpec(3, 1, gamma, np.full((3, 1, 1), 0.7))
+        recs = solve_fixed_points_numeric(spec, "W")
+        assert [r.family is not None for r in recs] == [False, True]
+        assert recs[0].diagnostics["method"] == "eigen" and recs[0].diagnostics["attempted"] == 1
+        fam = recs[1].family
+        np.testing.assert_allclose(fam.base_point, [1 / 0.7, 0.0, 0.0, 1 / 0.3], rtol=1e-15)
+        assert fam.direction[3] == 0.0 and abs(fam.direction.sum()) < 1e-12
+        for t in (-1.0, 0.5):
+            v = fam.base_point + t * fam.direction
+            assert np.abs(apply_W(Element.from_vector(v, 3), spec).vector - v).sum() < RESIDUAL_TOL
+        swapped = solve_fixed_points_numeric(opposite(spec), "W")
+        assert [r.family is not None for r in swapped] == [False, True]
+        np.testing.assert_allclose(swapped[1].family.base_point, swap_map(spec) @ fam.base_point, rtol=1e-15)
+
+    def test_near_repeated_triangular_point_keeps_every_table_point(self):
+        # |g1 - d2| = 1.6e-10: the two non-zero roots lie about 1e-7 apart, closer
+        # than DEDUP_TOL, and each eigenvalue keeps its own root, as in the table
+        params = (0.40033, 0.0, 0.00496, 0.40032999984)
+        recs = solve_fixed_points_numeric(type21_spec(*params), "W")
+        closed = closed_form_fixed_points_type21(*params)
+        assert recs[0].diagnostics["method"] == "eigen" and len(recs) == len(closed) == 3
+        for r, c in zip(recs, closed):
+            np.testing.assert_allclose(r.point.vector, c.point.vector, rtol=1e-9, atol=1e-15)
+        assert recs[1].point.vector[1] == 0.0 and recs[2].point.vector[1] < 0.0
 
     def test_jordan_block_gives_its_single_root(self):
         # A = [[0.1, 0.1], [0, 0.1]] is defective: one eigenvector, (1, 0)
@@ -251,7 +283,7 @@ class TestEigenSearch:
 
         spec = type21_spec(0.1, 0.0, 0.1, 0.1)
         recs = solve_fixed_points_numeric(spec, "W")
-        assert recs[0].diagnostics["method"] == "newton"
+        assert recs[0].diagnostics["method"] == "eigen"
         assert_same_records(recs, reference_search(spec, "W"))
         assert [r.family for r in recs] == [None, None]
         np.testing.assert_allclose(recs[1].point.vector, [1.0 / 0.9, 0.0, 10.0], rtol=1e-9, atol=1e-12)
@@ -265,9 +297,9 @@ class TestEigenSearch:
         eigen_roots = fp._eigen_roots
 
         def shifted(spec, S):
-            roots = eigen_roots(spec, S)
+            roots, repeated = eigen_roots(spec, S)
             roots[1, 0] += 1e-6
-            return roots
+            return roots, repeated
 
         monkeypatch.setattr(fp, "_eigen_roots", shifted)
         got = solve_fixed_points_numeric(spec, "W")
@@ -282,7 +314,8 @@ class TestEigenSearch:
         import gonosim.fixed_points as fp
 
         spec = type21_spec(0.3, 0.2, 0.25, 0.35)
-        monkeypatch.setattr(fp, "_eigen_roots", lambda spec, S: np.array([[0.0, 0.0, 0.0], [1e9, 1e9, 1e9]]))
+        roots = np.array([[0.0, 0.0, 0.0], [1e9, 1e9, 1e9]])
+        monkeypatch.setattr(fp, "_eigen_roots", lambda spec, S: (roots.copy(), np.zeros(2, dtype=bool)))
         recs = solve_fixed_points_numeric(spec, "W")
         assert len(recs) == 1 and not np.any(recs[0].point.vector)
         diag = recs[0].diagnostics

@@ -269,11 +269,18 @@ def test_scenario_roots_match_reference(scenario, operator):
 
 
 def test_family_matches_reference():
-    spec = build_algebra(FAMILY)
+    # type (2,2) with e_i m_p = 0.3 e_i + 0.35 (m_1 + m_2): the fixed support
+    # keeps both sexes, so the grid search runs, and W is fixed on the line
+    # x1 + x2 = 1 / 0.7, y1 = y2 = 1 / 0.6
+    gamma = 0.3 * np.eye(2)[:, None, :].repeat(2, axis=1)
+    spec = AlgebraSpec(2, 2, gamma, np.full((2, 2, 2), 0.35))
     want = reference_search(spec, "W")
     got = solve_fixed_points_numeric(spec, "W")
+    assert got[0].diagnostics["method"] == "newton"
     assert_same_records(got, want)
     assert [r.family is not None for r in got] == [False, True]
+    x1, x2, y1, y2 = got[1].point.vector
+    assert abs(x1 + x2 - 1 / 0.7) < 1e-9 and abs(y1 - 1 / 0.6) < 1e-9 and abs(y2 - 1 / 0.6) < 1e-9
 
 
 def test_line_of_V_fixed_points():

@@ -62,6 +62,7 @@ from gonosim.fixed_points import (  # noqa: E402
 )
 from gonosim.identities import IDENTITY_NAMES  # noqa: E402
 from gonosim.scenarios import (  # noqa: E402
+    PARAM_TOL,
     Scenario,
     _type21_eigenpairs,
     hemophilia_spec,
@@ -331,6 +332,45 @@ def test_type21_prediction_reads_the_spectrum_of_the_fixed_point_table(params, s
         for p in type21_fixed_points(*params)[0][1:]:
             if p[2] == 1.0 / pred.lambda2:
                 assert np.abs(np.array(pred.v_limit) - np.array(p) / sum(p)).max() <= 1e-12
+
+
+@st.composite
+def type21_search_points(draw):
+    """type21_points, an A = lam I (a line of fixed points) or a Jordan block
+    (g1 = d2 and one of g2, d1 zero, the other not)."""
+    mode = draw(st.sampled_from(("table", "line", "jordan")))
+    if mode == "table":
+        return draw(type21_points())
+    lam = draw(st.floats(0.05, 0.9))
+    if mode == "line":
+        return lam, 0.0, 0.0, lam
+    off = draw(st.floats(0.01, 1.0 - lam))
+    return (lam, 0.0, off, lam) if draw(st.booleans()) else (lam, off, 0.0, lam)
+
+
+@given(type21_search_points(), st.booleans())
+@settings(max_examples=300)
+def test_exact_W_search_is_the_fixed_point_table(params, swapped):
+    # one eigen rule: the W search of a type-(2,1) algebra, or of its opposite,
+    # takes the eigen path at every point, near-repeated, Jordan and A = lam I
+    # included, and holds one record per table point, the table's line as a
+    # family record
+    g1, g2, d1, d2 = params
+    # at sqrt(disc) = PARAM_TOL the two rules split a pair by their own roundings
+    assume(abs(np.sqrt((g1 - d2) ** 2 + 4.0 * g2 * d1) / PARAM_TOL - 1.0) > 1e-3)
+    spec = type21_spec(*params)
+    points, line = type21_fixed_points(*params)
+    phi = swap_map(spec) if swapped else np.eye(3)
+    recs = solve_fixed_points_numeric(opposite(spec) if swapped else spec, "W")
+    assert {r.diagnostics["method"] for r in recs} == {"eigen"}
+    assert len(recs) == len(points), (params, [r.point.vector for r in recs])
+    assert [r.family is not None for r in recs] == [False] * (len(points) - 1) + [line is not None]
+    for p in points:
+        v = phi @ np.array(p)
+        assert any(
+            np.abs(r.point.vector - v).sum() < DEDUP_TOL or (r.family is not None and r.family.contains(v))
+            for r in recs
+        ), (params, v)
 
 
 def _sparse_stochastic(n: int, nu: int, seed: int, density: float) -> AlgebraSpec:

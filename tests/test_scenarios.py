@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -295,6 +296,29 @@ class TestPredictLimit:
         assert pred.lambda1 == pytest.approx(0.3, abs=1e-12) and pred.lambda2 == 0.3000001
         dominant = np.array(points[1])
         assert pred.v_limit == pytest.approx(dominant / dominant.sum(), abs=1e-12)
+
+    def test_split_eigenvalues_near_lambda_I_go_to_the_dominant_point(self, capsys):
+        # sqrt(disc) = 3e-12: the table splits the eigenvalues 0.3 and
+        # 0.3 + 3e-12, so A is not lambda I although both columns of
+        # A - lambda1 I are of order 1e-12; e = (A - lambda1 I) x(t0) is that
+        # small too, yet it is no rounding residue, and the V limit is the
+        # lambda2 table point normalized, not the start's direction
+        params = (0.3, 0.0, 0.0, 0.300000000003)
+        points, line = type21_fixed_points(*params)
+        assert line is None and len(points) == 3
+        pred = predict_limit_type21(Element.from_vector([1.0, 0.1, 1.0], 2), rl(*params))
+        assert pred.kind == "distinct_eigenvalues"
+        dominant = np.array(points[1])
+        assert 1.0 / dominant[2] == pred.lambda2
+        assert pred.v_limit == pytest.approx(dominant / dominant.sum(), abs=1e-12)
+        assert pred.v_limit == pytest.approx((0.0, 0.3, 0.7), abs=1e-11)
+        # lambda1 / lambda2 = 1 - 1e-11: 500 V steps cannot tell the limit
+        # from the start, so the verification disagrees (ROADMAP item 11)
+        from gonosim.cli import main
+
+        flags = [v for f, p in zip(("--gamma1", "--gamma2", "--delta1", "--delta2"), params) for v in (f, repr(p))]
+        assert main(["predict", "--scenario", "recessive_lethal", *flags, "--init", "1,0.1,1"]) == 1
+        assert json.loads(capsys.readouterr().out)["agreement"] is False
 
     def test_repeated_eigenvalue_branch(self):
         s = rl(0.3, 0.2, 0.0, 0.3)
