@@ -313,9 +313,8 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     Each iteration steps all the starts still running, with one _op_rows
     call for op and the batch of Jacobians and one stacked solve.  A start
     stops when its L1 step falls below NEWTON_STEP_TOL or after
-    NEWTON_MAX_ITER steps, and fails
-    on a non-finite step or state, a coordinate beyond NEWTON_DIVERGENCE,
-    or (V) a vanishing omega(W).  The V iterate is rescaled to unit sum
+    NEWTON_MAX_ITER steps, and fails on a non-finite step or state, a
+    coordinate beyond NEWTON_DIVERGENCE, or (V) a vanishing omega(W).  The V iterate is rescaled to unit sum
     after each step.  A stopped start is accepted if its residual is below
     RESIDUAL_TOL; accepted roots have their near-zero coordinates snapped
     to 0.0, and a V root without female or male mass is rejected as
@@ -427,16 +426,21 @@ def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> tuple[np.ndarray, np.ndarr
     off S (_fixed_support), and on S, W(z) = (z_c A z_M, z_c q.z_M) with
     A[k, j] = row j at k and q_j = row j at c.  So the non-zero fixed
     points are z_M = v / q.v, z_c = 1 / lam for the real eigenpairs
-    (lam, v) of A, here in increasing 1 / lam.  As in
-    scenarios.type21_fixed_points, a pair with |lam| below PARAM_TOL, or
-    |q.v| below PARAM_TOL |v|_1, gives no point, and eigenvalues within
-    PARAM_TOL max(1, ||A||_1) of their neighbour in that order form one
-    cluster, whose first eigenpair gives its one root.  Simple eigenvalues
-    give at most |M| + 1 points with the origin, the 2-homogeneous Bezout
-    number, so the set is complete; a repeated one gives the one point of a
-    Jordan block, or a root on a family (A = lam I on its eigenspace) that
-    _detect_family finds.  Near-zero coordinates are snapped as Newton's
-    are, so a triangular A keeps its structural zeros.
+    (lam, v) of A, here in increasing 1 / lam, with a conjugate pair (lam,
+    x) as a double Re lam split by rounding when |Im lam| |Im x|_1 < tol
+    |Re x|_1 (A Re x = Re lam Re x - Im lam Im x), tol = PARAM_TOL max(1,
+    ||A||_1).  Eigenvalues within tol of their neighbour in increasing order
+    form one cluster, whose first root in 1 / lam order is its one root.  As
+    in scenarios.type21_fixed_points, a pair with |lam| below PARAM_TOL, or
+    |q.v| below PARAM_TOL |v|_1, gives no root, but counts in its cluster.
+    Simple eigenvalues give at most |M| + 1 points with the origin, the
+    2-homogeneous Bezout number, so the set is complete; a cluster of two
+    or more, flagged, gives the one point of a Jordan block, or a root on a
+    family (A = lam I on its eigenspace) that _detect_family finds.  Real
+    eigenvalues further apart than tol give two roots, also where rounding
+    split a defective pair of a non-triangular A by about sqrt(eps) ||A||,
+    a split double precision cannot tell from a true one.  Coordinates are
+    snapped as Newton's are, so a triangular A keeps its structural zeros.
     """
     n = spec.n
     if not S.any():
@@ -451,25 +455,24 @@ def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return None
     A = rows[:, M].T
     lam, vecs = np.linalg.eig(A)
-    real = lam.imag == 0  # LAPACK returns a real eigenvalue with imaginary part exactly 0
-    lam, vecs = lam.real[real], vecs.real[:, real]
+    tol = PARAM_TOL * max(1.0, np.abs(A).sum(axis=0).max())
+    split = (lam.imag > 0) & (lam.imag * np.abs(vecs.imag).sum(axis=0) < tol * np.abs(vecs.real).sum(axis=0))
+    keep = (lam.imag == 0) | split  # LAPACK returns a real eigenvalue with imaginary part exactly 0
+    lam, vecs, size = lam.real[keep], vecs.real[:, keep], 1 + split[keep]
+    order = np.argsort(lam, kind="stable")
+    cluster = np.cumsum(np.concatenate(([True], np.diff(lam[order]) >= tol)))[np.argsort(order)]
     qv = rows[:, c] @ vecs
-    ok = (np.abs(lam) >= PARAM_TOL) & (np.abs(qv) >= PARAM_TOL * np.abs(vecs).sum(axis=0))
-    order = np.argsort(1.0 / lam[ok], kind="stable")
-    lam = lam[ok][order]
-    roots, repeated = np.zeros((1 + len(lam), spec.dim)), np.zeros(1 + len(lam), dtype=bool)
-    roots[1:, M], roots[1:, c] = (vecs[:, ok] / qv[ok]).T[order], 1.0 / lam
-    repeated[1:-1] = np.abs(lam[1:] - lam[:-1]) < PARAM_TOL * max(1.0, np.abs(A).sum(axis=0).max())
-    first = ~np.concatenate(([False], repeated[:-1]))  # the origin and each cluster's first root
-    return _snap(roots[first]), repeated[first]
+    ok = np.flatnonzero((np.abs(lam) >= PARAM_TOL) & (np.abs(qv) >= PARAM_TOL * np.abs(vecs).sum(axis=0)))
+    ok = ok[np.argsort(1.0 / lam[ok], kind="stable")]
+    ok = ok[np.sort(np.unique(cluster[ok], return_index=True)[1])]  # each cluster's first root
+    roots = np.zeros((1 + len(ok), spec.dim))
+    roots[1:, M], roots[1:, c] = (vecs[:, ok] / qv[ok]).T, 1.0 / lam[ok]
+    repeated = np.bincount(cluster, weights=size)[cluster[ok]] > 1
+    return _snap(roots), np.concatenate(([False], repeated))
 
 
 def solve_fixed_points_numeric(
-    spec: AlgebraSpec,
-    operator: str = "W",
-    grid: int = 3,
-    seed: int = 0,
-    random_starts: int = 8,
+    spec: AlgebraSpec, operator: str = "W", grid: int = 3, seed: int = 0, random_starts: int = 8
 ) -> list[FixedPointRecord]:
     """Fixed points of op, exact for W where the fixed support keeps one sex
     with one type, else by multi-start Newton.
@@ -637,9 +640,7 @@ def closed_form_fixed_points_type11(gamma: float) -> list[FixedPointRecord]:
     return closed_form_records(*type11_fixed_points(gamma), type11_spec(gamma))
 
 
-def closed_form_fixed_points_type21(
-    g1: float, g2: float, d1: float, d2: float
-) -> list[FixedPointRecord]:
+def closed_form_fixed_points_type21(g1: float, g2: float, d1: float, d2: float) -> list[FixedPointRecord]:
     """Every W fixed point of the type-(2,1) family, origin first.
 
     W(x, y) = (y A x, y (g, d) . x) with the female transfer matrix

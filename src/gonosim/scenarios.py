@@ -353,10 +353,9 @@ def predict_limit_type21(
     omega(y) <= omega(z)^2 / 4 sends such a mass to zero, and None (not
     derived) otherwise; the V orbit goes to W(e, 1) normalized, where e =
     (A - lambda1 I) x(t0) is the part of the female state at t0 = max(E) + 1
-    along the dominant eigenvector of the female transfer matrix
-    A = [[g1, d1], [g2, d2]] (_type21_eigenpairs); e = x(t0), an eigenvector,
-    when A - lambda1 I has no entry of PARAM_TOL (A = lambda I, as in
-    type21_fixed_points) or |e|_1 <= PARAM_TOL |x(t0)|_1 max|A - lambda1 I|.
+    along the dominant eigenvector of A = [[g1, d1], [g2, d2]], the female
+    transfer matrix (_type21_eigenpairs); e = x(t0) when A - lambda1 I has
+    no entry of PARAM_TOL (A = lambda I) or |e|_1 <= PARAM_TOL |x(t0)|_1 max|A - lambda1 I|.
     Distinct eigenvalues of equal modulus, lambda1 = -lambda2, need g1 =
     d2 = 0; then A^2 = g2 d1 I, so from t0 on the V orbit is the period-2
     cycle of W(x(t0), 1) and W(A x(t0), 1), normalized (opposite_eigenvalues).

@@ -289,6 +289,50 @@ class TestEigenSearch:
         np.testing.assert_allclose(recs[1].point.vector, [1.0 / 0.9, 0.0, 10.0], rtol=1e-9, atol=1e-12)
         assert all(r.residual < RESIDUAL_TOL for r in recs)
 
+    def test_repeated_eigenvalue_whose_twin_gives_no_root_keeps_its_line(self):
+        # A = 0.3 I with q = (0, 0.7): q.e1 = 0, so e1 gives no root, yet its
+        # eigenvalue still repeats that of e2, whose root lies on the line
+        # (t, 1 / 0.7, 1 / 0.3) of fixed points
+        spec = AlgebraSpec(2, 1, [[[0.3, 0.0]], [[0.0, 0.3]]], [[[0.0]], [[0.7]]])
+        for phi, alg in ((np.eye(3), spec), (swap_map(spec), opposite(spec))):
+            recs = solve_fixed_points_numeric(alg, "W")
+            assert [r.family is not None for r in recs] == [False, True]
+            assert recs[0].diagnostics["method"] == "eigen"
+            for t in (-2.0, 0.0, 5.0):
+                assert recs[1].family.contains(phi @ [t, 1 / 0.7, 1 / 0.3])
+
+    @pytest.mark.parametrize(
+        "A, root",
+        [
+            ([[0.3, 0.1], [-0.1, 0.5]], [1.0, 1.0, 2.5]),  # LAPACK: 0.4 twice
+            ([[0.3, -0.1], [0.1, 0.5]], [5.0, -5.0, 2.5]),  # LAPACK: 0.4 +- 2.4e-9 i
+        ],
+    )
+    def test_defective_non_triangular_pair_gives_its_single_root(self, A, root):
+        # A has the one eigenvalue 0.4 with one eigenvector; rounding may
+        # return it as a conjugate pair, whose real parts are an eigenpair.
+        # The reference Newton search creeps to this singular root linearly
+        from test_newton import reference_search
+
+        spec = AlgebraSpec(2, 1, np.transpose(A)[:, None, :], [[[0.6]], [[0.4]]])
+        recs = solve_fixed_points_numeric(spec, "W")
+        want = reference_search(spec, "W")
+        assert recs[0].diagnostics["method"] == "eigen" and len(recs) == len(want) == 2
+        for r, w in zip(recs, want):
+            assert np.abs(r.point.vector - w.point.vector).sum() < DEDUP_TOL and r.residual < RESIDUAL_TOL
+        np.testing.assert_allclose(recs[1].point.vector, root, rtol=1e-12)
+
+    def test_defective_pair_split_real_by_rounding_lists_only_its_root(self):
+        # A = [[0.25, 0.25], [-0.25, 0.75]] is defective in binary too
+        # ((a - d)^2 + 4 b c = 0 exactly), yet LAPACK splits its eigenvalue
+        # 0.5 into two reals 1e-8 apart.  That split is wider than tol, so
+        # it may give two records; each is the one root (1, 1, 2) to rounding
+        spec = AlgebraSpec(2, 1, [[[0.25, -0.25]], [[0.25, 0.75]]], [[[0.6]], [[0.4]]])
+        recs = solve_fixed_points_numeric(spec, "W")
+        assert recs[0].diagnostics["method"] == "eigen" and 2 <= len(recs) <= 3
+        for r in recs[1:]:
+            assert np.abs(r.point.vector - [1.0, 1.0, 2.0]).sum() < DEDUP_TOL and r.residual < RESIDUAL_TOL
+
     def test_root_with_a_large_residual_is_polished_by_newton(self, monkeypatch):
         import gonosim.fixed_points as fp
 
