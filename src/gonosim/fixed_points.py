@@ -1,11 +1,12 @@
 """Fixed points of the evolution operators and their stability.
 
-Numeric side: for W, where the coordinates a fixed point can hold keep
-one female or one male type, the exact set from the eigenpairs of the
-transfer matrix read off the kernel at those coordinates; otherwise
-multi-start Newton on op(z) - z with the analytic Jacobian, run from
-every start at once, then deduplication and detection of one-parameter
-families through null directions of the linearization.
+Numeric side: where the coordinates a fixed point can hold keep one
+female or one male type, the exact W set from the eigenpairs of the
+transfer matrix read off the kernel at those coordinates, scaled to unit
+sum for V; otherwise multi-start Newton on op(z) - z with the analytic
+Jacobian, run from every start at once, then deduplication and detection
+of one-parameter families through null directions of the linearization.
+The candidates of both paths pass one acceptance rule.
 Closed-form side: records of the scenario fixed points, whose formulas
 live in scenarios.
 Stability is read off Jacobian spectra; for the normalized operator the
@@ -163,16 +164,17 @@ class FixedPointRecord:
     """A fixed point with its spectra and stability labels.
 
     ``diagnostics`` is set on the records of a numeric search.  ``method``
-    follows the fixed support alone: ``"eigen"`` for the W search of an
+    follows the fixed support alone, for both operators: ``"eigen"`` for an
     empty or one-sex support (_eigen_roots), whose candidates are its
-    non-zero eigen roots, one per cluster of eigenvalues, else ``"newton"``,
-    whose candidates are its starts.  The counts: ``attempted`` candidates,
-    ``converged`` (accepted roots before deduplication), ``singular`` (took
-    at least one least-squares Newton step), and the failures
-    ``nonfinite``, ``diverged``, ``rejected_residual`` and, for V,
-    ``absorbed`` (omega(W) vanished, or the root has no female or no male
-    mass).  Each candidate ends either converged or in exactly one failure;
-    an eigen root with residual below RESIDUAL_TOL converges without Newton.
+    non-zero W roots, one per cluster of eigenvalues, each w scaled to w /
+    omega(w) for V; else ``"newton"``, whose candidates are its starts.  The
+    counts: ``attempted`` candidates, ``converged`` (accepted roots before
+    deduplication), ``singular`` (took at least one least-squares Newton
+    step), and the failures ``nonfinite``, ``diverged``,
+    ``rejected_residual`` and, for V, ``absorbed`` (omega(W) or omega(w)
+    vanished, or the root has no female or no male mass).  Each candidate
+    ends either converged or in exactly one failure; an eigen candidate
+    rejected for its residual is polished by Newton.
     """
 
     point: State
@@ -303,8 +305,8 @@ def _newton_steps(J: np.ndarray, F: np.ndarray):
 
 def _snap(X: np.ndarray) -> np.ndarray:
     """X with every coordinate within ROOT_ZERO_TOL * max(1, |row|_inf) of zero set to 0.0."""
-    scale = np.maximum(1.0, np.abs(X).max(axis=1, initial=0.0))
-    return np.where(np.abs(X) <= ROOT_ZERO_TOL * scale[:, None], 0.0, X)
+    size = np.abs(X)
+    return np.where(size <= ROOT_ZERO_TOL * np.maximum(1.0, size.max(axis=1, initial=0.0))[:, None], 0.0, X)
 
 
 def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
@@ -314,11 +316,9 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
     call for op and the batch of Jacobians and one stacked solve.  A start
     stops when its L1 step falls below NEWTON_STEP_TOL or after
     NEWTON_MAX_ITER steps, and fails on a non-finite step or state, a
-    coordinate beyond NEWTON_DIVERGENCE, or (V) a vanishing omega(W).  The V iterate is rescaled to unit sum
-    after each step.  A stopped start is accepted if its residual is below
-    RESIDUAL_TOL; accepted roots have their near-zero coordinates snapped
-    to 0.0, and a V root without female or male mass is rejected as
-    absorbed.
+    coordinate beyond NEWTON_DIVERGENCE, or (V) a vanishing omega(W).  The
+    V iterate is rescaled to unit sum after each step.  A stopped start
+    goes through _accept.
 
     Returns the final iterates (B, dim), the per-start outcome codes (0 for
     an accepted root, else 1 + index into _FAILURES) and the mask of
@@ -357,16 +357,26 @@ def _newton(starts: np.ndarray, spec: AlgebraSpec, operator: str):
 
     done = np.flatnonzero(fate == 0)
     Z = X[done]
-    opZ, _, _, absorbed = _op_rows(Z, spec, operator)
-    fate[done[absorbed]] = _ABSORBED
-    fate[done[~absorbed & ~(np.abs(opZ - Z).sum(axis=1) < RESIDUAL_TOL)]] = _REJECTED
-    ok = done[fate[done] == 0]
-    X[ok] = _snap(X[ok])
-    if operator == "V":
-        n = spec.n
-        female, male = np.abs(X[ok, :n].sum(axis=1)), np.abs(X[ok, n:].sum(axis=1))
-        fate[ok[(female < DEDUP_TOL) | (male < DEDUP_TOL)]] = _ABSORBED
+    fate[done] = _accept(Z, spec, operator)
+    X[done] = Z
     return X, fate, singular
+
+
+def _accept(Z: np.ndarray, spec: AlgebraSpec, operator: str) -> np.ndarray:
+    """The outcome codes of the candidate roots Z under the one acceptance
+    rule of both search paths: 0 if the residual is below RESIDUAL_TOL,
+    else rejected; for V absorbed where omega(W) vanishes or the snapped
+    row has female or male mass below DEDUP_TOL.  Snaps every row of Z in
+    place (callers keep the accepted ones), so structural zeros survive.
+    """
+    op, _, _, absorbed = _op_rows(Z, spec, operator)
+    fate = np.where(np.abs(op - Z).sum(axis=1) < RESIDUAL_TOL, 0, _REJECTED)
+    fate[absorbed] = _ABSORBED
+    Z[:] = _snap(Z)
+    if operator == "V":
+        sexes = np.abs(np.add.reduceat(Z, [0, spec.n], axis=1))  # the female and the male mass of each row
+        fate[(fate == 0) & (sexes < DEDUP_TOL).any(axis=1)] = _ABSORBED
+    return fate
 
 
 def _detect_family(v: np.ndarray, spec: AlgebraSpec, operator: str) -> FamilyDescriptor | None:
@@ -439,8 +449,7 @@ def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> tuple[np.ndarray, np.ndarr
     family (A = lam I on its eigenspace) that _detect_family finds.  Real
     eigenvalues further apart than tol give two roots, also where rounding
     split a defective pair of a non-triangular A by about sqrt(eps) ||A||,
-    a split double precision cannot tell from a true one.  Coordinates are
-    snapped as Newton's are, so a triangular A keeps its structural zeros.
+    a split double precision cannot tell from a true one.
     """
     n = spec.n
     if not S.any():
@@ -468,23 +477,25 @@ def _eigen_roots(spec: AlgebraSpec, S: np.ndarray) -> tuple[np.ndarray, np.ndarr
     roots = np.zeros((1 + len(ok), spec.dim))
     roots[1:, M], roots[1:, c] = (vecs[:, ok] / qv[ok]).T, 1.0 / lam[ok]
     repeated = np.bincount(cluster, weights=size)[cluster[ok]] > 1
-    return _snap(roots), np.concatenate(([False], repeated))
+    return roots, np.concatenate(([False], repeated))
 
 
 def solve_fixed_points_numeric(
     spec: AlgebraSpec, operator: str = "W", grid: int = 3, seed: int = 0, random_starts: int = 8
 ) -> list[FixedPointRecord]:
-    """Fixed points of op, exact for W where the fixed support keeps one sex
-    with one type, else by multi-start Newton.
+    """Fixed points of op, exact where the fixed support keeps one sex with
+    one type, else by multi-start Newton.
 
     The roots of both operators vanish off the fixed support S
-    (_fixed_support).  For W, an empty S or one that keeps one type of one
-    sex gives the exact set of _eigen_roots, and the start arguments are
-    unused.  A non-origin root whose residual is not below RESIDUAL_TOL is
-    polished by Newton on spec and kept only if accepted; J_W - I is block
-    triangular on (S, off S), so at a root that vanishes off S the step
-    does too.  A line of fixed points that _detect_family finds through the
-    root of a repeated eigenvalue replaces that root as a family record.
+    (_fixed_support).  An empty S or one that keeps one type of one sex
+    gives the exact W set of _eigen_roots, and the start arguments are
+    unused; W is homogeneous of degree 2, so the V roots are its non-zero
+    roots w scaled to w / omega(w).  Those candidates go through _accept,
+    and one rejected for its residual is polished by Newton on op and kept
+    only if accepted; J_op - I is block triangular on (S, off S), so at a
+    root that vanishes off S the step does too.  A line of fixed points
+    that _detect_family finds through the root of a repeated eigenvalue
+    replaces that root as a family record.
 
     Otherwise Newton runs from a grid over [0, 5]^dim (or the simplex for
     the normalized operator) plus seeded random points.  Roots are
@@ -492,7 +503,6 @@ def solve_fixed_points_numeric(
     one-parameter family collapse into a single family record.  The zero
     state is always included for the unnormalized operator.
 
-    The V search returns no record, and runs no start, where S is empty.
     Every record carries the search's diagnostics.  Raises ValueError for
     an algebra with a non-finite structure constant (before any other
     check), an operator other than "W" or "V", or a Newton search whose
@@ -501,22 +511,22 @@ def solve_fixed_points_numeric(
     """
     _admit(spec, operator=operator, stochastic=operator == "V")
     S = _fixed_support(spec)
-    if operator == "V" and not S.any():
-        return []  # V(z) = z makes W(z) a non-zero multiple of z, so z vanishes off S too
     families: list[FamilyDescriptor] = []
-    if operator == "W" and (exact := _eigen_roots(spec, S)) is not None:
+    if (exact := _eigen_roots(spec, S)) is not None:
         (roots, repeated), method = exact, "eigen"
-        fate, singular = np.zeros(len(roots), dtype=int), np.zeros(len(roots), dtype=bool)
-        if len(roots) > 1:  # W(0) = 0: the origin, first, needs no residual check
-            op = _op_rows(roots[1:], spec, "W", rowwise=True)[0]
-            off = 1 + np.flatnonzero(~(np.abs(op - roots[1:]).sum(axis=1) < RESIDUAL_TOL))
-            if off.size:
-                roots[off], fate[off], singular[off] = _newton(roots[off], spec, "W")
-        for j in np.flatnonzero(repeated & (kept := fate == 0)):
-            if (fam := _detect_family(roots[j], spec, "W")) is not None:
+        Z = roots[1:]  # a view: the origin, first, is a W root (W(0) = 0) and no candidate
+        if operator == "V":  # w / omega(w), or the origin, where V is undefined, if omega(w) = 0
+            mass = Z.sum(axis=1, keepdims=True)
+            Z[:] = np.divide(Z, mass, out=np.zeros_like(Z), where=mass != 0.0)
+        fate = _accept(Z, spec, operator) if len(Z) else np.zeros(0, dtype=int)  # empty S: skip its fixed cost
+        singular = np.zeros(len(Z), dtype=bool)
+        if (off := np.flatnonzero(fate == _REJECTED)).size:
+            Z[off], fate[off], singular[off] = _newton(Z[off], spec, operator)
+        for j in np.flatnonzero(repeated & (kept := np.concatenate(([operator == "W"], fate == 0)))):
+            if (fam := _detect_family(roots[j], spec, operator)) is not None:
                 families.append(fam)  # the line replaces its root
                 kept[j] = False
-        roots, fate, singular = roots[kept], fate[1:], singular[1:]  # the origin is no candidate
+        roots = roots[kept]
     else:
         method = "newton"
         count = _start_count(spec.dim, operator, grid, random_starts)

@@ -332,9 +332,10 @@ class TestFixedPoints:
         ],
     )
     def test_closed_form_points_the_numeric_search_misses_pass(self, flags, capsys):
-        # the non-zero closed-form points lie far outside the Newton start box
-        # (a y2 of 2e13 for hemophilia), so the (2,2) search finds the origin
-        # only; the exact search of type (2,1) finds every closed-form point
+        # the exact search of the hemophilia fixed support finds the origin
+        # only: the eigenpair of the non-zero closed-form point (a y2 of 2e13)
+        # has |q.v| below PARAM_TOL |v|_1 and gives no root; the exact search
+        # of type (2,1) finds every closed-form point
         code, payload = _run(["fixed-points", "--scenario", *flags], capsys)
         assert code == 0 and payload["cross_check"]["pass"] is True
         records, closed = payload["records"], payload["closed_form"]

@@ -175,7 +175,7 @@ class TestNumericSolver:
 
 
 class TestEigenSearch:
-    """The exact W search of algebras with one female or one male type."""
+    """The exact W and V searches of algebras with one female or one male type."""
 
     @pytest.mark.parametrize("n, nu", [(2, 1), (3, 1), (1, 3)])
     def test_real_root_count_is_exact(self, n, nu):
@@ -366,8 +366,19 @@ class TestEigenSearch:
         assert diag["attempted"] == 1 and diag["converged"] == 0
         assert diag["attempted"] == diag["converged"] + diag["rejected_residual"] + diag["nonfinite"] + diag["diverged"]
 
-    def test_V_search_runs_newton(self):
-        assert solve_fixed_points_numeric(type21_spec(0.3, 0.2, 0.25, 0.35), "V")[0].diagnostics["method"] == "newton"
+    def test_V_search_path_follows_the_fixed_support(self):
+        assert solve_fixed_points_numeric(type21_spec(0.3, 0.2, 0.25, 0.35), "V")[0].diagnostics["method"] == "eigen"
+        assert solve_fixed_points_numeric(random_stochastic(2, 2, 0), "V")[0].diagnostics["method"] == "newton"
+
+    def test_V_search_holds_the_unstable_point_inside_the_simplex(self):
+        # the W roots besides the origin are (0, 2, 2) and (1.000001, 0, 1e6);
+        # scaled to unit sum, both are V fixed points, the second one unstable
+        recs = solve_fixed_points_numeric(type21_spec(1e-6, 0.0, 0.0, 0.5), "V")
+        assert [r.diagnostics["method"] for r in recs] == ["eigen", "eigen"]
+        assert [r.stability_v for r in recs] == ["exponentially_stable", "unstable"]
+        np.testing.assert_allclose(recs[0].point.vector, [0.0, 0.5, 0.5], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(recs[1].point.vector, [1e-6, 0.0, 0.999999], rtol=1e-12, atol=0.0)
+        assert all(r.residual < RESIDUAL_TOL for r in recs)
 
 
 class TestFixedSupport:

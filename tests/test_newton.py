@@ -248,12 +248,12 @@ def assert_holds_records(got, want):
 
 
 def assert_search_matches_reference(spec, operator):
-    """The search against reference_search: for W on a one-sex type the exact
-    eigen set, which holds every root of the grid and may hold more; else
-    the same records in the same order."""
+    """The search against reference_search: on a one-sex type the exact eigen
+    set (for V its normalized roots), which holds every root of the grid and
+    may hold more; else the same records in the same order."""
     want = reference_search(spec, operator)
     got = solve_fixed_points_numeric(spec, operator)
-    if operator == "W" and 1 in (spec.n, spec.nu):
+    if 1 in (spec.n, spec.nu):
         assert got[0].diagnostics["method"] == "eigen"
         assert_holds_records(got, want)
     else:

@@ -1,8 +1,8 @@
 """Property tests on random stochastic algebras from (1,1) to (4,4) (the
 mass rule up to (8,8) and at (32,32)), on one-sex algebras up to (5,1) and
-(1,5), on algebras from (2,2) to (4,4) whose products never produce some
-coordinates, on sparse stochastic and signed algebras up to (5,5), and on
-the type-(2,1) family.
+(1,5) (the V search up to (6,1) and (1,6)), on algebras from (2,2) to
+(4,4) whose products never produce some coordinates, on sparse stochastic
+and signed algebras up to (5,5), and on the type-(2,1) family.
 
 Hypothesis draws the algebra type, its seed and the test points; the
 profile in conftest.py fixes the examples, so every run tests the same ones.
@@ -164,6 +164,57 @@ def test_one_sex_W_search_holds_every_newton_root(spec, seed):
             rec.family.contains(v) if rec.family is not None else np.abs(rec.point.vector - v).sum() < DEDUP_TOL
             for rec in recs
         ), v
+
+
+@st.composite
+def one_sex_V_algebras(draw):
+    """A random stochastic (n,1) or (1,nu) algebra with n, nu <= 6, or a
+    type-(2,1) point with a triangular A, A = lam I or opposite eigenvalues."""
+    kind = draw(st.sampled_from(("random", "triangular", "line", "opposite")))
+    (g1, g2), (d1, d2) = draw(type21_rows), draw(type21_rows)
+    if kind == "random":
+        k, seed = draw(st.integers(1, 6)), draw(seeds)
+        return random_stochastic(k, 1, seed) if draw(st.booleans()) else random_stochastic(1, k, seed)
+    if kind == "triangular":
+        return type21_spec(*((g1, 0.0, d1, d2) if draw(st.booleans()) else (g1, g2, 0.0, d2)))
+    if kind == "line":
+        lam = draw(st.floats(0.05, 0.9))
+        return type21_spec(lam, 0.0, 0.0, lam)
+    return type21_spec(0.0, g2, d1, 0.0)
+
+
+@given(one_sex_V_algebras())
+@settings(max_examples=200)
+def test_one_sex_V_records_are_the_normalized_W_records(spec):
+    # W is homogeneous of degree 2, so V = W / omega(W) fixes w / omega(w)
+    # for every non-zero W root w; the V search reports those whose female
+    # and male masses reach DEDUP_TOL, in the W order, a line as a line, and
+    # each non-negative W record carries the V label of its V record.  The W
+    # search tests an absolute residual, so it may drop a large root that V,
+    # at unit scale, keeps: V holds one record more for each such root
+    w_recs = solve_fixed_points_numeric(spec, "W")
+    v_recs = solve_fixed_points_numeric(spec, "V")
+    want = []
+    for rec in w_recs[1:]:
+        w = rec.point.vector
+        u = w / w.sum()
+        if min(abs(u[: spec.n].sum()), abs(u[spec.n :].sum())) >= DEDUP_TOL:
+            want.append((u, rec))
+    assert 0 <= len(v_recs) - len(want) <= w_recs[0].diagnostics["rejected_residual"]
+    remaining = iter(v_recs)
+    for u, w_rec in want:
+        v_rec = next((r for r in remaining if np.abs(r.point.vector - u).sum() < DEDUP_TOL), None)
+        assert v_rec is not None, (spec.to_dict(), u)
+        assert (v_rec.family is None) == (w_rec.family is None)
+        if np.all(w_rec.point.vector >= 0.0):
+            assert v_rec.stability_v == w_rec.stability_v
+    assert all(r.residual < RESIDUAL_TOL for r in v_recs)
+    for recs in (w_recs, v_recs):
+        for rec in recs:
+            d = rec.diagnostics
+            assert d["method"] == "eigen"
+            failures = ("rejected_residual", "nonfinite", "diverged", "absorbed")
+            assert d["attempted"] == d["converged"] + sum(d.get(k, 0) for k in failures)
 
 
 def _reducible_algebra(n: int, nu: int, seed: int, drop: list) -> AlgebraSpec:
